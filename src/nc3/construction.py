@@ -32,7 +32,6 @@ of the smoothing invariants computed downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from . import degeneration
@@ -235,11 +234,9 @@ def _pad(v: Vec, extra: int) -> Vec:
 
 def _extend_columns(m: IntMatrix, new_cols: Sequence[Vec], rank: int) -> IntMatrix:
     """Append column vectors (given as lattice vectors) to a restriction matrix."""
-    rows = [list(r) for r in m] if m else [[] for _ in range(rank)]
-    for col in new_cols:
-        for r in range(rank):
-            rows[r].append(col[r])
-    return tuple(tuple(r) for r in rows)
+    old_rows = m if m else ((),) * rank
+    new_rows = zip(*new_cols) if new_cols else ((),) * rank
+    return tuple(tuple(r) + t for r, t in zip(old_rows, new_rows, strict=True))
 
 
 def sequential_blowup(
@@ -414,11 +411,8 @@ def sequential_blowup(
     # D3 = Y1 ^ Y2: blown up at the gamma triple-curve points.
     eps_labels = tuple(f"eps[{p + 1}]" for p in range(gamma))
     old_rank = s2.lattice.rank
-    new_gram = tuple(
-        tuple(s2.lattice.gram[r]) + (0,) * gamma for r in range(old_rank)
-    ) + tuple(
-        (0,) * old_rank + tuple(-1 if q == p else 0 for q in range(gamma))
-        for p in range(gamma)
+    new_gram = tuple(row + (0,) * gamma for row in s2.lattice.gram) + tuple(
+        (0,) * (old_rank + p) + (-1,) + (0,) * (gamma - p - 1) for p in range(gamma)
     )
     new_lattice = IntersectionLattice(
         rank=old_rank + gamma,
@@ -500,11 +494,9 @@ def extend_restriction_matrix(
         raise ValueError("alpha and gamma must be non-negative")
     if alpha == 0 and gamma == 0:
         return m
-    zero = Fraction(0)
-    rows = [r + (zero,) * (2 * alpha) for r in m.entries]
-    for _ in range(gamma):
-        rows.append((zero,) * (m.cols + 2 * alpha))
-    return RationalMatrix(rows=m.rows + gamma, cols=m.cols + 2 * alpha, entries=tuple(rows))
+    pad = (0,) * (2 * alpha)
+    entries = tuple(r + pad for r in m.entries) + ((0,) * (m.cols + 2 * alpha),) * gamma
+    return RationalMatrix(rows=m.rows + gamma, cols=m.cols + 2 * alpha, entries=entries)
 
 
 # ---------------------------------------------------------------------------

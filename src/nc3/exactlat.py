@@ -8,16 +8,21 @@ numbers) reduces to three primitives implemented here:
 * the topological Euler number of a smooth curve from its divisor class,
   via adjunction: e(c) = -c.(c + K).
 
-No floating point is used anywhere in this package.  Inputs in the built-in
-catalog are small, but all arithmetic goes through Python integers and
-``fractions.Fraction``, so the contract is unbounded precision.  Rank is
-computed by fraction-free (Bareiss) elimination after clearing denominators;
-only the rank over the rationals is needed, never torsion.
+No floating point is used anywhere in this package, and all arithmetic goes
+through Python integers, so the contract is unbounded precision.  Rank is
+computed by sparse integer elimination: rows are kept as ``{col: value}``
+dicts, each step pivots on the shortest row and updates only the rows that
+meet the pivot column, and every updated row is divided by the gcd of its
+entries (its content) so the numbers stay small.  ``Fraction`` entries are
+accepted at the API boundary: ``matrix_rank`` clears the denominators of the
+rows that hold one, once, before elimination.  Only the rank over the
+rationals is needed, never torsion.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -115,12 +120,16 @@ class IntersectionLattice:
                 f"gram matrix must be {self.rank}x{self.rank}, got "
                 f"{len(self.gram)} rows"
             )
-        for i in range(self.rank):
-            for j in range(i):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise ExactLatticeError(
-                        f"gram matrix is not symmetric at ({i},{j})"
-                    )
+        # Rows against columns at C speed, one column at a time so the
+        # transpose is never held whole.  On a mismatch (or rows that are not
+        # tuples) the loop names the first asymmetric entry.
+        if not all(map(operator.eq, self.gram, zip(*self.gram))):
+            for i in range(self.rank):
+                for j in range(i):
+                    if self.gram[i][j] != self.gram[j][i]:
+                        raise ExactLatticeError(
+                            f"gram matrix is not symmetric at ({i},{j})"
+                        )
         if len(self.basis_labels) != self.rank:
             raise DimensionMismatch(
                 f"expected {self.rank} basis labels, got {len(self.basis_labels)}"
@@ -176,11 +185,11 @@ def adjunction_euler(c: Sequence[int], canonical: Sequence[int], lattice: Inters
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """A dense matrix of exact rationals (rows of ``Fraction``)."""
+    """A dense matrix of exact rationals: ``int`` entries, ``Fraction`` where needed."""
 
     rows: int
     cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[int | Fraction, ...], ...]
 
     def __post_init__(self) -> None:
         if len(self.entries) != self.rows:
@@ -191,7 +200,10 @@ class RationalMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int | Fraction]]) -> "RationalMatrix":
-        entries = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        """Integers are kept as they are; every other value becomes a ``Fraction``."""
+        entries = tuple(
+            tuple(x if type(x) is int else Fraction(x) for x in row) for row in rows
+        )
         n_rows = len(entries)
         n_cols = len(entries[0]) if entries else 0
         if any(len(r) != n_cols for r in entries):
@@ -200,61 +212,73 @@ class RationalMatrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RationalMatrix":
-        z = Fraction(0)
-        return cls(rows=rows, cols=cols, entries=tuple((z,) * cols for _ in range(rows)))
+        return cls(rows=rows, cols=cols, entries=((0,) * cols,) * rows)
 
-    def apply(self, v: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
+    def apply(self, v: Sequence[int | Fraction]) -> tuple[int | Fraction, ...]:
         if len(v) != self.cols:
             raise DimensionMismatch(
                 f"matrix with {self.cols} columns applied to vector of length {len(v)}"
             )
-        return tuple(sum((r[j] * v[j] for j in range(self.cols)), Fraction(0)) for r in self.entries)
+        return tuple(sum(r[j] * v[j] for j in range(self.cols)) for r in self.entries)
 
     def rank(self) -> int:
         return matrix_rank(self)
 
 
-def _integer_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+def _sparse_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank over the rationals of integer rows, by sparse elimination.
 
-    All intermediate values stay integral; divisions by the previous pivot
-    are exact by the Bareiss identity.
+    Rows are ``{col: value}`` dicts without zeros.  Each step takes the
+    shortest remaining row as the pivot row, at its entry p of smallest
+    absolute value, and clears the pivot column from each row r that holds
+    it, with entry f:  r <- (p/g) r - (f/g) pivot,  g = gcd(p, f).  The
+    updated row is divided by the gcd of its entries.  Rows without the
+    pivot column are not touched, and every number stays an integer.
     """
-    if not rows or not rows[0]:
-        return 0
-    n_rows, n_cols = len(rows), len(rows[0])
+    pending = [d for d in ({j: x for j, x in enumerate(r) if x} for r in rows) if d]
     rank = 0
-    prev_pivot = 1
-    for col in range(n_cols):
-        piv = next((i for i in range(rank, n_rows) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pivot_row = rows[rank]
-        p = pivot_row[col]
-        for i in range(rank + 1, n_rows):
-            ri = rows[i]
-            f = ri[col]
-            for j in range(col, n_cols):
-                q, rem = divmod(p * ri[j] - f * pivot_row[j], prev_pivot)
-                assert rem == 0, "Bareiss exact-division invariant violated"
-                ri[j] = q
-        prev_pivot = p
+    while pending:
+        lengths = list(map(len, pending))
+        pivot = pending.pop(lengths.index(min(lengths)))
+        col = min(pivot, key=lambda j: abs(pivot[j]))
+        p = pivot[col]
         rank += 1
-        if rank == n_rows:
-            break
+        for r in pending:
+            f = r.get(col)
+            if f is None:
+                continue
+            g = math.gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                for j in r:
+                    r[j] *= a
+            for j, y in pivot.items():
+                x = r.get(j, 0) - b * y
+                if x:
+                    r[j] = x
+                else:
+                    del r[j]
+            content = math.gcd(*r.values())
+            if content > 1:
+                for j in r:
+                    r[j] //= content
+        pending = [r for r in pending if r]
     return rank
 
 
 def matrix_rank(m: RationalMatrix) -> int:
-    """Exact rank over the rationals (denominators cleared row by row)."""
-    scaled: list[list[int]] = []
+    """Exact rank over the rationals.
+
+    Integer rows go to the elimination as they are.  A row that holds a
+    ``Fraction`` is scaled once by the lcm of its denominators.
+    """
+    rows: list[Sequence[int]] = []
     for r in m.entries:
-        lcm = 1
-        for x in r:
-            lcm = lcm // math.gcd(lcm, x.denominator) * x.denominator
-        scaled.append([int(x * lcm) for x in r])
-    return _integer_rank(scaled)
+        if not {int}.issuperset(map(type, r)):
+            lcm = math.lcm(*(x.denominator for x in r))
+            r = tuple(int(x * lcm) for x in r)
+        rows.append(r)
+    return _sparse_rank(rows)
 
 
 def kernel_dimension(m: RationalMatrix) -> int:

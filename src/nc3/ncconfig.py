@@ -522,26 +522,20 @@ def restriction_difference_matrix(config: NCConfiguration) -> RationalMatrix:
         col_offsets.append(col_offsets[-1] + comp.h2_rank)
     total_cols = col_offsets[-1]
 
-    rows: list[list[int]] = []
+    rows: list[tuple[int, ...]] = []
     for i, surf in enumerate(config.surfaces):
         j, k = SURFACE_ADJACENCY[i]
-        r_plus = config.restriction(i, j)
-        r_minus = config.restriction(i, k)
-        comp_j, comp_k = config.components[j], config.components[k]
         if not (surf.restriction_shape_ok(0, config.components[j]) and surf.restriction_shape_ok(1, config.components[k])):
             raise MissingData(
                 f"surface {surf.name}: restriction matrices have inconsistent shapes"
             )
-        for r in range(surf.lattice.rank):
+        # j != k, so the two column blocks of a row do not overlap.
+        for r_plus, r_minus in zip(config.restriction(i, j), config.restriction(i, k)):
             row = [0] * total_cols
-            for c in range(comp_j.h2_rank):
-                row[col_offsets[j] + c] += r_plus[r][c]
-            for c in range(comp_k.h2_rank):
-                row[col_offsets[k] + c] -= r_minus[r][c]
-            rows.append(row)
-    if not rows:
-        return RationalMatrix.zero(0, total_cols)
-    return RationalMatrix.from_rows(rows)
+            row[col_offsets[j] : col_offsets[j + 1]] = r_plus
+            row[col_offsets[k] : col_offsets[k + 1]] = [-x for x in r_minus]
+            rows.append(tuple(row))
+    return RationalMatrix(rows=len(rows), cols=total_cols, entries=tuple(rows))
 
 
 def stack_component_vectors(config: NCConfiguration, parts: Sequence[Vec]) -> Vec:
@@ -707,10 +701,11 @@ def config_from_dict(data: Mapping[str, Any]) -> NCConfiguration:
 
     raw_comps = _require(data, "components", "configuration")
     raw_surfs = _require(data, "surfaces", "configuration")
-    if not isinstance(raw_comps, list) or len(raw_comps) != 3:
-        raise SchemaError("components must be a list of exactly three objects")
-    if not isinstance(raw_surfs, list) or len(raw_surfs) != 3:
-        raise SchemaError("surfaces must be a list of exactly three objects")
+    for key, raw in (("components", raw_comps), ("surfaces", raw_surfs)):
+        if not (
+            isinstance(raw, list) and len(raw) == 3 and all(isinstance(x, Mapping) for x in raw)
+        ):
+            raise SchemaError(f"{key} must be a list of exactly three objects")
 
     names: list[str] = []
     for c in raw_comps:
@@ -813,6 +808,8 @@ def config_from_dict(data: Mapping[str, Any]) -> NCConfiguration:
             raise SchemaError(str(exc))
 
     raw_triple = _require(data, "triple", "configuration")
+    if not isinstance(raw_triple, Mapping):
+        raise SchemaError("triple must be a JSON object")
     connected = _require(raw_triple, "connected", "triple")
     if not isinstance(connected, bool):
         raise SchemaError("triple.connected must be a boolean")

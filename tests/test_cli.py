@@ -52,6 +52,21 @@ def test_check_broken_config_exits_2(tmp_path, capsys):
     assert "error" in json.loads(err.strip().splitlines()[-1])
 
 
+@pytest.mark.parametrize("key", ["components", "surfaces"])
+def test_check_non_object_entries_exit_2(tmp_path, capsys, key):
+    rc, out, _ = run(capsys, "catalog", "export", "--family", "quintic")
+    data = json.loads(out)
+    data[key] = [1, 2, 3]
+    bad = tmp_path / "not-objects.json"
+    bad.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "check", "--config", str(bad))
+    assert rc == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert f"{key} must be a list of exactly three objects" in json.loads(lines[0])["error"]
+
+
 def test_check_asymmetric_gram_exits_2(tmp_path, capsys):
     rc, out, _ = run(capsys, "catalog", "export", "--family", "quintic")
     data = json.loads(out)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -83,7 +84,7 @@ def test_kernel_quintic_difference_matrix():
 
 
 def _oracle_rank(rows):
-    """Plain Fraction Gaussian elimination, independent of the Bareiss path."""
+    """Plain Fraction Gaussian elimination, independent of the integer path."""
     m = [[Fraction(x) for x in r] for r in rows]
     rank = 0
     n_rows = len(m)
@@ -127,6 +128,43 @@ def test_rank_nullity_against_oracle(n_rows, n_cols, data):
     rank = _oracle_rank(entries)
     assert kernel_dimension(m) == n_cols - rank
     assert kernel_dimension(m) + m.rank() == n_cols
+
+
+def _sparse_integer_rows(rnd, n_rows, n_cols, density, zero_rows=()):
+    """Entries in {-2..2}; each cell is non-zero with probability ``density``."""
+    return [
+        [
+            rnd.choice((-2, -1, 1, 2)) if i not in zero_rows and rnd.random() < density else 0
+            for _ in range(n_cols)
+        ]
+        for i in range(n_rows)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n_rows, n_cols, zero_rows",
+    [
+        (40, 12, ()),  # tall
+        (25, 6, ()),  # tall
+        (5, 12, ()),  # wide
+        (12, 12, ()),  # square
+        (30, 10, (0, 7, 29)),  # tall, with all-zero rows
+        (4, 11, (1, 3)),  # wide, with all-zero rows
+    ],
+)
+def test_sparse_integer_rank_against_oracle(n_rows, n_cols, zero_rows):
+    rnd = random.Random(n_rows * 100 + n_cols)
+    for density in (0.05, 0.1, 0.2, 0.3):
+        for _ in range(8):
+            rows = _sparse_integer_rows(rnd, n_rows, n_cols, density, zero_rows)
+            rank = _oracle_rank(rows)
+            m = RationalMatrix.from_rows(rows)
+            assert m.rank() == rank
+            assert kernel_dimension(m) == n_cols - rank
+            assert RationalMatrix.from_rows(zip(*rows)).rank() == rank
+            i = rnd.randrange(n_rows)
+            rows[i] = [10**40 * x for x in rows[i]]
+            assert RationalMatrix.from_rows(rows).rank() == rank
 
 
 def test_rank_big_integers():

@@ -169,6 +169,45 @@ def test_hodge_method_tags(quintic5):
     assert tags["h12"] == ("derived",)
 
 
+def test_hodge_degree_21_all_ones_row():
+    """Largest shape: 21 lines of degree 1, gamma 294, a 297x66 matrix.
+
+    A synthetic rank-one family (all cuts (7,), Gram [[2]], every Euler
+    number 4), checked against integer formulas that do not use nc3: each
+    center has Euler number -(2a^2 - 14a) on each of the three surfaces.
+    """
+    fam = catalog.Family(
+        id="rank-one-d21",
+        description="synthetic rank-one family of degree 21",
+        rank=1,
+        labels=("h",),
+        ample=(1,),
+        total_degree=(21,),
+        gamma=294,
+        gamma_per_unit=14,
+        h2=1,
+        tau_euler=0,
+        components=tuple(
+            catalog.FamilyComponent(name=f"Y{i + 1}", euler=4, cut=(7,)) for i in range(3)
+        ),
+        surfaces_opposite=tuple(catalog.FamilySurface(gram=((2,),), euler=4) for _ in range(3)),
+    )
+    parts = (1,) * 21
+    config, divisor = catalog.instantiate(
+        fam, catalog.PartitionSpec(parts=tuple((a,) for a in parts))
+    )
+    config_tilde, _ = construction.sequential_blowup(config, divisor)
+    m = ncconfig.restriction_difference_matrix(config_tilde)
+    assert (m.rows, m.cols) == (297, 66)
+
+    inv = hodge(config, divisor)
+    assert inv.h11 == 41
+    assert inv.euler == 3 * 4 - 6 * 4 + 3 * sum(-(2 * a * a - 14 * a) for a in parts) - 12 * 49
+    tags = dict(inv.method_tags)
+    assert set(tags["h11"]) == {"closed-form", "kernel"}
+    assert set(tags["euler"]) == {"closed-form", "triple-point-sum"}
+
+
 def test_hodge_closed_form_only_when_lattice_partial(quintic5):
     config, divisor = quintic5
     partial = dataclasses.replace(config, lattice_is_full=False)

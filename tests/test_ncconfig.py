@@ -244,11 +244,25 @@ def test_bool_is_not_an_integer(quintic5):
         ncconfig.config_from_dict(data)
 
 
+@pytest.mark.parametrize("key", ["components", "surfaces", "triple"])
+@pytest.mark.parametrize("value", [[1, 2, 3], ["name", "euler", "gram"], 7])
+def test_non_object_entries_are_schema_errors(quintic5, key, value):
+    config, _ = quintic5
+    data = config_to_dict(config)
+    data[key] = value
+    with pytest.raises(SchemaError):
+        ncconfig.config_from_dict(data)
+
+
 def test_asymmetric_gram_is_a_schema_error(quintic5):
     config, _ = quintic5
     data = config_to_dict(config)
     data["surfaces"][0]["gram"] = [[1, 2], [3, 1]]
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match=r"not symmetric at \(1,0\)"):
+        ncconfig.config_from_dict(data)
+    # the message names the first asymmetric entry in row order
+    data["surfaces"][0]["gram"] = [[1, 0, 1], [0, 1, 2], [0, 3, 1]]
+    with pytest.raises(SchemaError, match=r"not symmetric at \(2,0\)"):
         ncconfig.config_from_dict(data)
 
 
