@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -56,7 +57,7 @@ def _map_ordered(fn: Callable[[T], U], items: Sequence[T]) -> list[U]:
 
 
 def _emit(payload: dict[str, Any], args: argparse.Namespace) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = ncconfig.dumps(payload)
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -493,7 +494,9 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 # entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``nc3`` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="nc3",
         description=(
@@ -567,6 +570,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(_error_record(f"schema error: {exc}"), file=sys.stderr)
         return EXIT_PARSE
     except (
+        ncconfig.ConfigError,
         catalog.PartitionError,
         construction.AdmissibilityError,
         invariants.NotDSemistable,

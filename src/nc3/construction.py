@@ -41,6 +41,7 @@ from .exactlat import (
     RationalMatrix,
     Vec,
     adjunction_euler,
+    adjunction_sum,
     pair,
     vec_sub,
     vec_sum,
@@ -193,7 +194,7 @@ def check_collective_divisor(
                         ),
                     )
                 )
-            s = pair(c, c, surf.lattice) + pair(c, surf.canonical, surf.lattice)
+            s = adjunction_sum(c, surf.canonical, surf.lattice)
             if s % 2 != 0:
                 diags.append(
                     Diagnostic(

@@ -36,7 +36,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Any, Iterable, Sequence
 
 from .exactlat import (
     DimensionMismatch,
@@ -44,9 +45,10 @@ from .exactlat import (
     IntMatrix,
     RationalMatrix,
     Vec,
+    adjunction_sum,
+    default_labels,
     kernel_dimension,
     mat_vec,
-    make_lattice,
     vec_add,
     vec_sub,
     vec_zero,
@@ -389,10 +391,10 @@ def validate(config: NCConfiguration) -> list[Diagnostic]:
         )
     )
 
-    # Smooth-curve parity of the triple-curve class on each surface.
+    # Smooth-curve parity of the triple-curve class on each surface; the
+    # surface itself guarantees both classes have the lattice's rank.
     for surf in config.surfaces:
-        s = _adjunction_sum(surf.tau_class, surf.canonical, surf.lattice)
-        if s is None or s % 2 != 0:
+        if adjunction_sum(surf.tau_class, surf.canonical, surf.lattice) % 2 != 0:
             diags.append(
                 Diagnostic(
                     clause="parity",
@@ -436,15 +438,6 @@ def validate(config: NCConfiguration) -> list[Diagnostic]:
         diags.extend(_boundary_coherence(config))
 
     return sorted(diags)
-
-
-def _adjunction_sum(c: Vec, k: Vec, lattice: IntersectionLattice) -> int | None:
-    from .exactlat import pair
-
-    try:
-        return pair(c, c, lattice) + pair(c, k, lattice)
-    except DimensionMismatch:
-        return None
 
 
 def _boundary_coherence(config: NCConfiguration) -> list[Diagnostic]:
@@ -614,7 +607,52 @@ def dual_complex(config: Any) -> DualComplexInfo:
 # JSON serialization (schema "ncconfig/1"); integers only
 
 
-def _require(obj: Mapping[str, Any], key: str, where: str) -> Any:
+def dumps(obj: Any) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    This is the one layout of every file and payload nc3 writes: 2-space
+    indent, sorted keys, ASCII escapes, one scalar per line.  The stdlib
+    encoder falls back to pure Python when given an indent; here a list of
+    plain ints is joined in one ``str.join``.  Values are dicts with string
+    keys, lists, tuples, strings, ints, bools and ``None``; anything else
+    (floats included) raises ``TypeError``.
+    """
+    return _dumps(obj, "\n")
+
+
+def _dumps(x: Any, newline: str) -> str:
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    inner = newline + "  "
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        items = []
+        for key in sorted(x):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": " + _dumps(x[key], inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        if {int}.issuperset(map(type, x)):
+            items = map(int.__repr__, x)
+        else:
+            items = [_dumps(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _require(obj: dict[str, Any], key: str, where: str) -> Any:
     if key not in obj:
         raise SchemaError(f"{where}: missing key {key!r}")
     return obj[key]
@@ -629,7 +667,10 @@ def _intval(x: Any, where: str) -> int:
 def _intvec(x: Any, where: str) -> Vec:
     if not isinstance(x, list):
         raise SchemaError(f"{where}: expected list of integers, got {x!r}")
-    return tuple(_intval(v, where) for v in x)
+    if not {int}.issuperset(map(type, x)):
+        for v in x:
+            _intval(v, where)
+    return tuple(x)
 
 
 def _intmat(x: Any, where: str) -> IntMatrix:
@@ -693,8 +734,8 @@ def config_to_dict(config: NCConfiguration) -> dict[str, Any]:
     return out
 
 
-def config_from_dict(data: Mapping[str, Any]) -> NCConfiguration:
-    if not isinstance(data, Mapping):
+def config_from_dict(data: dict[str, Any]) -> NCConfiguration:
+    if not isinstance(data, dict):
         raise SchemaError("configuration must be a JSON object")
     if data.get("schema") != SCHEMA_ID:
         raise SchemaError(f"unsupported schema {data.get('schema')!r}, expected {SCHEMA_ID!r}")
@@ -703,7 +744,7 @@ def config_from_dict(data: Mapping[str, Any]) -> NCConfiguration:
     raw_surfs = _require(data, "surfaces", "configuration")
     for key, raw in (("components", raw_comps), ("surfaces", raw_surfs)):
         if not (
-            isinstance(raw, list) and len(raw) == 3 and all(isinstance(x, Mapping) for x in raw)
+            isinstance(raw, list) and len(raw) == 3 and all(isinstance(x, dict) for x in raw)
         ):
             raise SchemaError(f"{key} must be a list of exactly three objects")
 
@@ -729,7 +770,7 @@ def config_from_dict(data: Mapping[str, Any]) -> NCConfiguration:
         boundary = None
         if "boundary" in c:
             raw_b = c["boundary"]
-            if not isinstance(raw_b, Mapping):
+            if not isinstance(raw_b, dict):
                 raise SchemaError(f"{where}: boundary must map component names to vectors")
             others = sorted(set(range(3)) - {i})
             try:
@@ -770,11 +811,15 @@ def config_from_dict(data: Mapping[str, Any]) -> NCConfiguration:
         ):
             raise SchemaError(f"{where}: basis_labels must be a list of strings")
         try:
-            lattice = make_lattice(gram, tuple(labels_raw) if labels_raw else None)
+            lattice = IntersectionLattice(
+                rank=len(gram),
+                gram=gram,
+                basis_labels=tuple(labels_raw) if labels_raw else default_labels(len(gram)),
+            )
         except Exception as exc:
             raise SchemaError(f"{where}: invalid lattice: {exc}")
         raw_restr = _require(s, "restrictions", where)
-        if not isinstance(raw_restr, Mapping):
+        if not isinstance(raw_restr, dict):
             raise SchemaError(f"{where}: restrictions must map component names to matrices")
         j, k = SURFACE_ADJACENCY[i]
         try:
@@ -808,7 +853,7 @@ def config_from_dict(data: Mapping[str, Any]) -> NCConfiguration:
             raise SchemaError(str(exc))
 
     raw_triple = _require(data, "triple", "configuration")
-    if not isinstance(raw_triple, Mapping):
+    if not isinstance(raw_triple, dict):
         raise SchemaError("triple must be a JSON object")
     connected = _require(raw_triple, "connected", "triple")
     if not isinstance(connected, bool):
@@ -841,7 +886,7 @@ def config_from_dict(data: Mapping[str, Any]) -> NCConfiguration:
 
 
 def config_to_json(config: NCConfiguration) -> str:
-    return json.dumps(config_to_dict(config), indent=2, sort_keys=True)
+    return dumps(config_to_dict(config))
 
 
 def config_from_json(text: str) -> NCConfiguration:

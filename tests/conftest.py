@@ -25,3 +25,33 @@ def all_catalog_cases():
         for spec in catalog.enumerate_partitions(fam_id):
             cases.append((fam_id, spec))
     return cases
+
+
+def rank_one_d21_family() -> catalog.Family:
+    """Synthetic rank-one family of degree 21: all cuts (7,), Gram [[2]], every Euler number 4.
+
+    Its all-ones partition gives the largest shape the package meets: gamma
+    294, a 295x295 blown-up D3 Gram and a 297x66 restriction-difference
+    matrix.
+    """
+    return catalog.Family(
+        id="rank-one-d21",
+        description="synthetic rank-one family of degree 21",
+        rank=1,
+        labels=("h",),
+        ample=(1,),
+        total_degree=(21,),
+        gamma=294,
+        gamma_per_unit=14,
+        h2=1,
+        tau_euler=0,
+        components=tuple(
+            catalog.FamilyComponent(name=f"Y{i + 1}", euler=4, cut=(7,)) for i in range(3)
+        ),
+        surfaces_opposite=tuple(catalog.FamilySurface(gram=((2,),), euler=4) for _ in range(3)),
+    )
+
+
+def d21_all_ones_row():
+    """(config, divisor) of the degree-21 all-ones row."""
+    return catalog.instantiate(rank_one_d21_family(), quintic_partition(*(1,) * 21))

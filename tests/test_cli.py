@@ -67,6 +67,20 @@ def test_check_non_object_entries_exit_2(tmp_path, capsys, key):
     assert f"{key} must be a list of exactly three objects" in json.loads(lines[0])["error"]
 
 
+def test_check_non_integer_exits_2(tmp_path, capsys):
+    rc, out, _ = run(capsys, "catalog", "export", "--family", "quintic")
+    data = json.loads(out)
+    data["surfaces"][0]["tau_class"] = [True]
+    bad = tmp_path / "bool.json"
+    bad.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "check", "--config", str(bad))
+    assert rc == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert "surface D1.tau_class: expected integer, got True" in json.loads(lines[0])["error"]
+
+
 def test_check_asymmetric_gram_exits_2(tmp_path, capsys):
     rc, out, _ = run(capsys, "catalog", "export", "--family", "quintic")
     data = json.loads(out)
@@ -326,6 +340,27 @@ def test_invariants_config_file_refuses_non_semistable(tmp_path, capsys):
     rc, _, err = run(capsys, "invariants", "--config", str(path))
     assert rc == 1
     assert "not d-semistable" in err
+
+
+def test_invariants_config_shape_mismatch_exits_1(tmp_path, capsys):
+    """A restriction of the wrong width reaches the kernel as MissingData: exit 1, no traceback."""
+    from nc3 import catalog, construction, ncconfig
+
+    config, divisor = catalog.instantiate("quintic", catalog.PartitionSpec(parts=((5,),)))
+    config_tilde, _ = construction.sequential_blowup(config, divisor)
+    data = ncconfig.config_to_dict(config_tilde)
+    assert data["lattice_is_full"] is True
+    for row in data["surfaces"][0]["restrictions"]["Y2"]:
+        row.append(0)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "invariants", "--config", str(path))
+    assert rc == 1
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert "inconsistent shapes" in json.loads(lines[0])["error"]
 
 
 def test_invariants_csv_star_column(capsys):

@@ -64,6 +64,48 @@ def test_pair_overflow_safe():
     assert pair((big,), (big,), lat) == big**3
 
 
+@st.composite
+def gram_and_vectors(draw):
+    """A symmetric Gram matrix up to 12x12 and three vectors, each zero, sparse or dense."""
+    n = draw(st.integers(1, 12))
+    upper = {(i, j): draw(st.integers(-9, 9)) for i in range(n) for j in range(i, n)}
+    gram = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+
+    def vector():
+        kind = draw(st.sampled_from(["zero", "sparse", "dense"]))
+        v = [0] * n
+        if kind == "sparse":
+            for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)):
+                v[i] = draw(st.integers(-20, 20))
+        elif kind == "dense":
+            v = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+        return tuple(v)
+
+    return gram, vector(), vector(), vector()
+
+
+@given(gram_and_vectors())
+def test_pair_and_adjunction_against_dense_double_sum(case):
+    gram, u, v, k = case
+    n = len(gram)
+    lat = make_lattice(gram)
+
+    def dense(a, b):
+        return sum(a[i] * gram[i][j] * b[j] for i in range(n) for j in range(n))
+
+    assert pair(u, v, lat) == dense(u, v)
+    assert pair(u, v, lat) == pair(v, u, lat)
+    s = dense(u, u) + dense(u, k)
+    if not any(u):
+        with pytest.raises(ZeroCurveClass):
+            adjunction_euler(u, k, lat)
+    elif s % 2 == 0:
+        assert adjunction_euler(u, k, lat) == -s
+    else:
+        with pytest.raises(SmoothCurveParityError):
+            adjunction_euler(u, k, lat)
+
+
 # ---------------------------------------------------------------------------
 # kernel_dimension
 

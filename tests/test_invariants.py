@@ -15,7 +15,7 @@ from nc3.invariants import (
     hodge,
     picard_one_pairings,
 )
-from tests.conftest import quintic_partition
+from tests.conftest import d21_all_ones_row, quintic_partition
 
 
 def _case(fam_id, *parts):
@@ -176,26 +176,8 @@ def test_hodge_degree_21_all_ones_row():
     number 4), checked against integer formulas that do not use nc3: each
     center has Euler number -(2a^2 - 14a) on each of the three surfaces.
     """
-    fam = catalog.Family(
-        id="rank-one-d21",
-        description="synthetic rank-one family of degree 21",
-        rank=1,
-        labels=("h",),
-        ample=(1,),
-        total_degree=(21,),
-        gamma=294,
-        gamma_per_unit=14,
-        h2=1,
-        tau_euler=0,
-        components=tuple(
-            catalog.FamilyComponent(name=f"Y{i + 1}", euler=4, cut=(7,)) for i in range(3)
-        ),
-        surfaces_opposite=tuple(catalog.FamilySurface(gram=((2,),), euler=4) for _ in range(3)),
-    )
     parts = (1,) * 21
-    config, divisor = catalog.instantiate(
-        fam, catalog.PartitionSpec(parts=tuple((a,) for a in parts))
-    )
+    config, divisor = d21_all_ones_row()
     config_tilde, _ = construction.sequential_blowup(config, divisor)
     m = ncconfig.restriction_difference_matrix(config_tilde)
     assert (m.rows, m.cols) == (297, 66)

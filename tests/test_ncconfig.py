@@ -1,8 +1,11 @@
 import json
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from nc3 import catalog, ncconfig
+from nc3 import catalog, construction, ncconfig
 from nc3.exactlat import kernel_dimension
 from nc3.ncconfig import (
     Diagnostic,
@@ -13,9 +16,11 @@ from nc3.ncconfig import (
     config_to_dict,
     config_to_json,
     dual_complex,
+    dumps,
     restriction_difference_matrix,
     validate,
 )
+from tests.conftest import d21_all_ones_row
 
 
 def _with_surface(config, index, **changes):
@@ -228,19 +233,27 @@ def test_json_round_trip_after_blowup(quintic5_blown):
     )
 
 
-def test_non_integer_numerics_rejected(quintic5):
+# In a vector or matrix the value sits after a valid integer, so the refusal
+# has to find it; booleans are not integers.
+@pytest.mark.parametrize(
+    "bad", [True, 1.0, "1", None, [1]], ids=["true", "float", "string", "null", "list"]
+)
+@pytest.mark.parametrize(
+    "field,place",
+    [
+        ("euler", lambda surf, bad: surf.update(euler=bad)),
+        ("tau_class", lambda surf, bad: surf.update(tau_class=[0, bad])),
+        ("gram", lambda surf, bad: surf.update(gram=[[0], [bad]])),
+        ("restrictions", lambda surf, bad: surf["restrictions"].update(Y2=[[0], [bad]])),
+    ],
+    ids=["scalar", "vector", "gram", "restriction"],
+)
+def test_non_integer_numerics_rejected(quintic5, field, place, bad):
     config, _ = quintic5
     data = config_to_dict(config)
-    data["surfaces"][0]["euler"] = 9.0
-    with pytest.raises(SchemaError):
-        ncconfig.config_from_dict(data)
-
-
-def test_bool_is_not_an_integer(quintic5):
-    config, _ = quintic5
-    data = config_to_dict(config)
-    data["surfaces"][0]["tau_class"] = [True]
-    with pytest.raises(SchemaError):
+    place(data["surfaces"][0], bad)
+    expected = f"surface D1.{field}: expected integer, got {bad!r}"
+    with pytest.raises(SchemaError, match=re.escape(expected)):
         ncconfig.config_from_dict(data)
 
 
@@ -291,3 +304,46 @@ def test_json_round_trip_blown_up_rank_two():
         == restriction_difference_matrix(config_tilde).entries
     )
     assert parsed.surfaces[2].lattice.rank == 2 + 18
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer, against the stdlib encoder as oracle
+
+_text = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600'), st.characters()
+    )
+)
+_ints = st.one_of(
+    st.integers(-1000, 1000),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(max_value=-(2**64)),
+)
+_int_lists = st.lists(st.one_of(_ints, st.booleans()), max_size=8)
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), _ints, _text, _int_lists),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_text, children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@given(_json_values)
+def test_writer_matches_stdlib_encoder(value):
+    assert dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [1.0, [1, 2.5], {"a": [[0, -0.0]]}, {1, 2}, {1: 2}])
+def test_writer_refuses_unknown_types(value):
+    with pytest.raises(TypeError):
+        dumps(value)
+
+
+def test_degree_21_export_matches_stdlib_encoder():
+    config, divisor = d21_all_ones_row()
+    config_tilde, _ = construction.sequential_blowup(config, divisor)
+    data = config_to_dict(config_tilde)
+    assert config_to_json(config_tilde) == json.dumps(data, indent=2, sort_keys=True)

@@ -1,0 +1,44 @@
+"""Byte-identity guard: SHA-256 digests of CLI payloads, pinned.
+
+The digests were taken from the output of the stdlib encoder
+(``json.dumps(payload, indent=2, sort_keys=True)``) before nc3 had its own
+writer.  Any change to a payload's bytes (layout, key order, escaping, a
+number) changes its digest.  A deliberate format change must update the
+digests in the same change and say so.
+"""
+
+import hashlib
+
+import pytest
+
+from nc3.cli import main
+
+# (family id, digest of `catalog export --family <id>`,
+#  digest of `table --family <id> --format json`)
+FAMILY_DIGESTS = [
+    ("cubic4fold-111", "1c907745f70db3994d6fd9c663a4c6ba242b944e896b89e4eb7c417f982c5135", "11381602531001818b70aedb48c4d880b01a574ee63e9cb0daad7e23789be3fa"),
+    ("gr25-section", "072e79f29864f6548f0b8bbd7ce0dd60c98384d1d12f3b2e27b81b56284f8e52", "010c7333e2bb4a5024dae1d1185a670852962d840ea7cd4c4fdc6c066cd5a348"),
+    ("p2xp2", "a45140232fcafb9890585771d44b3d1c60976e90e465dfbeefcea3c4f30647ec", "c0683668a027eaae3d8d2fd970e60d0fa365f85ce1b3010c9950c827ae78640e"),
+    ("quadric4fold-112", "f4d57d19f569d6e0528f8980be09b1d11cfcca69d5330d1859db3df2520cae6d", "94b0652d91872ebca2bcaf2062975831435e885793d9a040dbbffdbaa5de3ab9"),
+    ("quintic", "e0e0961d3160d10c8fbb7808a461903697652bff4bbda14c60df17c523248563", "15a2b9ae149a47da622e8f37d3b831d04b2df3306a34c9d32eaedaec90b5a444"),
+    ("three-p3-quadric", "cbb18352b8664fef8c1ceaeb1c8a00dfbe6cc726fb257fcc1410c0bdd99ee44d", "cce560238845293f4c250ef124c19e0d155841b975c98477a451a1c91792c7b1"),
+    ("two-quadrics-p6", "2ddf78c31f449f2e993b34ade96e33daa7a379904d8f5d67ccb0289c28218605", "a2f0eb272275a29a2e916a30e0bc6cac177b7a0c2e2a7fe700415a2cc221c4c2"),
+]
+
+QUINTIC_5_AFTER_BLOWUP = "7abfb60ab2799f2a494d4b996fed7d3fe22dca4636be77ab06223474349fd72a"
+
+
+def stdout_digest(capsys, *argv):
+    assert main(list(argv)) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("fam_id,export_digest,table_digest", FAMILY_DIGESTS)
+def test_family_payload_bytes(capsys, fam_id, export_digest, table_digest):
+    assert stdout_digest(capsys, "catalog", "export", "--family", fam_id) == export_digest
+    assert stdout_digest(capsys, "table", "--family", fam_id, "--format", "json") == table_digest
+
+
+def test_check_after_blowup_payload_bytes(capsys):
+    argv = ("check", "--family", "quintic", "--partition", "5", "--after-blowup")
+    assert stdout_digest(capsys, *argv) == QUINTIC_5_AFTER_BLOWUP
