@@ -34,12 +34,21 @@ this package asserts nothing about them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import construction, degeneration
-from .exactlat import IntMatrix, Vec, as_int_matrix, make_lattice, pair, vec_scale
+from .exactlat import (
+    IntersectionLattice,
+    IntMatrix,
+    Vec,
+    as_int_matrix,
+    make_lattice,
+    pair,
+    vec_scale,
+)
 from .ncconfig import (
     ComponentGeometry,
     ConfigError,
@@ -97,6 +106,21 @@ class Family:
     components: tuple[FamilyComponent, FamilyComponent, FamilyComponent]
     surfaces_opposite: tuple[FamilySurface, FamilySurface, FamilySurface]
     provenance: tuple[str, ...] = ()
+
+    # Built on first use and kept on the instance: every partition of the
+    # family shares them.  Not dataclass fields, so the constructor, equality
+    # and hashing do not see them.
+    @functools.cached_property
+    def surface_lattices(self) -> tuple[IntersectionLattice, ...]:
+        """The lattices of ``surfaces_opposite``, in the same order."""
+        return tuple(make_lattice(s.gram, self.labels) for s in self.surfaces_opposite)
+
+    @functools.cached_property
+    def identity_restriction(self) -> IntMatrix:
+        """The rank x rank identity: every tracked class is an ambient restriction."""
+        return as_int_matrix(
+            [[1 if i == j else 0 for j in range(self.rank)] for i in range(self.rank)]
+        )
 
 
 @dataclass(frozen=True)
@@ -402,21 +426,18 @@ def instantiate(
             )
         )
 
-    identity = as_int_matrix(
-        [[1 if i == j else 0 for j in range(fam.rank)] for i in range(fam.rank)]
-    )
+    identity = fam.identity_restriction
     surfs = []
     for slot in range(3):
-        fs = fam.surfaces_opposite[order[slot]]
         j, k = SURFACE_ADJACENCY[slot]
         tau = fam.components[order[slot]].cut
         surfs.append(
             SurfaceGeometry(
                 name=f"D{slot + 1}",
-                lattice=make_lattice(fs.gram, fam.labels),
+                lattice=fam.surface_lattices[order[slot]],
                 canonical=vec_scale(-1, tau),
                 tau_class=tau,
-                euler=fs.euler,
+                euler=fam.surfaces_opposite[order[slot]].euler,
                 restrictions=(identity, identity),
                 boundary_self=(
                     fam.components[order[k]].cut,

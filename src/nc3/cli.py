@@ -11,9 +11,7 @@ Subcommands:
 Exit codes: 0 success, 1 validation/verification failure or inadmissible
 input, 2 parse or schema errors.  Payloads go to stdout and are
 deterministic (stable ordering, no timestamps); diagnostics for failures go
-to stderr as single-line JSON.  ``table`` and ``verify`` evaluate partitions
-in a thread pool unless ``NC3_NO_PARALLEL=1``; assembly order is stable
-either way.
+to stderr as single-line JSON.
 """
 
 from __future__ import annotations
@@ -24,18 +22,13 @@ import functools
 import hashlib
 import io
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Any, Sequence
 
 from . import catalog, construction, degeneration, invariants, ncconfig
 
 OUTPUT_FORMAT_VERSION = "nc3-output/1"
-
-T = TypeVar("T")
-U = TypeVar("U")
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -46,14 +39,6 @@ class CliError(Exception):
     def __init__(self, message: str, exit_code: int):
         super().__init__(message)
         self.exit_code = exit_code
-
-
-def _map_ordered(fn: Callable[[T], U], items: Sequence[T]) -> list[U]:
-    """Apply ``fn`` to every item, preserving input order in the result."""
-    if os.environ.get("NC3_NO_PARALLEL") == "1" or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(8, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 def _emit(payload: dict[str, Any], args: argparse.Namespace) -> None:
@@ -196,7 +181,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def _invariants_record(
-    fam_id: str | None,
     config: ncconfig.NCConfiguration,
     divisor: construction.CollectiveDivisor | None,
     want_trace: bool,
@@ -204,8 +188,8 @@ def _invariants_record(
     out: dict[str, Any] = {}
     if divisor is not None:
         _, pre_residual = degeneration.is_d_semistable(config)
-        inv = invariants.hodge(config, divisor)
         config_tilde, trace = construction.sequential_blowup(config, divisor)
+        inv = invariants.hodge(config, divisor, blowup=(config_tilde, trace))
         _, residual = degeneration.is_d_semistable(config_tilde)
         out["invariants"] = inv.as_dict()
         out["normal_class_residual"] = residual.as_lists()
@@ -213,7 +197,9 @@ def _invariants_record(
         if want_trace:
             out["trace"] = trace.as_dict()
         return out
-    # Configuration-file route: must already be d-semistable.
+    # Configuration-file route: must already be d-semistable, and its
+    # restriction matrices must fit whichever route computes h11.
+    ncconfig.check_restriction_shapes(config)
     e = invariants.euler_smoothing(config)
     if config.lattice_is_full:
         h11 = invariants.h11_kernel(config)
@@ -249,7 +235,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     record = _base_record("invariants", provenance)
     try:
         record.update(
-            _invariants_record(args.family, config, divisor, args.trace)
+            _invariants_record(config, divisor, args.trace)
         )
     except construction.AdmissibilityError as exc:
         record["diagnostics"] = [d.as_dict() for d in exc.diagnostics]
@@ -329,7 +315,7 @@ def _computed_row(fam: catalog.Family, spec: catalog.PartitionSpec) -> dict[str,
 def _family_rows(fam: catalog.Family) -> list[dict[str, Any]]:
     specs = catalog.enumerate_partitions(fam)
     expected = {r.partition.parts: r for r in catalog.expected_table(fam)}
-    rows = _map_ordered(lambda s: _computed_row(fam, s), specs)
+    rows = [_computed_row(fam, s) for s in specs]
     for spec, row in zip(specs, rows):
         exp = expected.get(spec.parts)
         row["star"] = bool(exp.star) if exp else False
@@ -423,7 +409,8 @@ def verify_family(fam: catalog.Family) -> tuple[int, int, list[dict[str, Any]]]:
             }
         return None
 
-    for result in _map_ordered(one, specs):
+    for spec in specs:
+        result = one(spec)
         if result is not None:
             mismatches.append(result)
     matches = total - sum(1 for m in mismatches if m["partition"] != "-")

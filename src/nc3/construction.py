@@ -219,11 +219,6 @@ def check_collective_divisor(
     return sorted(diags)
 
 
-def center_degree(config: NCConfiguration, surface_index: int, c: Vec) -> int:
-    h = config.hyperplane_on_surface(surface_index)
-    return pair(c, h, config.surfaces[surface_index].lattice)
-
-
 def center_euler(config: NCConfiguration, surface_index: int, c: Vec) -> int:
     surf = config.surfaces[surface_index]
     return adjunction_euler(c, surf.canonical, surf.lattice)
@@ -277,73 +272,56 @@ def sequential_blowup(
             v[p] = sign
         return tuple(v)
 
+    # Each center's degree (against the surface's hyperplane class) and Euler
+    # number, computed once: degree[i][l] and euler[i][l] for curve l on
+    # surface i.  They feed the trace, the component Euler numbers and the
+    # Chern transport.
+    degree = []
+    euler = []
+    for i, surf in enumerate(config.surfaces):
+        h = config.hyperplane_on_surface(i)
+        degree.append([pair(c, h, surf.lattice) for c in c_on[i]])
+        euler.append([center_euler(config, i, c) for c in c_on[i]])
+
     # --- trace ------------------------------------------------------------
-    steps: list[BlowupStep] = []
-    for l in range(alpha):
-        steps.append(
-            BlowupStep(
-                component=comp0.name,
-                center=f"c[{l + 1},2]",
-                surface=s1.name,
-                degree=center_degree(config, 1, c_on[1][l]),
-                euler=center_euler(config, 1, c_on[1][l]),
-            )
+    # (blown-up component, surface holding the centers, center label)
+    rounds = ((comp0, 1, "c[{},2]"), (comp1, 0, "c[{},1]"), (comp0, 2, "c'[{},3]"))
+    steps = tuple(
+        BlowupStep(
+            component=comp.name,
+            center=label.format(l + 1),
+            surface=config.surfaces[i].name,
+            degree=degree[i][l],
+            euler=euler[i][l],
         )
-    for l in range(alpha):
-        steps.append(
-            BlowupStep(
-                component=comp1.name,
-                center=f"c[{l + 1},1]",
-                surface=s0.name,
-                degree=center_degree(config, 0, c_on[0][l]),
-                euler=center_euler(config, 0, c_on[0][l]),
-            )
-        )
-    for l in range(alpha):
-        steps.append(
-            BlowupStep(
-                component=comp0.name,
-                center=f"c'[{l + 1},3]",
-                surface=s2.name,
-                degree=center_degree(config, 2, c_on[2][l]),
-                euler=center_euler(config, 2, c_on[2][l]),
-            )
-        )
-    exc_labels = (
-        tuple(f"E[{l + 1},2]" for l in range(alpha))
-        + tuple(f"E[{l + 1},1]" for l in range(alpha))
-        + tuple(f"E'[{l + 1},3]" for l in range(alpha))
+        for comp, i, label in rounds
+        for l in range(alpha)
     )
+    labels_e2 = tuple(f"E[{l + 1},2]" for l in range(alpha))
+    labels_e1 = tuple(f"E[{l + 1},1]" for l in range(alpha))
+    labels_e3 = tuple(f"E'[{l + 1},3]" for l in range(alpha))
     kernel_labels = tuple(f"E[{l + 1}]" for l in range(alpha)) + tuple(
         f"E'[{l + 1}]" for l in range(alpha)
     )
     trace = BlowupTrace(
-        steps=tuple(steps),
-        exceptional_classes=exc_labels,
+        steps=steps,
+        exceptional_classes=labels_e2 + labels_e1 + labels_e3,
         kernel_classes=kernel_labels,
     )
 
     # --- components --------------------------------------------------------
-    labels_e2 = tuple(f"E[{l + 1},2]" for l in range(alpha))
-    labels_e3 = tuple(f"E'[{l + 1},3]" for l in range(alpha))
-    labels_e1 = tuple(f"E[{l + 1},1]" for l in range(alpha))
-
     chern0 = comp0.chern_numbers
     if chern0 is not None:
-        for l in range(alpha):
-            chern0 = transport_chern(chern0, center_degree(config, 1, c_on[1][l]))
-        for l in range(alpha):
-            chern0 = transport_chern(chern0, center_degree(config, 2, c_on[2][l]))
+        for d in degree[1] + degree[2]:
+            chern0 = transport_chern(chern0, d)
     chern1 = comp1.chern_numbers
     if chern1 is not None:
-        for l in range(alpha):
-            chern1 = transport_chern(chern1, center_degree(config, 0, c_on[0][l]))
+        for d in degree[0]:
+            chern1 = transport_chern(chern1, d)
 
     new_comp0 = ComponentGeometry(
         name=comp0.name,
-        euler=comp0.euler
-        + sum(center_euler(config, 1, c) for c in c_on[1])
-        + sum(center_euler(config, 2, c) for c in c_on[2]),
+        euler=comp0.euler + sum(euler[1]) + sum(euler[2]),
         h2_rank=comp0.h2_rank + 2 * alpha,
         class_labels=comp0.class_labels + labels_e2 + labels_e3,
         ample=_pad(comp0.ample, 2 * alpha),
@@ -360,7 +338,7 @@ def sequential_blowup(
     )
     new_comp1 = ComponentGeometry(
         name=comp1.name,
-        euler=comp1.euler + sum(center_euler(config, 0, c) for c in c_on[0]),
+        euler=comp1.euler + sum(euler[0]),
         h2_rank=comp1.h2_rank + alpha,
         class_labels=comp1.class_labels + labels_e1,
         ample=_pad(comp1.ample, alpha),

@@ -101,21 +101,30 @@ def euler_smoothing(config: NCConfiguration) -> int:
 
 
 def euler_closed(
-    config: NCConfiguration, divisor: construction.CollectiveDivisor
+    config: NCConfiguration,
+    divisor: construction.CollectiveDivisor,
+    trace: construction.BlowupTrace | None = None,
 ) -> int:
     """Euler number of the smoothing from the pre-blow-up data.
 
     Adds the centers' Euler numbers (adjunction on each surface) and
     subtracts twice the number of triple-curve points to the triple-point
-    sum of the original configuration.
+    sum of the original configuration.  Given the trace of the blow-up along
+    ``divisor``, which already refused an inadmissible divisor, the centers'
+    Euler numbers are read from its steps; without it the divisor is checked
+    here and the numbers computed.
     """
-    diags = construction.check_collective_divisor(config, divisor)
-    if ncconfig.has_errors(diags):
-        raise construction.AdmissibilityError(diags)
-    centers = 0
-    for i, surf in enumerate(config.surfaces):
-        for c in divisor.components[i]:
-            centers += construction.center_euler(config, i, c)
+    if trace is None:
+        diags = construction.check_collective_divisor(config, divisor)
+        if ncconfig.has_errors(diags):
+            raise construction.AdmissibilityError(diags)
+        centers = sum(
+            construction.center_euler(config, i, c)
+            for i in range(3)
+            for c in divisor.components[i]
+        )
+    else:
+        centers = sum(step.euler for step in trace.steps)
     return (
         sum(c.euler for c in config.components)
         - 2 * sum(s.euler for s in config.surfaces)
@@ -147,18 +156,24 @@ def h11_kernel(config_tilde: NCConfiguration) -> int:
 
 
 def hodge(
-    config: NCConfiguration, divisor: construction.CollectiveDivisor
+    config: NCConfiguration,
+    divisor: construction.CollectiveDivisor,
+    blowup: tuple[NCConfiguration, construction.BlowupTrace] | None = None,
 ) -> SmoothingInvariants:
     """All Hodge-level invariants, cross-checked over both routes.
 
     Materializes the blown-up configuration, computes the Euler number and
     h^{1,1} along both paths, and refuses to return on any disagreement.
     When the tracked lattices are not certified complete the kernel route is
-    skipped and the result is tagged "closed-form".
+    skipped and the result is tagged "closed-form".  A caller that already
+    holds ``construction.sequential_blowup(config, divisor)`` passes it as
+    ``blowup`` so the blow-up is not done twice.
     """
-    config_tilde, _ = construction.sequential_blowup(config, divisor)
+    if blowup is None:
+        blowup = construction.sequential_blowup(config, divisor)
+    config_tilde, trace = blowup
 
-    e_closed = euler_closed(config, divisor)
+    e_closed = euler_closed(config, divisor, trace)
     e_smooth = euler_smoothing(config_tilde)
     if e_closed != e_smooth:
         raise PathDisagreement(

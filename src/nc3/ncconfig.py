@@ -502,6 +502,21 @@ def _surface_between(config: NCConfiguration, i: int, j: int) -> int:
 # The restriction-difference matrix and its canonical kernel classes
 
 
+def check_restriction_shapes(config: NCConfiguration) -> None:
+    """Refuse restriction matrices that do not fit their surface and component.
+
+    Each of a surface's two matrices must have one row per lattice basis
+    class and one column per tracked class of the adjacent component; the
+    first surface where one does not raises :class:`MissingData`.
+    """
+    for i, surf in enumerate(config.surfaces):
+        j, k = SURFACE_ADJACENCY[i]
+        if not (surf.restriction_shape_ok(0, config.components[j]) and surf.restriction_shape_ok(1, config.components[k])):
+            raise MissingData(
+                f"surface {surf.name}: restriction matrices have inconsistent shapes"
+            )
+
+
 def restriction_difference_matrix(config: NCConfiguration) -> RationalMatrix:
     """Block matrix of pairwise restriction differences.
 
@@ -510,18 +525,15 @@ def restriction_difference_matrix(config: NCConfiguration) -> RationalMatrix:
     (rows grouped by surface).  Row block i carries + the restriction from
     the first adjacent component and - the restriction from the second.
     """
+    check_restriction_shapes(config)
     col_offsets = [0]
     for comp in config.components:
         col_offsets.append(col_offsets[-1] + comp.h2_rank)
     total_cols = col_offsets[-1]
 
     rows: list[tuple[int, ...]] = []
-    for i, surf in enumerate(config.surfaces):
+    for i in range(3):
         j, k = SURFACE_ADJACENCY[i]
-        if not (surf.restriction_shape_ok(0, config.components[j]) and surf.restriction_shape_ok(1, config.components[k])):
-            raise MissingData(
-                f"surface {surf.name}: restriction matrices have inconsistent shapes"
-            )
         # j != k, so the two column blocks of a row do not overlap.
         for r_plus, r_minus in zip(config.restriction(i, j), config.restriction(i, k)):
             row = [0] * total_cols

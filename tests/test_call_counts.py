@@ -1,0 +1,48 @@
+"""How often one row calls its stages: a perf guard that does not time anything.
+
+Each stage is replaced, through monkeypatch, by a wrapper that counts its
+calls, so the counts are the same on every machine.
+"""
+
+import collections
+import functools
+
+from nc3 import catalog, cli, construction, exactlat, invariants
+from tests.conftest import all_catalog_cases
+
+
+def count_calls(monkeypatch, counts, module, name):
+    original = getattr(module, name)
+
+    @functools.wraps(original)
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_hodge_checks_once_and_sums_adjunction_at_most_six_alpha(monkeypatch):
+    counts = collections.Counter()
+    count_calls(monkeypatch, counts, construction, "check_collective_divisor")
+    # The check imports adjunction_sum by name; adjunction_euler reaches it
+    # through exactlat.  Both bindings count under one key.
+    count_calls(monkeypatch, counts, construction, "adjunction_sum")
+    count_calls(monkeypatch, counts, exactlat, "adjunction_sum")
+    for fam_id, spec in all_catalog_cases():
+        config, divisor = catalog.instantiate(fam_id, spec)
+        counts.clear()
+        invariants.hodge(config, divisor)
+        assert counts["check_collective_divisor"] == 1, (fam_id, spec)
+        assert counts["adjunction_sum"] <= 6 * divisor.alpha, (fam_id, spec, counts)
+
+
+def test_invariants_family_route_blows_up_once(monkeypatch, capsys):
+    counts = collections.Counter()
+    count_calls(monkeypatch, counts, construction, "sequential_blowup")
+    count_calls(monkeypatch, counts, construction, "check_collective_divisor")
+    argv = ["invariants", "--family", "quintic", "--partition", "1,4", "--trace"]
+    assert cli.main(argv) == 0
+    assert "trace:" in capsys.readouterr().out
+    assert counts["sequential_blowup"] == 1
+    assert counts["check_collective_divisor"] == 1

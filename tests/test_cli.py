@@ -232,14 +232,6 @@ def test_table_deterministic(capsys):
     jsonschema.validate(json.loads(out1), OUTPUT_SCHEMA)
 
 
-def test_table_serial_matches_parallel(capsys, monkeypatch):
-    rc1, out1, _ = run(capsys, "table", "--family", "three-p3-quadric", "--format", "csv")
-    monkeypatch.setenv("NC3_NO_PARALLEL", "1")
-    rc2, out2, _ = run(capsys, "table", "--family", "three-p3-quadric", "--format", "csv")
-    assert rc1 == rc2 == 0
-    assert out1 == out2
-
-
 def test_verify_all_63_rows(capsys):
     rc, out, _ = run(capsys, "verify", "--family", "all")
     assert rc == 0
@@ -361,6 +353,31 @@ def test_invariants_config_shape_mismatch_exits_1(tmp_path, capsys):
     lines = err.splitlines()
     assert len(lines) == 1
     assert "inconsistent shapes" in json.loads(lines[0])["error"]
+
+
+def test_invariants_config_shape_mismatch_partial_lattice_exits_1(tmp_path, capsys):
+    """Without complete lattices h11 comes from h2_total, and a restriction of
+    the wrong width is still refused: exit 1, as `check --config` does."""
+    from nc3 import catalog, construction, ncconfig
+
+    config, divisor = catalog.instantiate("quintic", catalog.PartitionSpec(parts=((5,),)))
+    config_tilde, _ = construction.sequential_blowup(config, divisor)
+    data = ncconfig.config_to_dict(config_tilde)
+    for row in data["surfaces"][0]["restrictions"]["Y2"]:
+        row.append(0)
+    data["lattice_is_full"] = False
+    assert data["h2_total"] == 3
+    path = tmp_path / "wide-partial.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "invariants", "--config", str(path))
+    assert rc == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert "inconsistent shapes" in json.loads(lines[0])["error"]
+    rc, out, _ = run(capsys, "check", "--config", str(path))
+    assert rc == 1
+    assert any(d["clause"] == "shape" for d in json.loads(out)["diagnostics"])
 
 
 def test_invariants_csv_star_column(capsys):

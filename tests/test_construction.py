@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import random
+import re
 
 import pytest
 
@@ -16,7 +18,7 @@ from nc3.construction import (
     transport_chern,
 )
 from nc3.exactlat import RationalMatrix, kernel_dimension
-from tests.conftest import quintic_partition
+from tests.conftest import all_catalog_cases, quintic_partition
 
 
 def _divisor(config, per_surface, mults):
@@ -179,6 +181,39 @@ def test_stage_two_centers_have_unchanged_degree_and_euler():
 
 def divisor_offset(l, divisor):
     return sum(divisor.tau_multiplicities[:l])
+
+
+def _dense_pair(u, gram, v):
+    return sum(u[i] * gram[i][j] * v[j] for i in range(len(u)) for j in range(len(v)))
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_trace_numbers_against_dense_double_sum(order):
+    """Each step's degree is c.h and its Euler number -c.(c + K), as dense sums.
+
+    h is the first adjacent component's ample class pushed through its
+    restriction matrix, also summed densely; the steps run over the centers
+    on D2, then D1, then D3, blowing up components 1, 2 and 1.
+    """
+    for fam_id, spec in all_catalog_cases():
+        config, divisor = catalog.instantiate(fam_id, spec, order)
+        _, trace = sequential_blowup(config, divisor)
+        alpha = divisor.alpha
+        names = [c.name for c in config.components]
+        assert [(s.component, s.surface) for s in trace.steps] == (
+            [(names[0], "D2")] * alpha + [(names[1], "D1")] * alpha + [(names[0], "D3")] * alpha
+        )
+        for n, step in enumerate(trace.steps):
+            match = re.fullmatch(r"c'?\[(\d+),(\d)\]", step.center)
+            l, k = int(match[1]) - 1, int(match[2]) - 1
+            assert (l, f"D{k + 1}") == (n % alpha, step.surface)
+            surf = config.surfaces[k]
+            c = divisor.components[k][l]
+            ample = config.components[ncconfig.SURFACE_ADJACENCY[k][0]].ample
+            h = [sum(r[a] * ample[a] for a in range(len(ample))) for r in surf.restrictions[0]]
+            c_plus_k = [x + y for x, y in zip(c, surf.canonical)]
+            assert step.degree == _dense_pair(c, surf.lattice.gram, h), (fam_id, spec, step)
+            assert step.euler == -_dense_pair(c, surf.lattice.gram, c_plus_k), (fam_id, spec, step)
 
 
 def test_euler_identity_smoothing_equals_closed_everywhere():

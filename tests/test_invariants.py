@@ -100,6 +100,16 @@ def test_euler_closed_cubic_fourfold_units():
     assert (inv.h11, inv.h12) == (5, 50)
 
 
+def test_euler_closed_standalone_refuses_inadmissible_divisor(quintic5):
+    config, _ = quintic5
+    # the curve classes sum to (6,), the collective normal class is (5,)
+    bad = construction.CollectiveDivisor(
+        alpha=2, components=(((2,), (4,)),) * 3, tau_multiplicities=(6, 12)
+    )
+    with pytest.raises(construction.AdmissibilityError):
+        euler_closed(config, bad)
+
+
 # ---------------------------------------------------------------------------
 # h11 paths
 

@@ -1,8 +1,10 @@
 """Byte-identity guard: SHA-256 digests of CLI payloads, pinned.
 
-The digests were taken from the output of the stdlib encoder
-(``json.dumps(payload, indent=2, sort_keys=True)``) before nc3 had its own
-writer.  Any change to a payload's bytes (layout, key order, escaping, a
+The digests of ``catalog export``, ``table`` and ``check`` were taken from
+the output of the stdlib encoder (``json.dumps(payload, indent=2,
+sort_keys=True)``) before nc3 had its own writer; those of ``invariants
+--family`` before that route stopped blowing up a second time for its
+trace.  Any change to a payload's bytes (layout, key order, escaping, a
 number) changes its digest.  A deliberate format change must update the
 digests in the same change and say so.
 """
@@ -27,6 +29,23 @@ FAMILY_DIGESTS = [
 
 QUINTIC_5_AFTER_BLOWUP = "7abfb60ab2799f2a494d4b996fed7d3fe22dca4636be77ab06223474349fd72a"
 
+# `invariants --family ...`: the route that blows up, runs hodge and prints
+# the trace.
+INVARIANTS_DIGESTS = [
+    (
+        ("--family", "quintic", "--partition", "1,4", "--order", "4,1", "--trace", "--format", "json"),
+        "aef03fcd694cb60452a3c63134c262e6e8be7ac3866ba1c8ed5d1317c43c8721",
+    ),
+    (
+        ("--family", "quintic", "--partition", "1,4", "--order", "4,1", "--trace", "--format", "text"),
+        "1d690c9a69d45d9645d693084ccf607a7d16076c321e636a1cd9b79bce118e2b",
+    ),
+    (
+        ("--family", "p2xp2", "--partition", "(1,0),(2,3)", "--format", "json"),
+        "da38d346d181aa962a2ac0211f452ca6beaff235b13d0d4373ff614c110e49c0",
+    ),
+]
+
 
 def stdout_digest(capsys, *argv):
     assert main(list(argv)) == 0
@@ -42,3 +61,8 @@ def test_family_payload_bytes(capsys, fam_id, export_digest, table_digest):
 def test_check_after_blowup_payload_bytes(capsys):
     argv = ("check", "--family", "quintic", "--partition", "5", "--after-blowup")
     assert stdout_digest(capsys, *argv) == QUINTIC_5_AFTER_BLOWUP
+
+
+@pytest.mark.parametrize("argv,digest", INVARIANTS_DIGESTS, ids=["quintic-trace-json", "quintic-trace-text", "p2xp2-json"])
+def test_invariants_family_payload_bytes(capsys, argv, digest):
+    assert stdout_digest(capsys, "invariants", *argv) == digest
