@@ -52,6 +52,7 @@ from .invariants import (
     h11_kernel,
     hodge,
     picard_one_pairings,
+    smoothing_invariants,
 )
 from .catalog import (
     ExpandedConfiguration,
@@ -103,6 +104,7 @@ __all__ = [
     "h11_kernel",
     "hodge",
     "picard_one_pairings",
+    "smoothing_invariants",
     "ExpandedConfiguration",
     "Family",
     "PartitionSpec",

@@ -186,42 +186,18 @@ def _invariants_record(
     want_trace: bool,
 ) -> dict[str, Any]:
     out: dict[str, Any] = {}
-    if divisor is not None:
+    if divisor is None:
+        # Configuration-file route: the file must already be d-semistable.
+        inv = invariants.smoothing_invariants(config)
+    else:
         _, pre_residual = degeneration.is_d_semistable(config)
-        config_tilde, trace = construction.sequential_blowup(config, divisor)
-        inv = invariants.hodge(config, divisor, blowup=(config_tilde, trace))
-        _, residual = degeneration.is_d_semistable(config_tilde)
-        out["invariants"] = inv.as_dict()
-        out["normal_class_residual"] = residual.as_lists()
+        blowup = construction.sequential_blowup(config, divisor)
+        inv = invariants.hodge(config, divisor, blowup=blowup)
         out["input_normal_class_residual"] = pre_residual.as_lists()
+        config, trace = blowup
         if want_trace:
             out["trace"] = trace.as_dict()
-        return out
-    # Configuration-file route: must already be d-semistable, and its
-    # restriction matrices must fit whichever route computes h11.
-    ncconfig.check_restriction_shapes(config)
-    e = invariants.euler_smoothing(config)
-    if config.lattice_is_full:
-        h11 = invariants.h11_kernel(config)
-        methods = {"euler": ["triple-point-sum"], "h11": ["kernel"], "h12": ["derived"]}
-    elif config.h2_total is not None:
-        h11 = config.h2_total - 2
-        methods = {"euler": ["triple-point-sum"], "h11": ["closed-form"], "h12": ["derived"]}
-    else:
-        raise CliError(
-            "configuration declares neither complete lattices nor h2_total; "
-            "cannot compute h11",
-            EXIT_FAIL,
-        )
-    pairings = invariants.picard_one_pairings(config)
-    inv = invariants.SmoothingInvariants(
-        euler=e,
-        h11=h11,
-        h12=h11 - e // 2,
-        h_cubed=pairings.h_cubed,
-        h_dot_c2=pairings.h_dot_c2,
-        method_tags=tuple((k, tuple(v)) for k, v in methods.items()),
-    )
+    # Residual of the configuration that is smoothed: the file or the blow-up.
     _, residual = degeneration.is_d_semistable(config)
     out["invariants"] = inv.as_dict()
     out["normal_class_residual"] = residual.as_lists()
@@ -380,39 +356,23 @@ def verify_family(fam: catalog.Family) -> tuple[int, int, list[dict[str, Any]]]:
             }
         )
 
-    def one(spec: catalog.PartitionSpec) -> dict[str, Any] | None:
+    for spec in specs:
         exp = expected.get(spec.parts)
         if exp is None:
-            return {
-                "family": fam.id,
-                "partition": spec.cli_form(),
-                "computed": "enumerated",
-                "expected": "absent from reference table",
-            }
-        try:
-            config, divisor = catalog.instantiate(fam, spec)
-            inv = invariants.hodge(config, divisor)
-            computed = (inv.h11, inv.h12)
-        except Exception as exc:  # a failing row must count as a mismatch
-            return {
-                "family": fam.id,
-                "partition": spec.cli_form(),
-                "computed": f"error: {exc}",
-                "expected": f"({exp.h11},{exp.h12})",
-            }
-        if computed != (exp.h11, exp.h12):
-            return {
-                "family": fam.id,
-                "partition": spec.cli_form(),
-                "computed": f"({computed[0]},{computed[1]})",
-                "expected": f"({exp.h11},{exp.h12})",
-            }
-        return None
-
-    for spec in specs:
-        result = one(spec)
-        if result is not None:
-            mismatches.append(result)
+            computed, wanted = "enumerated", "absent from reference table"
+        else:
+            wanted = f"({exp.h11},{exp.h12})"
+            try:
+                config, divisor = catalog.instantiate(fam, spec)
+                inv = invariants.hodge(config, divisor)
+                computed = f"({inv.h11},{inv.h12})"
+            except Exception as exc:  # a failing row must count as a mismatch
+                computed = f"error: {exc}"
+            if computed == wanted:
+                continue
+        mismatches.append(
+            {"family": fam.id, "partition": spec.cli_form(), "computed": computed, "expected": wanted}
+        )
     matches = total - sum(1 for m in mismatches if m["partition"] != "-")
     return matches, total, mismatches
 

@@ -178,10 +178,9 @@ def adjunction_sum(c: Sequence[int], canonical: Sequence[int], lattice: Intersec
     """c.c + c.K, evaluated as the one pairing c.(c + K).
 
     For the triple-curve class on valid data c + K = 0, so this costs one
-    vector sum.
+    vector sum.  ``vec_add`` refuses a canonical class of another length and
+    ``pair`` a curve class of the wrong rank, both with ``DimensionMismatch``.
     """
-    lattice.check_vector(c, "curve class")
-    lattice.check_vector(canonical, "canonical class")
     return pair(c, vec_add(c, canonical), lattice)
 
 
@@ -224,25 +223,7 @@ class RationalMatrix:
         entries = tuple(
             tuple(x if type(x) is int else Fraction(x) for x in row) for row in rows
         )
-        n_rows = len(entries)
-        n_cols = len(entries[0]) if entries else 0
-        if any(len(r) != n_cols for r in entries):
-            raise DimensionMismatch("ragged matrix rows")
-        return cls(rows=n_rows, cols=n_cols, entries=entries)
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows=rows, cols=cols, entries=((0,) * cols,) * rows)
-
-    def apply(self, v: Sequence[int | Fraction]) -> tuple[int | Fraction, ...]:
-        if len(v) != self.cols:
-            raise DimensionMismatch(
-                f"matrix with {self.cols} columns applied to vector of length {len(v)}"
-            )
-        return tuple(sum(r[j] * v[j] for j in range(self.cols)) for r in self.entries)
-
-    def rank(self) -> int:
-        return matrix_rank(self)
+        return cls(rows=len(entries), cols=len(entries[0]) if entries else 0, entries=entries)
 
 
 def _sparse_rank(rows: Iterable[Sequence[int]]) -> int:

@@ -155,6 +155,72 @@ def h11_kernel(config_tilde: NCConfiguration) -> int:
     return dim - 2
 
 
+def _smoothing(
+    config: NCConfiguration,
+    closed_h11: int | None,
+    closed_euler: int | None = None,
+) -> SmoothingInvariants:
+    """Invariants of the smoothing of a d-semistable configuration.
+
+    e is the triple-point sum and must equal ``closed_euler`` when that is
+    given.  With complete lattices h^{1,1} is the kernel dimension minus 2 and
+    must equal ``closed_h11`` when that is given; otherwise it is
+    ``closed_h11``.  The kernel route checks the restriction shapes itself,
+    the other route checks them here, both before the d-semistability check.
+    The closed forms and the pairings' route are tagged only when
+    ``closed_euler`` is given.
+    """
+    if config.lattice_is_full:
+        h11 = h11_kernel(config)
+    else:
+        ncconfig.check_restriction_shapes(config)
+    e = euler_smoothing(config)
+    if closed_euler is not None and closed_euler != e:
+        raise PathDisagreement(
+            f"Euler paths disagree: closed form {closed_euler}, triple-point sum {e}"
+        )
+    if not config.lattice_is_full:
+        if closed_h11 is None:
+            raise MissingData(
+                "configuration declares neither complete lattices nor h2_total; "
+                "cannot compute h11"
+            )
+        h11 = closed_h11
+    elif closed_h11 is not None and closed_h11 != h11:
+        raise PathDisagreement(
+            f"h11 paths disagree: closed form {closed_h11}, kernel {h11}"
+        )
+
+    pairings = picard_one_pairings(config)
+    closed = () if closed_euler is None else ("closed-form",)
+    tags = [
+        ("euler", closed + ("triple-point-sum",)),
+        ("h11", closed + ("kernel",) if config.lattice_is_full else ("closed-form",)),
+        ("h12", ("derived",)),
+    ]
+    if closed and pairings.h_cubed is not None:
+        tags += [("h_cubed", ("component-sum",)), ("h_dot_c2", ("component-sum",))]
+    return SmoothingInvariants(
+        euler=e,
+        h11=h11,
+        h12=h11 - e // 2,
+        h_cubed=pairings.h_cubed,
+        h_dot_c2=pairings.h_dot_c2,
+        method_tags=tuple(tags),
+    )
+
+
+def smoothing_invariants(config: NCConfiguration) -> SmoothingInvariants:
+    """Invariants of the smoothing of a configuration that is already d-semistable.
+
+    e is the triple-point sum.  h^{1,1} is the kernel dimension minus 2 when
+    the lattices are certified complete (and must then equal the declared
+    ``h2_total`` - 2), or ``h2_total`` - 2 otherwise.
+    """
+    h2 = config.h2_total
+    return _smoothing(config, None if h2 is None else h2 - 2)
+
+
 def hodge(
     config: NCConfiguration,
     divisor: construction.CollectiveDivisor,
@@ -162,57 +228,19 @@ def hodge(
 ) -> SmoothingInvariants:
     """All Hodge-level invariants, cross-checked over both routes.
 
-    Materializes the blown-up configuration, computes the Euler number and
-    h^{1,1} along both paths, and refuses to return on any disagreement.
-    When the tracked lattices are not certified complete the kernel route is
-    skipped and the result is tagged "closed-form".  A caller that already
-    holds ``construction.sequential_blowup(config, divisor)`` passes it as
+    Materializes the blown-up configuration and takes its invariants as
+    :func:`smoothing_invariants` does, refusing to return unless the closed
+    forms over the original configuration agree with them.  When the tracked
+    lattices are not certified complete the kernel route is skipped and
+    h^{1,1} is tagged "closed-form".  A caller that already holds
+    ``construction.sequential_blowup(config, divisor)`` passes it as
     ``blowup`` so the blow-up is not done twice.
     """
     if blowup is None:
         blowup = construction.sequential_blowup(config, divisor)
     config_tilde, trace = blowup
-
     e_closed = euler_closed(config, divisor, trace)
-    e_smooth = euler_smoothing(config_tilde)
-    if e_closed != e_smooth:
-        raise PathDisagreement(
-            f"Euler paths disagree: closed form {e_closed}, triple-point sum {e_smooth}"
-        )
-
-    h11_methods: tuple[str, ...]
-    h11 = h11_closed(config, divisor)
-    if config.lattice_is_full:
-        h11_k = h11_kernel(config_tilde)
-        if h11 != h11_k:
-            raise PathDisagreement(
-                f"h11 paths disagree: closed form {h11}, kernel {h11_k}"
-            )
-        h11_methods = ("closed-form", "kernel")
-    else:
-        h11_methods = ("closed-form",)
-
-    if e_smooth % 2 != 0:
-        raise PathDisagreement(f"Euler number {e_smooth} is odd")
-    h12 = h11 - e_smooth // 2
-
-    pairings = picard_one_pairings(config_tilde)
-    tags: list[tuple[str, tuple[str, ...]]] = [
-        ("euler", ("closed-form", "triple-point-sum")),
-        ("h11", h11_methods),
-        ("h12", ("derived",)),
-    ]
-    if pairings.h_cubed is not None:
-        tags.append(("h_cubed", ("component-sum",)))
-        tags.append(("h_dot_c2", ("component-sum",)))
-    return SmoothingInvariants(
-        euler=e_smooth,
-        h11=h11,
-        h12=h12,
-        h_cubed=pairings.h_cubed,
-        h_dot_c2=pairings.h_dot_c2,
-        method_tags=tuple(tags),
-    )
+    return _smoothing(config_tilde, h11_closed(config, divisor), e_closed)
 
 
 @dataclass(frozen=True)

@@ -179,7 +179,7 @@ class SurfaceGeometry:
         m = self.restrictions[slot]
         if len(m) != self.lattice.rank:
             return False
-        return all(len(r) == component.h2_rank for r in m) or (self.lattice.rank == 0)
+        return all(len(r) == component.h2_rank for r in m)
 
 
 @dataclass(frozen=True)
@@ -509,12 +509,11 @@ def check_restriction_shapes(config: NCConfiguration) -> None:
     class and one column per tracked class of the adjacent component; the
     first surface where one does not raises :class:`MissingData`.
     """
-    for i, surf in enumerate(config.surfaces):
-        j, k = SURFACE_ADJACENCY[i]
-        if not (surf.restriction_shape_ok(0, config.components[j]) and surf.restriction_shape_ok(1, config.components[k])):
-            raise MissingData(
-                f"surface {surf.name}: restriction matrices have inconsistent shapes"
-            )
+    diags = _shape_diagnostics(config)
+    if diags:
+        raise MissingData(
+            f"surface {diags[0].target}: restriction matrices have inconsistent shapes"
+        )
 
 
 def restriction_difference_matrix(config: NCConfiguration) -> RationalMatrix:

@@ -7,7 +7,7 @@ calls, so the counts are the same on every machine.
 import collections
 import functools
 
-from nc3 import catalog, cli, construction, exactlat, invariants
+from nc3 import catalog, cli, construction, exactlat, invariants, ncconfig
 from tests.conftest import all_catalog_cases
 
 
@@ -46,3 +46,29 @@ def test_invariants_family_route_blows_up_once(monkeypatch, capsys):
     assert "trace:" in capsys.readouterr().out
     assert counts["sequential_blowup"] == 1
     assert counts["check_collective_divisor"] == 1
+
+
+def test_hodge_checks_shapes_once_and_ranks_once(monkeypatch):
+    counts = collections.Counter()
+    count_calls(monkeypatch, counts, ncconfig, "check_restriction_shapes")
+    count_calls(monkeypatch, counts, invariants, "kernel_dimension")
+    count_calls(monkeypatch, counts, exactlat, "matrix_rank")
+    for fam_id, spec in all_catalog_cases():
+        config, divisor = catalog.instantiate(fam_id, spec)
+        counts.clear()
+        invariants.hodge(config, divisor)
+        assert counts == {"check_restriction_shapes": 1, "kernel_dimension": 1, "matrix_rank": 1}, (fam_id, spec)
+
+
+def test_invariants_config_route_ranks_once(monkeypatch, tmp_path, capsys):
+    config, divisor = catalog.instantiate("quintic", catalog.PartitionSpec(parts=((1,), (4,))))
+    config_tilde, _ = construction.sequential_blowup(config, divisor)
+    assert config_tilde.lattice_is_full
+    path = tmp_path / "blown_up.json"
+    path.write_text(ncconfig.config_to_json(config_tilde), encoding="utf-8")
+    counts = collections.Counter()
+    count_calls(monkeypatch, counts, ncconfig, "check_restriction_shapes")
+    count_calls(monkeypatch, counts, exactlat, "matrix_rank")
+    assert cli.main(["invariants", "--config", str(path), "--format", "json"]) == 0
+    assert '"kernel"' in capsys.readouterr().out
+    assert counts == {"check_restriction_shapes": 1, "matrix_rank": 1}

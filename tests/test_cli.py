@@ -380,6 +380,33 @@ def test_invariants_config_shape_mismatch_partial_lattice_exits_1(tmp_path, caps
     assert any(d["clause"] == "shape" for d in json.loads(out)["diagnostics"])
 
 
+def test_invariants_config_refuses_h2_total_contradicting_kernel(tmp_path, capsys):
+    """With complete lattices a declared h2_total must match the kernel; a file
+    where it does not is refused as `check --config` refuses it: exit 1."""
+    from nc3 import catalog, construction, ncconfig
+
+    config, divisor = catalog.instantiate("quintic", catalog.PartitionSpec(parts=((5,),)))
+    config_tilde, _ = construction.sequential_blowup(config, divisor)
+    data = ncconfig.config_to_dict(config_tilde)
+    assert data["lattice_is_full"] is True
+    assert data["h2_total"] == 3
+    data["h2_total"] = 4
+    path = tmp_path / "h2-contradicts.json"
+    path.write_text(json.dumps(data))
+    rc, out, _ = run(capsys, "check", "--config", str(path))
+    assert rc == 1
+    assert any(
+        d["clause"] == "h2-total" and d["severity"] == "error"
+        for d in json.loads(out)["diagnostics"]
+    )
+    rc, out, err = run(capsys, "invariants", "--config", str(path))
+    assert rc == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "h11 paths disagree: closed form 2, kernel 1"}
+
+
 def test_invariants_csv_star_column(capsys):
     rc, out, _ = run(
         capsys,

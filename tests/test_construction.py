@@ -17,7 +17,7 @@ from nc3.construction import (
     sequential_blowup,
     transport_chern,
 )
-from nc3.exactlat import RationalMatrix, kernel_dimension
+from nc3.exactlat import RationalMatrix, kernel_dimension, mat_vec
 from tests.conftest import all_catalog_cases, quintic_partition
 
 
@@ -304,7 +304,7 @@ def test_full_matrix_contains_declared_kernel_classes():
                 (part,),
             ),
         )
-        assert all(x == 0 for x in m.apply(e_l)), f"E[{l + 1}]"
+        assert all(x == 0 for x in mat_vec(m.entries, e_l)), f"E[{l + 1}]"
         e_l_prime = ncconfig.stack_component_vectors(
             config_tilde,
             (
@@ -313,7 +313,7 @@ def test_full_matrix_contains_declared_kernel_classes():
                 (0,),
             ),
         )
-        assert all(x == 0 for x in m.apply(e_l_prime)), f"E'[{l + 1}]"
+        assert all(x == 0 for x in mat_vec(m.entries, e_l_prime)), f"E'[{l + 1}]"
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ from nc3.exactlat import (
     SmoothCurveParityError,
     ZeroCurveClass,
     adjunction_euler,
+    adjunction_sum,
     kernel_dimension,
     make_lattice,
+    matrix_rank,
     pair,
     vec_add,
 )
@@ -111,7 +113,7 @@ def test_pair_and_adjunction_against_dense_double_sum(case):
 
 
 def test_kernel_zero_matrix():
-    assert kernel_dimension(RationalMatrix.zero(3, 3)) == 3
+    assert kernel_dimension(RationalMatrix.from_rows([[0] * 3] * 3)) == 3
 
 
 def test_kernel_identity():
@@ -169,7 +171,7 @@ def test_rank_nullity_against_oracle(n_rows, n_cols, data):
     m = RationalMatrix.from_rows(entries)
     rank = _oracle_rank(entries)
     assert kernel_dimension(m) == n_cols - rank
-    assert kernel_dimension(m) + m.rank() == n_cols
+    assert kernel_dimension(m) + matrix_rank(m) == n_cols
 
 
 def _sparse_integer_rows(rnd, n_rows, n_cols, density, zero_rows=()):
@@ -201,12 +203,12 @@ def test_sparse_integer_rank_against_oracle(n_rows, n_cols, zero_rows):
             rows = _sparse_integer_rows(rnd, n_rows, n_cols, density, zero_rows)
             rank = _oracle_rank(rows)
             m = RationalMatrix.from_rows(rows)
-            assert m.rank() == rank
+            assert matrix_rank(m) == rank
             assert kernel_dimension(m) == n_cols - rank
-            assert RationalMatrix.from_rows(zip(*rows)).rank() == rank
+            assert matrix_rank(RationalMatrix.from_rows(zip(*rows))) == rank
             i = rnd.randrange(n_rows)
             rows[i] = [10**40 * x for x in rows[i]]
-            assert RationalMatrix.from_rows(rows).rank() == rank
+            assert matrix_rank(RationalMatrix.from_rows(rows)) == rank
 
 
 def test_rank_big_integers():
@@ -245,3 +247,19 @@ def test_adjunction_parity_error_fires_exactly_on_odd_sums(a, k):
     else:
         with pytest.raises(SmoothCurveParityError):
             adjunction_euler((a,), (k,), PLANE)
+
+
+@pytest.mark.parametrize(
+    "c, canonical",
+    [
+        ((1, 1, 1), (-1, -1)),  # curve class too long
+        ((1,), (-1, -1)),  # curve class too short
+        ((1, 1), (-1, -1, 0)),  # canonical class too long
+        ((1, 1), (-1,)),  # canonical class too short
+        ((1, 1, 1), (-1, -1, -1)),  # both too long, by the same amount
+    ],
+)
+@pytest.mark.parametrize("fn", [adjunction_sum, adjunction_euler])
+def test_adjunction_refuses_wrong_lengths(fn, c, canonical):
+    with pytest.raises(DimensionMismatch):
+        fn(c, canonical, BIDEGREE)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nc3 import catalog, construction, ncconfig
-from nc3.exactlat import kernel_dimension
+from nc3.exactlat import kernel_dimension, mat_vec
 from nc3.ncconfig import (
     Diagnostic,
     DualComplexInfo,
@@ -153,8 +153,8 @@ def test_quintic_component_classes_and_residual_identity(quintic5):
     from nc3 import degeneration
 
     n = degeneration.collective_normal_class(config).classes
-    img1 = ncconfig.split_surface_vector(config, m.apply(e1))
-    img2 = ncconfig.split_surface_vector(config, m.apply(e2))
+    img1 = ncconfig.split_surface_vector(config, mat_vec(m.entries, e1))
+    img2 = ncconfig.split_surface_vector(config, mat_vec(m.entries, e2))
     # not in the kernel before the blow-up; the images are the normal classes
     assert [list(map(int, v)) for v in img1] == [[0], list(n[1]), [-x for x in n[2]]]
     assert [list(map(int, v)) for v in img2] == [[-x for x in n[0]], [0], list(n[2])]
@@ -164,7 +164,7 @@ def test_component_classes_kernel_membership_after_blowup(quintic5_blown):
     config_tilde, _ = quintic5_blown
     m = restriction_difference_matrix(config_tilde)
     for e in component_restriction_classes(config_tilde):
-        assert all(x == 0 for x in m.apply(e))
+        assert all(x == 0 for x in mat_vec(m.entries, e))
 
 
 def test_third_cyclic_class_is_dependent(quintic5):

@@ -4,15 +4,18 @@ The digests of ``catalog export``, ``table`` and ``check`` were taken from
 the output of the stdlib encoder (``json.dumps(payload, indent=2,
 sort_keys=True)``) before nc3 had its own writer; those of ``invariants
 --family`` before that route stopped blowing up a second time for its
-trace.  Any change to a payload's bytes (layout, key order, escaping, a
+trace; those of ``invariants --config`` while the CLI still assembled the
+file route's invariants itself.  Any change to a payload's bytes (layout, key order, escaping, a
 number) changes its digest.  A deliberate format change must update the
 digests in the same change and say so.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
 
+from nc3 import catalog, construction, ncconfig
 from nc3.cli import main
 
 # (family id, digest of `catalog export --family <id>`,
@@ -46,6 +49,16 @@ INVARIANTS_DIGESTS = [
     ),
 ]
 
+# `invariants --config blown_up.json`: the blown-up quintic (1,4) exported,
+# with lattice_is_full as exported (h11 from the kernel) and cleared (h11
+# from h2_total).  The file's SHA-256 is part of the payload.
+CONFIG_DIGESTS = [
+    (True, "json", "8fa80a36d91b0eec66682fc05555c047576122d4a40b2c1123b60cb47ec86ee2"),
+    (True, "text", "e62bd2fa6e2b24a6e536cdac80b9ce4ac170426a7578c1fc97292c10c553f798"),
+    (False, "json", "b704979906806e2e51fcf0ed37f0ce2cdb69d2be0a4ff2acc2d5857df407643c"),
+    (False, "text", "69c7cb3302fb5138c99debc84b7c1ccf911ff37b1ef69b9a17fa0a6c44570c6d"),
+]
+
 
 def stdout_digest(capsys, *argv):
     assert main(list(argv)) == 0
@@ -66,3 +79,18 @@ def test_check_after_blowup_payload_bytes(capsys):
 @pytest.mark.parametrize("argv,digest", INVARIANTS_DIGESTS, ids=["quintic-trace-json", "quintic-trace-text", "p2xp2-json"])
 def test_invariants_family_payload_bytes(capsys, argv, digest):
     assert stdout_digest(capsys, "invariants", *argv) == digest
+
+
+@pytest.mark.parametrize(
+    "lattice_is_full,fmt,digest",
+    CONFIG_DIGESTS,
+    ids=["kernel-json", "kernel-text", "closed-form-json", "closed-form-text"],
+)
+def test_invariants_config_payload_bytes(capsys, monkeypatch, tmp_path, lattice_is_full, fmt, digest):
+    config, divisor = catalog.instantiate("quintic", catalog.PartitionSpec(parts=((1,), (4,))))
+    config_tilde, _ = construction.sequential_blowup(config, divisor)
+    config_tilde = dataclasses.replace(config_tilde, lattice_is_full=lattice_is_full)
+    # a relative name keeps source.path the same wherever the test runs
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "blown_up.json").write_text(ncconfig.config_to_json(config_tilde), encoding="utf-8")
+    assert stdout_digest(capsys, "invariants", "--config", "blown_up.json", "--format", fmt) == digest
