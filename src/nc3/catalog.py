@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import construction, degeneration
+from ._record import Record
 from .exactlat import (
     IntersectionLattice,
     IntMatrix,
@@ -68,22 +68,19 @@ class PartitionError(Exception):
     """A partition does not meet the family's degree constraint."""
 
 
-@dataclass(frozen=True)
-class FamilyComponent:
+class FamilyComponent(Record):
     name: str
     euler: int
     cut: Vec
     chern_numbers: tuple[int, int, int] | None = None
 
 
-@dataclass(frozen=True)
-class FamilySurface:
+class FamilySurface(Record):
     gram: IntMatrix
     euler: int
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """Static data of one catalog family.
 
     ``surfaces_opposite[a]`` describes the surface between the two
@@ -108,7 +105,7 @@ class Family:
     provenance: tuple[str, ...] = ()
 
     # Built on first use and kept on the instance: every partition of the
-    # family shares them.  Not dataclass fields, so the constructor, equality
+    # family shares them.  Not record fields, so the constructor, equality
     # and hashing do not see them.
     @functools.cached_property
     def surface_lattices(self) -> tuple[IntersectionLattice, ...]:
@@ -123,8 +120,7 @@ class Family:
         )
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
+class PartitionSpec(Record):
     """A multiset of positive curve-degree vectors, kept as a tuple.
 
     For rank-one families each part is ``(a,)`` with a >= 1; for the
@@ -166,22 +162,19 @@ class PartitionSpec:
         return ",".join("(" + ",".join(str(x) for x in p) + ")" for p in self.parts)
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(Record):
     partition: PartitionSpec
     h11: int
     h12: int
     star: bool
 
 
-@dataclass(frozen=True)
-class AddedComponent:
+class AddedComponent(Record):
     description: str
     euler: int
 
 
-@dataclass(frozen=True)
-class ExpandedConfiguration:
+class ExpandedConfiguration(Record):
     """Summary record of a base-changed configuration with >= 4 components."""
 
     component_count: int

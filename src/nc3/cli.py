@@ -17,22 +17,21 @@ to stderr as single-line JSON.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import hashlib
-import io
-import json
 import re
 import sys
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from . import catalog, construction, degeneration, invariants, ncconfig
+if TYPE_CHECKING:
+    from . import catalog, construction, ncconfig
 
 OUTPUT_FORMAT_VERSION = "nc3-output/1"
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
+
+TABLE_COLUMNS = ["family", "partition", "h11", "h12", "euler", "star"]
 
 
 class CliError(Exception):
@@ -42,13 +41,8 @@ class CliError(Exception):
 
 
 def _emit(payload: dict[str, Any], args: argparse.Namespace) -> None:
-    text = ncconfig.dumps(payload)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    from . import ncconfig
+    _emit_text(ncconfig.dumps(payload), args)
 
 
 def _emit_text(text: str, args: argparse.Namespace) -> None:
@@ -60,14 +54,26 @@ def _emit_text(text: str, args: argparse.Namespace) -> None:
         print(text)
 
 
-def _error_record(message: str, **extra: Any) -> str:
-    rec = {"error": message}
-    rec.update(extra)
-    return json.dumps(rec, sort_keys=True)
+def _emit_csv(columns: list[str], rows: Iterable[dict[str, Any]], args: argparse.Namespace) -> None:
+    """A header line, then each row's values under ``columns``; ``star`` is ``*`` or empty."""
+    import csv
+    import io
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    for r in rows:
+        writer.writerow([("*" if r[c] else "") if c == "star" else r[c] for c in columns])
+    _emit_text(buf.getvalue().rstrip("\n"), args)
+
+
+def _error_record(message: str) -> str:
+    import json
+    return json.dumps({"error": message})
 
 
 def _parse_partition(text: str) -> catalog.PartitionSpec:
     """Parse ``5``, ``1,4`` or ``(1,0),(2,3)`` into a partition."""
+    from . import catalog
     s = text.strip()
     try:
         if "(" in s:
@@ -85,6 +91,8 @@ def _parse_partition(text: str) -> catalog.PartitionSpec:
 
 
 def _load_config_file(path: str) -> tuple[ncconfig.NCConfiguration, dict[str, Any]]:
+    import hashlib
+    from . import ncconfig
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -102,6 +110,7 @@ def _resolve_source(
     args: argparse.Namespace,
 ) -> tuple[ncconfig.NCConfiguration, construction.CollectiveDivisor | None, dict[str, Any]]:
     """Configuration (+ divisor when a catalog partition is given) from flags."""
+    from . import catalog
     if args.family and args.config:
         raise CliError("give either --family or --config, not both", EXIT_PARSE)
     if args.config:
@@ -156,11 +165,13 @@ def _base_record(command: str, provenance: dict[str, Any]) -> dict[str, Any]:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from . import degeneration, ncconfig
     config, divisor, provenance = _resolve_source(args)
     record = _base_record("check", provenance)
     if args.after_blowup:
         if divisor is None:
             raise CliError("--after-blowup needs --family with --partition", EXIT_PARSE)
+        from . import construction
         try:
             config, _ = construction.sequential_blowup(config, divisor)
         except construction.AdmissibilityError as exc:
@@ -185,6 +196,7 @@ def _invariants_record(
     divisor: construction.CollectiveDivisor | None,
     want_trace: bool,
 ) -> dict[str, Any]:
+    from . import construction, degeneration, invariants
     out: dict[str, Any] = {}
     if divisor is None:
         # Configuration-file route: the file must already be d-semistable.
@@ -205,14 +217,13 @@ def _invariants_record(
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
+    from . import construction, invariants
     config, divisor, provenance = _resolve_source(args)
     if args.family and divisor is None:
         raise CliError("invariants needs --partition with --family", EXIT_PARSE)
     record = _base_record("invariants", provenance)
     try:
-        record.update(
-            _invariants_record(config, divisor, args.trace)
-        )
+        record.update(_invariants_record(config, divisor, args.trace))
     except construction.AdmissibilityError as exc:
         record["diagnostics"] = [d.as_dict() for d in exc.diagnostics]
         print(_error_record("inadmissible collective divisor"), file=sys.stderr)
@@ -225,23 +236,12 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(record, args)
     elif args.format == "csv":
-        star = _star_for(args.family, provenance.get("partition"))
-        inv = record["invariants"]
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["family", "partition", "h11", "h12", "euler", "star"])
-        writer.writerow(
-            [
-                args.family or "-",
-                provenance.get("partition", "-"),
-                inv["h11"],
-                inv["h12"],
-                inv["euler"],
-                "*" if star else "",
-            ]
-        )
-        _emit_text(buf.getvalue().rstrip("\n"), args)
+        partition = provenance.get("partition")
+        row = {**record["invariants"], "family": args.family or "-", "partition": partition or "-"}
+        row["star"] = _star_for(args.family, partition)
+        _emit_csv(TABLE_COLUMNS, [row], args)
     else:
+        import json
         inv = record["invariants"]
         lines = [
             f"source: {json.dumps(provenance, sort_keys=True)}",
@@ -266,6 +266,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 def _star_for(fam_id: str | None, partition_text: str | None) -> bool:
     if fam_id is None or partition_text is None:
         return False
+    from . import catalog
     spec = _parse_partition(partition_text).canonical()
     for row in catalog.expected_table(fam_id):
         if row.partition.parts == spec.parts:
@@ -277,29 +278,30 @@ def _star_for(fam_id: str | None, partition_text: str | None) -> bool:
 # table / verify
 
 
-def _computed_row(fam: catalog.Family, spec: catalog.PartitionSpec) -> dict[str, Any]:
-    config, divisor = catalog.instantiate(fam, spec)
-    inv = invariants.hodge(config, divisor)
-    return {
-        "partition": spec.cli_form(),
-        "h11": inv.h11,
-        "h12": inv.h12,
-        "euler": inv.euler,
-    }
-
-
 def _family_rows(fam: catalog.Family) -> list[dict[str, Any]]:
-    specs = catalog.enumerate_partitions(fam)
+    """One computed row per partition of ``fam``, with its reference star flag."""
+    from . import catalog, invariants
     expected = {r.partition.parts: r for r in catalog.expected_table(fam)}
-    rows = [_computed_row(fam, s) for s in specs]
-    for spec, row in zip(specs, rows):
+    rows = []
+    for spec in catalog.enumerate_partitions(fam):
+        config, divisor = catalog.instantiate(fam, spec)
+        inv = invariants.hodge(config, divisor)
         exp = expected.get(spec.parts)
-        row["star"] = bool(exp.star) if exp else False
-        row["family"] = fam.id
+        rows.append(
+            {
+                "family": fam.id,
+                "partition": spec.cli_form(),
+                "h11": inv.h11,
+                "h12": inv.h12,
+                "euler": inv.euler,
+                "star": bool(exp.star) if exp else False,
+            }
+        )
     return rows
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    from . import catalog
     try:
         fam = catalog.get_family(args.family)
     except catalog.UnknownFamily as exc:
@@ -316,14 +318,7 @@ def cmd_table(args: argparse.Namespace) -> int:
             args,
         )
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["family", "partition", "h11", "h12", "euler", "star"])
-        for r in rows:
-            writer.writerow(
-                [r["family"], r["partition"], r["h11"], r["h12"], r["euler"], "*" if r["star"] else ""]
-            )
-        _emit_text(buf.getvalue().rstrip("\n"), args)
+        _emit_csv(TABLE_COLUMNS, rows, args)
     else:
         width = max(len(r["partition"]) for r in rows) + 2
         lines = [f"family {fam.id}: {fam.description}"]
@@ -342,6 +337,7 @@ def verify_family(fam: catalog.Family) -> tuple[int, int, list[dict[str, Any]]]:
 
     Returns (matches, total, mismatches); a row that raises is a mismatch.
     """
+    from . import catalog, invariants
     specs = catalog.enumerate_partitions(fam)
     expected = {r.partition.parts: r for r in catalog.expected_table(fam)}
     mismatches: list[dict[str, Any]] = []
@@ -378,6 +374,7 @@ def verify_family(fam: catalog.Family) -> tuple[int, int, list[dict[str, Any]]]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import catalog
     if args.family == "all":
         fams = [catalog.get_family(f) for f in catalog.family_ids()]
     else:
@@ -406,6 +403,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
+    from . import catalog, ncconfig
     if args.action == "list":
         lines = []
         for fam_id in catalog.family_ids():
@@ -422,14 +420,12 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     except catalog.UnknownFamily as exc:
         raise CliError(str(exc), EXIT_PARSE)
     if args.expected:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["partition", "h11", "h12", "star"])
-        for row in catalog.expected_table(fam):
-            writer.writerow(
-                [row.partition.cli_form(), row.h11, row.h12, "*" if row.star else ""]
-            )
-        _emit_text(buf.getvalue().rstrip("\n"), args)
+        rows = catalog.expected_table(fam)
+        _emit_csv(
+            ["partition", "h11", "h12", "star"],
+            ({**r.as_dict(), "partition": r.partition.cli_form()} for r in rows),
+            args,
+        )
     else:
         spec = catalog.PartitionSpec(parts=(fam.total_degree,))
         config, _ = catalog.instantiate(fam, spec)
@@ -505,6 +501,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The library's errors that main() reports as one JSON line on stderr, with
+# their exit codes; the first match wins.  They are looked up in sys.modules:
+# a module that was never loaded raised none of them.
+LIBRARY_ERRORS = (
+    ("nc3.ncconfig", "SchemaError", EXIT_PARSE),
+    ("nc3.ncconfig", "ConfigError", EXIT_FAIL),
+    ("nc3.catalog", "PartitionError", EXIT_FAIL),
+    ("nc3.construction", "AdmissibilityError", EXIT_FAIL),
+    ("nc3.invariants", "NotDSemistable", EXIT_FAIL),
+    ("nc3.invariants", "PathDisagreement", EXIT_FAIL),
+)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -513,18 +522,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(_error_record(str(exc)), file=sys.stderr)
         return exc.exit_code
-    except ncconfig.SchemaError as exc:
-        print(_error_record(f"schema error: {exc}"), file=sys.stderr)
-        return EXIT_PARSE
-    except (
-        ncconfig.ConfigError,
-        catalog.PartitionError,
-        construction.AdmissibilityError,
-        invariants.NotDSemistable,
-        invariants.PathDisagreement,
-    ) as exc:
-        print(_error_record(str(exc)), file=sys.stderr)
-        return EXIT_FAIL
+    except Exception as exc:
+        for module, name, code in LIBRARY_ERRORS:
+            if isinstance(exc, getattr(sys.modules.get(module), name, ())):
+                prefix = "schema error: " if code == EXIT_PARSE else ""
+                print(_error_record(prefix + str(exc)), file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -31,10 +31,10 @@ of the smoothing invariants computed downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import degeneration
+from ._record import Record
 from .exactlat import (
     IntersectionLattice,
     IntMatrix,
@@ -70,8 +70,7 @@ class AmpleMarginError(Exception):
     """An intersection table violates the sequential blow-up shape."""
 
 
-@dataclass(frozen=True)
-class CollectiveDivisor:
+class CollectiveDivisor(Record):
     """Blow-up data: alpha curve classes on each surface, with matched counts.
 
     ``components[i][l]`` is the class of the l-th curve on surface i;
@@ -104,26 +103,15 @@ class CollectiveDivisor:
         return sum(self.tau_multiplicities)
 
 
-@dataclass(frozen=True)
-class BlowupStep:
+class BlowupStep(Record):
     component: str
     center: str
     surface: str
     degree: int
     euler: int
 
-    def as_dict(self) -> dict[str, int | str]:
-        return {
-            "component": self.component,
-            "center": self.center,
-            "surface": self.surface,
-            "degree": self.degree,
-            "euler": self.euler,
-        }
 
-
-@dataclass(frozen=True)
-class BlowupTrace:
+class BlowupTrace(Record):
     """Ordered log of the 3*alpha blow-up steps and the classes they create."""
 
     steps: tuple[BlowupStep, ...]
@@ -482,8 +470,7 @@ def extend_restriction_matrix(
 # Relative ampleness margins for sequential blow-ups
 
 
-@dataclass(frozen=True)
-class AmpleMarginProblem:
+class AmpleMarginProblem(Record):
     """Intersection table of exceptional divisors against fiber curves.
 
     ``table[l][l']`` is the intersection of the l'-th exceptional divisor
@@ -522,8 +509,7 @@ class AmpleMarginProblem:
         return len(self.table)
 
 
-@dataclass(frozen=True)
-class AmpleMarginCertificate:
+class AmpleMarginCertificate(Record):
     beta: int
     m: int
     values: tuple[int, ...]

@@ -20,8 +20,7 @@ equality in the tracked sublattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .exactlat import Vec, pair, vec_add
 from .ncconfig import NCConfiguration
 
@@ -30,8 +29,7 @@ class InternalConsistencyError(Exception):
     """An identity that must hold on coherent data failed."""
 
 
-@dataclass(frozen=True)
-class NormalClassTriple:
+class NormalClassTriple(Record):
     """One divisor class per double surface, in that surface's lattice."""
 
     classes: tuple[Vec, Vec, Vec]
@@ -44,8 +42,7 @@ class NormalClassTriple:
         return [list(c) for c in self.classes]
 
 
-@dataclass(frozen=True)
-class TripleSumReport:
+class TripleSumReport(Record):
     """Degrees of the normal classes along the triple curve.
 
     ``residuals`` holds N(D_i).tau computed in each surface lattice;

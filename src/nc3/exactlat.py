@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
+
+from ._record import Record
 
 Vec = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -45,14 +45,6 @@ class SmoothCurveParityError(ExactLatticeError):
 
 class ZeroCurveClass(ExactLatticeError):
     """The zero class is not the class of a curve."""
-
-
-def vec(*coords: int) -> Vec:
-    return tuple(int(c) for c in coords)
-
-
-def as_vec(coords: Iterable[int]) -> Vec:
-    return tuple(int(c) for c in coords)
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
@@ -99,8 +91,7 @@ def as_int_matrix(rows: Iterable[Iterable[int]]) -> IntMatrix:
     return out
 
 
-@dataclass(frozen=True)
-class IntersectionLattice:
+class IntersectionLattice(Record):
     """A finite-rank integral lattice with a symmetric Gram form.
 
     This is the numerical shadow of the second cohomology of a surface: a
@@ -202,8 +193,7 @@ def adjunction_euler(c: Sequence[int], canonical: Sequence[int], lattice: Inters
     return -s
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
+class RationalMatrix(Record):
     """A dense matrix of exact rationals: ``int`` entries, ``Fraction`` where needed."""
 
     rows: int
@@ -220,6 +210,8 @@ class RationalMatrix:
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int | Fraction]]) -> "RationalMatrix":
         """Integers are kept as they are; every other value becomes a ``Fraction``."""
+        from fractions import Fraction
+
         entries = tuple(
             tuple(x if type(x) is int else Fraction(x) for x in row) for row in rows
         )

@@ -27,9 +27,8 @@ sum of (c2.H - c1^2.H) over components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import construction, degeneration, ncconfig
+from ._record import Record
 from .exactlat import Vec, kernel_dimension
 from .ncconfig import MissingData, NCConfiguration
 
@@ -49,8 +48,7 @@ class PathDisagreement(Exception):
     """The two independent computation paths returned different values."""
 
 
-@dataclass(frozen=True)
-class SmoothingInvariants:
+class SmoothingInvariants(Record):
     """Invariants of the smoothing, with the method that produced each."""
 
     euler: int
@@ -243,8 +241,7 @@ def hodge(
     return _smoothing(config_tilde, h11_closed(config, divisor), e_closed)
 
 
-@dataclass(frozen=True)
-class PicardPairings:
+class PicardPairings(Record):
     """Sums of the per-component Chern pairings of the distinguished class."""
 
     h_cubed: int | None

@@ -34,11 +34,9 @@ whether kernel-based h2 counts may be trusted as the full second Betti number.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
+from ._record import Record
 from .exactlat import (
     DimensionMismatch,
     IntersectionLattice,
@@ -83,8 +81,7 @@ class MissingData(ConfigError):
     """An operation needs optional data the configuration does not carry."""
 
 
-@dataclass(frozen=True, order=True)
-class Diagnostic:
+class Diagnostic(Record, order=True):
     """One validation finding, ordered by clause identifier."""
 
     clause: str
@@ -96,21 +93,12 @@ class Diagnostic:
     def is_error(self) -> bool:
         return self.severity == SEVERITY_ERROR
 
-    def as_dict(self) -> dict[str, str]:
-        return {
-            "clause": self.clause,
-            "severity": self.severity,
-            "target": self.target,
-            "message": self.message,
-        }
-
 
 def has_errors(diagnostics: Iterable[Diagnostic]) -> bool:
     return any(d.is_error for d in diagnostics)
 
 
-@dataclass(frozen=True)
-class ComponentGeometry:
+class ComponentGeometry(Record):
     """One threefold component: Euler number and tracked H2 data.
 
     ``ample`` holds the coordinates of the distinguished ample class H_i.
@@ -149,8 +137,7 @@ class ComponentGeometry:
             raise ConfigError(f"component {self.name}: H^3 must be at least 1")
 
 
-@dataclass(frozen=True)
-class SurfaceGeometry:
+class SurfaceGeometry(Record):
     """One double surface: lattice, distinguished classes, restrictions.
 
     ``restrictions`` are the two matrices sending the adjacent components'
@@ -182,16 +169,14 @@ class SurfaceGeometry:
         return all(len(r) == component.h2_rank for r in m)
 
 
-@dataclass(frozen=True)
-class TripleCurve:
+class TripleCurve(Record):
     """The triple intersection curve: Euler number and connectivity flag."""
 
     euler: int
     connected: bool
 
 
-@dataclass(frozen=True)
-class DualComplexInfo:
+class DualComplexInfo(Record):
     """Shape of the dual complex and the resulting degeneration type."""
 
     dimension: int
@@ -207,8 +192,7 @@ class DualComplexInfo:
             )
 
 
-@dataclass(frozen=True)
-class NCConfiguration:
+class NCConfiguration(Record):
     components: tuple[ComponentGeometry, ComponentGeometry, ComponentGeometry]
     surfaces: tuple[SurfaceGeometry, SurfaceGeometry, SurfaceGeometry]
     triple: TripleCurve
@@ -628,12 +612,14 @@ def dumps(obj: Any) -> str:
     keys, lists, tuples, strings, ints, bools and ``None``; anything else
     (floats included) raises ``TypeError``.
     """
-    return _dumps(obj, "\n")
+    from json.encoder import encode_basestring_ascii
+
+    return _dumps(obj, "\n", encode_basestring_ascii)
 
 
-def _dumps(x: Any, newline: str) -> str:
+def _dumps(x: Any, newline: str, quote: Callable[[str], str]) -> str:
     if isinstance(x, str):
-        return encode_basestring_ascii(x)
+        return quote(x)
     if x is None:
         return "null"
     if x is True:
@@ -650,7 +636,7 @@ def _dumps(x: Any, newline: str) -> str:
         for key in sorted(x):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(encode_basestring_ascii(key) + ": " + _dumps(x[key], inner))
+            items.append(quote(key) + ": " + _dumps(x[key], inner, quote))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(x, (list, tuple)):
         if not x:
@@ -658,7 +644,7 @@ def _dumps(x: Any, newline: str) -> str:
         if {int}.issuperset(map(type, x)):
             items = map(int.__repr__, x)
         else:
-            items = [_dumps(v, inner) for v in x]
+            items = [_dumps(v, inner, quote) for v in x]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
@@ -814,6 +800,8 @@ def config_from_dict(data: dict[str, Any]) -> NCConfiguration:
     surfaces: list[SurfaceGeometry] = []
     for i, s in enumerate(raw_surfs):
         sname = _require(s, "name", "surface")
+        if not isinstance(sname, str):
+            raise SchemaError("surface name must be a string")
         where = f"surface {sname}"
         gram = _intmat(_require(s, "gram", where), where + ".gram")
         labels_raw = s.get("basis_labels")
@@ -901,6 +889,8 @@ def config_to_json(config: NCConfiguration) -> str:
 
 
 def config_from_json(text: str) -> NCConfiguration:
+    import json
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -27,29 +27,34 @@ def all_catalog_cases():
     return cases
 
 
-def rank_one_d21_family() -> catalog.Family:
-    """Synthetic rank-one family of degree 21: all cuts (7,), Gram [[2]], every Euler number 4.
+def rank_one_family(degree: int) -> catalog.Family:
+    """Synthetic rank-one family: all cuts (degree/3,), Gram [[2]], every Euler number 4.
 
-    Its all-ones partition gives the largest shape the package meets: gamma
-    294, a 295x295 blown-up D3 Gram and a 297x66 restriction-difference
-    matrix.
+    At degree 21 its all-ones partition gives the largest shape the package
+    meets: gamma 294, a 295x295 blown-up D3 Gram and a 297x66
+    restriction-difference matrix.
     """
+    k = degree // 3
     return catalog.Family(
-        id="rank-one-d21",
-        description="synthetic rank-one family of degree 21",
+        id=f"rank-one-d{degree}",
+        description=f"synthetic rank-one family of degree {degree}",
         rank=1,
         labels=("h",),
         ample=(1,),
-        total_degree=(21,),
-        gamma=294,
-        gamma_per_unit=14,
+        total_degree=(degree,),
+        gamma=2 * k * degree,
+        gamma_per_unit=2 * k,
         h2=1,
         tau_euler=0,
         components=tuple(
-            catalog.FamilyComponent(name=f"Y{i + 1}", euler=4, cut=(7,)) for i in range(3)
+            catalog.FamilyComponent(name=f"Y{i + 1}", euler=4, cut=(k,)) for i in range(3)
         ),
         surfaces_opposite=tuple(catalog.FamilySurface(gram=((2,),), euler=4) for _ in range(3)),
     )
+
+
+def rank_one_d21_family() -> catalog.Family:
+    return rank_one_family(21)
 
 
 def d21_all_ones_row():

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -6,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nc3 import catalog, construction, invariants, ncconfig
+from nc3._record import replace
 from nc3.catalog import (
     ExpandedConfiguration,
     PartitionSpec,
@@ -300,7 +300,7 @@ def test_base_change_requires_semistability(quintic5):
 
 def test_base_change_rational_triple_curve_flag(quintic5_blown):
     config_tilde, _ = quintic5_blown
-    hypothetical = dataclasses.replace(
+    hypothetical = replace(
         config_tilde, triple=ncconfig.TripleCurve(euler=2, connected=True)
     )
     expanded = base_change_expand(hypothetical, times=1)

@@ -6,7 +6,6 @@ import pathlib
 import jsonschema
 import pytest
 
-from nc3 import cli
 from nc3.cli import main
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "schemas"
@@ -79,6 +78,30 @@ def test_check_non_integer_exits_2(tmp_path, capsys):
     lines = err.splitlines()
     assert len(lines) == 1
     assert "surface D1.tau_class: expected integer, got True" in json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize("command", ["check", "invariants"])
+@pytest.mark.parametrize("also_canonical", [False, True], ids=["name-only", "name-and-canonical"])
+def test_non_string_surface_name_exits_2(tmp_path, capsys, command, also_canonical):
+    """A surface name that is not a string is a schema error.
+
+    Alone it used to pass as a target of -1; with more errors on the file,
+    sorting the diagnostics compared a string with an int and raised.
+    """
+    rc, out, _ = run(capsys, "catalog", "export", "--family", "quintic")
+    data = json.loads(out)
+    data["surfaces"][0]["name"] = -1
+    if also_canonical:
+        data["surfaces"][0]["canonical"][0] += 1
+        data["surfaces"][1]["canonical"][0] += 1
+    bad = tmp_path / "named.json"
+    bad.write_text(json.dumps(data))
+    rc, out, err = run(capsys, command, "--config", str(bad))
+    assert rc == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert "surface name must be a string" in json.loads(lines[0])["error"]
 
 
 def test_check_asymmetric_gram_exits_2(tmp_path, capsys):
@@ -255,7 +278,6 @@ def test_verify_detects_injected_mismatch(capsys, monkeypatch):
     monkeypatch.setattr(
         catalog, "expected_table", lambda fam: broken if getattr(fam, "id", fam) == "gr25-section" else rows
     )
-    monkeypatch.setattr(cli.catalog, "expected_table", catalog.expected_table)
     rc, out, _ = run(capsys, "verify", "--family", "gr25-section")
     assert rc == 1
     assert "MISMATCH" in out

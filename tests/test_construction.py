@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import re
@@ -6,6 +5,7 @@ import re
 import pytest
 
 from nc3 import catalog, degeneration, invariants, ncconfig
+from nc3._record import replace
 from nc3.construction import (
     AdmissibilityError,
     AmpleMarginError,
@@ -52,14 +52,14 @@ def test_wrong_sum_on_third_surface_fails_clause_a():
 
 def test_mismatched_multiplicity_fails_clause_b():
     config, divisor = catalog.instantiate("quintic", quintic_partition(1, 4))
-    bad = dataclasses.replace(divisor, tau_multiplicities=(3, 11))
+    bad = replace(divisor, tau_multiplicities=(3, 11))
     errors = [d for d in check_collective_divisor(config, bad) if d.is_error]
     assert errors and all(d.clause == "CD(b)" for d in errors)
 
 
 def test_missing_projectivity_witness_is_a_warning():
     config, divisor = catalog.instantiate("quintic", quintic_partition(5))
-    unattested = dataclasses.replace(divisor, g_witness_present=False)
+    unattested = replace(divisor, g_witness_present=False)
     diags = check_collective_divisor(config, unattested)
     assert [d.severity for d in diags] == ["warning"]
     assert diags[0].clause == "CD(c)"
@@ -69,10 +69,10 @@ def test_odd_adjunction_curve_fails_clause_d(quintic5):
     config, _ = quintic5
     # synthetic surface data with K = -tau = (-2): class (1) has odd sum
     surfaces = tuple(
-        dataclasses.replace(s, tau_class=(2,), canonical=(-2,), boundary_self=((1,), (1,)))
+        replace(s, tau_class=(2,), canonical=(-2,), boundary_self=((1,), (1,)))
         for s in config.surfaces
     )
-    cooked = dataclasses.replace(config, surfaces=surfaces, h2_total=None)
+    cooked = replace(config, surfaces=surfaces, h2_total=None)
     bad = _divisor(cooked, (((1,), (3,)),) * 3, [2, 6])
     clauses = {d.clause for d in check_collective_divisor(cooked, bad) if d.is_error}
     assert "CD(d)" in clauses

@@ -1,6 +1,6 @@
-import dataclasses
 
 from nc3 import catalog, degeneration
+from nc3._record import replace
 from nc3.exactlat import pair
 from tests.conftest import quintic_partition
 
@@ -47,9 +47,9 @@ def test_hand_built_cancelling_boundary_is_semistable(quintic5):
     for s in config.surfaces:
         minus_t = tuple(-x for x in s.tau_class)
         surfaces.append(
-            dataclasses.replace(s, boundary_self=(minus_t, (0,) * s.lattice.rank))
+            replace(s, boundary_self=(minus_t, (0,) * s.lattice.rank))
         )
-    cooked = dataclasses.replace(config, surfaces=tuple(surfaces), h2_total=None)
+    cooked = replace(config, surfaces=tuple(surfaces), h2_total=None)
     ok, residual = degeneration.is_d_semistable(cooked)
     assert ok and residual.is_zero
 
@@ -83,7 +83,7 @@ def test_triple_sum_vanishes_after_blowup(quintic5_blown):
 def test_triple_sum_zero_configuration(quintic5):
     config, _ = quintic5
     surfaces = tuple(
-        dataclasses.replace(
+        replace(
             s,
             boundary_self=((0,) * s.lattice.rank, (0,) * s.lattice.rank),
             tau_class=(0,) * s.lattice.rank,
@@ -91,7 +91,7 @@ def test_triple_sum_zero_configuration(quintic5):
         )
         for s in config.surfaces
     )
-    zeroed = dataclasses.replace(config, surfaces=surfaces, h2_total=None)
+    zeroed = replace(config, surfaces=surfaces, h2_total=None)
     report = degeneration.triple_sum_check(zeroed)
     assert report.residuals == (0, 0, 0)
     assert report.tau_square_sum == 0
@@ -101,10 +101,10 @@ def test_collective_class_is_linear_in_boundary_perturbations(quintic5):
     config, _ = quintic5
     base = degeneration.collective_normal_class(config)
     s0 = config.surfaces[0]
-    perturbed = dataclasses.replace(
+    perturbed = replace(
         s0, boundary_self=(tuple(x + 7 for x in s0.boundary_self[0]), s0.boundary_self[1])
     )
-    cooked = dataclasses.replace(
+    cooked = replace(
         config, surfaces=(perturbed, config.surfaces[1], config.surfaces[2]), h2_total=None
     )
     n = degeneration.collective_normal_class(cooked)
@@ -153,7 +153,6 @@ def test_every_blowup_output_passes_triple_sum_consistency():
 
 
 def test_collective_class_linearity_randomized():
-    import dataclasses
     import random
 
     rng = random.Random(5)
@@ -170,8 +169,8 @@ def test_collective_class_linearity_randomized():
             new_pair = list(s.boundary_self)
             new_pair[slot] = tuple(a + b for a, b in zip(new_pair[slot], v))
             surfaces = list(config.surfaces)
-            surfaces[i] = dataclasses.replace(s, boundary_self=tuple(new_pair))
-            cooked = dataclasses.replace(
+            surfaces[i] = replace(s, boundary_self=tuple(new_pair))
+            cooked = replace(
                 config, surfaces=tuple(surfaces), h2_total=None
             )
             n = degeneration.collective_normal_class(cooked)

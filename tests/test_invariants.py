@@ -1,8 +1,10 @@
-import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nc3 import catalog, construction, invariants, ncconfig
+from nc3._record import replace
 from nc3.invariants import (
     NotDSemistable,
     PathDisagreement,
@@ -15,7 +17,7 @@ from nc3.invariants import (
     hodge,
     picard_one_pairings,
 )
-from tests.conftest import d21_all_ones_row, quintic_partition
+from tests.conftest import d21_all_ones_row, quintic_partition, rank_one_family
 
 
 def _case(fam_id, *parts):
@@ -46,7 +48,7 @@ def test_euler_smoothing_refuses_non_semistable(quintic5):
 def test_euler_smoothing_zero_configuration(quintic5):
     config, _ = quintic5
     surfaces = tuple(
-        dataclasses.replace(
+        replace(
             s,
             euler=0,
             boundary_self=((0,), (0,)),
@@ -56,9 +58,9 @@ def test_euler_smoothing_zero_configuration(quintic5):
         for s in config.surfaces
     )
     comps = tuple(
-        dataclasses.replace(c, euler=0, boundary=None) for c in config.components
+        replace(c, euler=0, boundary=None) for c in config.components
     )
-    zeroed = dataclasses.replace(
+    zeroed = replace(
         config,
         components=comps,
         surfaces=surfaces,
@@ -148,7 +150,7 @@ def test_h11_kernel_values():
 
 def test_h11_closed_requires_h2_data(quintic5):
     config, divisor = quintic5
-    stripped = dataclasses.replace(config, h2_total=None, lattice_is_full=False)
+    stripped = replace(config, h2_total=None, lattice_is_full=False)
     with pytest.raises(ncconfig.MissingData):
         h11_closed(stripped, divisor)
 
@@ -179,6 +181,32 @@ def test_hodge_method_tags(quintic5):
     assert tags["h12"] == ("derived",)
 
 
+@st.composite
+def rank_one_rows(draw):
+    """(k, parts): a cut (k,) and a random ordered partition of 3k into positive parts."""
+    k = draw(st.integers(1, 5))
+    cuts = sorted(draw(st.sets(st.integers(1, 3 * k - 1))))
+    bounds = [0] + cuts + [3 * k]
+    return k, tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rank_one_rows())
+def test_hodge_matches_rank_one_integer_oracle(row):
+    """Synthetic rank-one families against integer formulas that do not use nc3.
+
+    For cut (k,), Gram [[2]] and every Euler number 4, each of the alpha
+    parts a is a center of Euler number -(2a^2 - 2ka) on each of the three
+    surfaces, gamma = 6k^2 and h2 = 1.
+    """
+    k, parts = row
+    config, divisor = catalog.instantiate(rank_one_family(3 * k), quintic_partition(*parts))
+    inv = hodge(config, divisor)
+    euler = 3 * 4 - 6 * 4 + 3 * sum(-(2 * a * a - 2 * k * a) for a in parts) - 12 * k * k
+    assert (inv.euler, inv.h11) == (euler, 2 * len(parts) - 1)
+    assert inv.h12 == inv.h11 - euler // 2
+
+
 def test_hodge_degree_21_all_ones_row():
     """Largest shape: 21 lines of degree 1, gamma 294, a 297x66 matrix.
 
@@ -202,7 +230,7 @@ def test_hodge_degree_21_all_ones_row():
 
 def test_hodge_closed_form_only_when_lattice_partial(quintic5):
     config, divisor = quintic5
-    partial = dataclasses.replace(config, lattice_is_full=False)
+    partial = replace(config, lattice_is_full=False)
     inv = hodge(partial, divisor)
     assert dict(inv.method_tags)["h11"] == ("closed-form",)
     assert (inv.h11, inv.h12) == (1, 101)
@@ -247,10 +275,10 @@ def test_picard_pairings_rank_caveat():
     config, divisor = _case("p2xp2", (1, 1), (1, 1), (1, 1))
     chern = ((1, 1, 1), (1, 1, 1), (1, 1, 1))
     comps = tuple(
-        dataclasses.replace(c, chern_numbers=n)
+        replace(c, chern_numbers=n)
         for c, n in zip(config.components, chern)
     )
-    cooked = dataclasses.replace(config, components=comps)
+    cooked = replace(config, components=comps)
     config_tilde, _ = construction.sequential_blowup(cooked, divisor)
     p = picard_one_pairings(config_tilde)
     assert p.h_cubed == 3
@@ -328,5 +356,5 @@ def test_perfect_cube_detection_exact_on_big_integers():
 
 def test_h11_closed_from_kernel_when_h2_not_declared(quintic5):
     config, divisor = quintic5
-    certified = dataclasses.replace(config, h2_total=None, lattice_is_full=True)
+    certified = replace(config, h2_total=None, lattice_is_full=True)
     assert h11_closed(certified, divisor) == 1 + 2 * divisor.alpha - 2

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nc3 import catalog, construction, ncconfig
+from nc3._record import replace
 from nc3.exactlat import kernel_dimension, mat_vec
 from nc3.ncconfig import (
     Diagnostic,
@@ -24,11 +25,10 @@ from tests.conftest import d21_all_ones_row
 
 
 def _with_surface(config, index, **changes):
-    import dataclasses
 
     surfaces = list(config.surfaces)
-    surfaces[index] = dataclasses.replace(surfaces[index], **changes)
-    return dataclasses.replace(config, surfaces=tuple(surfaces))
+    surfaces[index] = replace(surfaces[index], **changes)
+    return replace(config, surfaces=tuple(surfaces))
 
 
 # ---------------------------------------------------------------------------
@@ -65,11 +65,10 @@ def test_broken_ample_matching_yields_single_c313_error(quintic5):
 
 
 def test_disconnected_triple_curve_is_a_c312_error(quintic5):
-    import dataclasses
 
     config, _ = quintic5
-    broken = dataclasses.replace(
-        config, triple=dataclasses.replace(config.triple, connected=False)
+    broken = replace(
+        config, triple=replace(config.triple, connected=False)
     )
     errors = [d for d in validate(broken) if d.is_error]
     assert [d.clause for d in errors] == ["C3.1(2)"]
@@ -126,14 +125,13 @@ def test_zero_restrictions_give_full_kernel(quintic5):
         )
         for s in config.surfaces
     )
-    import dataclasses
 
-    stripped = dataclasses.replace(
+    stripped = replace(
         config,
         surfaces=surfaces,
         h2_total=None,
         components=tuple(
-            dataclasses.replace(c, boundary=None) for c in config.components
+            replace(c, boundary=None) for c in config.components
         ),
     )
     m = restriction_difference_matrix(stripped)
@@ -183,12 +181,11 @@ def test_third_cyclic_class_is_dependent(quintic5):
 
 
 def test_missing_boundary_coordinates_raise(quintic5):
-    import dataclasses
 
     config, _ = quintic5
-    stripped = dataclasses.replace(
+    stripped = replace(
         config,
-        components=tuple(dataclasses.replace(c, boundary=None) for c in config.components),
+        components=tuple(replace(c, boundary=None) for c in config.components),
     )
     with pytest.raises(ncconfig.InsufficientBasis):
         component_restriction_classes(stripped)

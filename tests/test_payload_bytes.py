@@ -10,12 +10,12 @@ number) changes its digest.  A deliberate format change must update the
 digests in the same change and say so.
 """
 
-import dataclasses
 import hashlib
 
 import pytest
 
 from nc3 import catalog, construction, ncconfig
+from nc3._record import replace
 from nc3.cli import main
 
 # (family id, digest of `catalog export --family <id>`,
@@ -89,7 +89,7 @@ def test_invariants_family_payload_bytes(capsys, argv, digest):
 def test_invariants_config_payload_bytes(capsys, monkeypatch, tmp_path, lattice_is_full, fmt, digest):
     config, divisor = catalog.instantiate("quintic", catalog.PartitionSpec(parts=((1,), (4,))))
     config_tilde, _ = construction.sequential_blowup(config, divisor)
-    config_tilde = dataclasses.replace(config_tilde, lattice_is_full=lattice_is_full)
+    config_tilde = replace(config_tilde, lattice_is_full=lattice_is_full)
     # a relative name keeps source.path the same wherever the test runs
     monkeypatch.chdir(tmp_path)
     (tmp_path / "blown_up.json").write_text(ncconfig.config_to_json(config_tilde), encoding="utf-8")
