@@ -16,7 +16,8 @@ d-semistable by the triple point formula.  All bookkeeping is exact:
 * a blow-up along a curve of Euler number x adds x to the component's Euler
   number; the third surface gains one point per triple-curve intersection
   (gamma = sum of the per-curve counts), so e(D3~) = e(D3) + gamma;
-* the third surface's lattice gains gamma pairwise-orthogonal (-1)-classes;
+* the third surface's lattice gains gamma pairwise-orthogonal (-1)-classes,
+  held as a count beside its unchanged base Gram block;
   pullback classes keep their coordinates and the triple-curve, canonical
   and self classes pick up the standard exceptional corrections;
 * each component's tracked H2 gains one class per exceptional divisor, and
@@ -378,13 +379,11 @@ def sequential_blowup(
     # D3 = Y1 ^ Y2: blown up at the gamma triple-curve points.
     eps_labels = tuple(f"eps[{p + 1}]" for p in range(gamma))
     old_rank = s2.lattice.rank
-    new_gram = tuple(row + (0,) * gamma for row in s2.lattice.gram) + tuple(
-        (0,) * (old_rank + p) + (-1,) + (0,) * (gamma - p - 1) for p in range(gamma)
-    )
     new_lattice = IntersectionLattice(
         rank=old_rank + gamma,
-        gram=new_gram,
+        gram=s2.lattice.gram,
         basis_labels=s2.lattice.basis_labels + eps_labels,
+        exceptional=s2.lattice.exceptional + gamma,
     )
     eps_all_pos = (1,) * gamma
     eps_all_neg = (-1,) * gamma

@@ -4,6 +4,9 @@ Everything downstream (normal-class arithmetic, kernel dimensions, Euler
 numbers) reduces to three primitives implemented here:
 
 * evaluating a symmetric integer Gram form on coordinate vectors,
+  where the form is held as a base block plus a count of orthogonal
+  (-1)-classes, ``base (+) -I``, so a surface blown up at many points
+  never stores its dense Gram matrix,
 * the rank / kernel dimension of an exact rational matrix,
 * the topological Euler number of a smooth curve from its divisor class,
   via adjunction: e(c) = -c.(c + K).
@@ -97,27 +100,51 @@ class IntersectionLattice(Record):
     This is the numerical shadow of the second cohomology of a surface: a
     chosen (possibly partial) basis of divisor classes together with their
     intersection numbers.
+
+    The Gram form is held as ``gram``, a base block, followed by
+    ``exceptional`` pairwise-orthogonal classes of self-intersection -1:
+    the dense form is ``gram (+) -I``, and ``rank`` counts both parts.  A
+    blow-up at points adds such classes without touching the base block.
+    Construction moves every trailing -I row of the base block into the
+    count, so two lattices with the same dense form and labels are equal
+    however they were built.  The shape and symmetry checks cost O(r^2) in
+    the base rank r, whatever the count.
     """
 
     rank: int
     gram: IntMatrix
     basis_labels: tuple[str, ...]
+    exceptional: int = 0
 
     def __post_init__(self) -> None:
         if self.rank < 0:
             raise ExactLatticeError("rank must be non-negative")
-        if len(self.gram) != self.rank or any(len(r) != self.rank for r in self.gram):
+        if self.exceptional < 0:
+            raise ExactLatticeError("the exceptional count must be non-negative")
+        gram = self.gram
+        n = self.rank - self.exceptional
+        if len(gram) != n or any(len(r) != n for r in gram):
             raise DimensionMismatch(
-                f"gram matrix must be {self.rank}x{self.rank}, got "
-                f"{len(self.gram)} rows"
+                f"gram matrix must be {n}x{n}, got {len(gram)} rows"
             )
+        # The maximal trailing -I block: rows that are -1 on the diagonal and
+        # zero elsewhere, each checked at C speed.  Base rows must then be
+        # zero over those columns; if one is not, the form is not symmetric
+        # and the full check below names the entry.
+        b = n
+        while b and gram[b - 1][b - 1] == -1 and gram[b - 1].count(0) == n - 1:
+            b -= 1
+        if b < n and not any(any(r[b:]) for r in gram[:b]):
+            gram = tuple(r[:b] for r in gram[:b])
+            object.__setattr__(self, "gram", gram)
+            object.__setattr__(self, "exceptional", self.exceptional + n - b)
         # Rows against columns at C speed, one column at a time so the
         # transpose is never held whole.  On a mismatch (or rows that are not
         # tuples) the loop names the first asymmetric entry.
-        if not all(map(operator.eq, self.gram, zip(*self.gram))):
-            for i in range(self.rank):
+        if not all(map(operator.eq, gram, zip(*gram))):
+            for i in range(len(gram)):
                 for j in range(i):
-                    if self.gram[i][j] != self.gram[j][i]:
+                    if gram[i][j] != gram[j][i]:
                         raise ExactLatticeError(
                             f"gram matrix is not symmetric at ({i},{j})"
                         )
@@ -150,8 +177,10 @@ def make_lattice(gram: Iterable[Iterable[int]], labels: Sequence[str] | None = N
 def pair(u: Sequence[int], v: Sequence[int], lattice: IntersectionLattice) -> int:
     """Evaluate the Gram form: sum_ij u_i G_ij v_j.  Symmetric and bilinear.
 
-    The sum runs over the nonzero coordinates of the sparser argument, which
-    the symmetry of the Gram form allows; each row product runs at C speed.
+    Over the base block the sum runs over the nonzero coordinates of the
+    sparser argument, which the symmetry of the Gram form allows; each row
+    product runs at C speed.  The exceptional classes add -sum u_i v_i over
+    their coordinates, so a pairing costs O(r^2 + exceptional).
     """
     lattice.check_vector(u, "left vector")
     lattice.check_vector(v, "right vector")
@@ -159,6 +188,10 @@ def pair(u: Sequence[int], v: Sequence[int], lattice: IntersectionLattice) -> in
         u, v = v, u
     gram = lattice.gram
     total = 0
+    if lattice.exceptional:
+        r = len(gram)
+        total -= sum(map(operator.mul, u[r:], v[r:]))
+        u = u[:r]
     for i, ui in enumerate(u):
         if ui:
             total += ui * sum(map(operator.mul, gram[i], v))

@@ -617,6 +617,18 @@ def dumps(obj: Any) -> str:
     return _dumps(obj, "\n", encode_basestring_ascii)
 
 
+class _IntText(dict):
+    """The text of small ints, looked up; any other int is formatted, not kept."""
+
+    def __missing__(self, key: int) -> str:
+        return int.__repr__(key)
+
+
+# Gram rows and restriction matrices are mostly 0 and +-1.  Only exact ints
+# reach the table: ``True == 1`` would find the text of 1.
+_INT_TEXT = _IntText((k, int.__repr__(k)) for k in range(-16, 17))
+
+
 def _dumps(x: Any, newline: str, quote: Callable[[str], str]) -> str:
     if isinstance(x, str):
         return quote(x)
@@ -642,7 +654,7 @@ def _dumps(x: Any, newline: str, quote: Callable[[str], str]) -> str:
         if not x:
             return "[]"
         if {int}.issuperset(map(type, x)):
-            items = map(int.__repr__, x)
+            items = map(_INT_TEXT.__getitem__, x)
         else:
             items = [_dumps(v, inner, quote) for v in x]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
@@ -679,6 +691,18 @@ def _intmat(x: Any, where: str) -> IntMatrix:
     return rows
 
 
+def _dense_gram(lattice: IntersectionLattice) -> list[list[int]]:
+    """The rows of ``gram (+) -I``: the one place the dense form is built."""
+    n = lattice.rank
+    tail = [0] * lattice.exceptional
+    rows = [list(r) + tail for r in lattice.gram]
+    for p in range(len(lattice.gram), n):
+        row = [0] * n
+        row[p] = -1
+        rows.append(row)
+    return rows
+
+
 def config_to_dict(config: NCConfiguration) -> dict[str, Any]:
     comps = []
     for i, c in enumerate(config.components):
@@ -704,7 +728,7 @@ def config_to_dict(config: NCConfiguration) -> dict[str, Any]:
         surfs.append(
             {
                 "name": s.name,
-                "gram": [list(r) for r in s.lattice.gram],
+                "gram": _dense_gram(s.lattice),
                 "basis_labels": list(s.lattice.basis_labels),
                 "canonical": list(s.canonical),
                 "tau_class": list(s.tau_class),

@@ -8,7 +8,7 @@ import collections
 import functools
 
 from nc3 import catalog, cli, construction, exactlat, invariants, ncconfig
-from tests.conftest import all_catalog_cases
+from tests.conftest import all_catalog_cases, d21_all_ones_row
 
 
 def count_calls(monkeypatch, counts, module, name):
@@ -72,3 +72,12 @@ def test_invariants_config_route_ranks_once(monkeypatch, tmp_path, capsys):
     assert cli.main(["invariants", "--config", str(path), "--format", "json"]) == 0
     assert '"kernel"' in capsys.readouterr().out
     assert counts == {"check_restriction_shapes": 1, "matrix_rank": 1}
+
+
+def test_blown_up_d3_gram_stores_only_its_base_block():
+    """The gamma = 294 points of the degree-21 all-ones row add no Gram cells."""
+    config, divisor = d21_all_ones_row()
+    base = config.surfaces[2].lattice
+    lattice = construction.sequential_blowup(config, divisor)[0].surfaces[2].lattice
+    assert lattice.rank == base.rank + divisor.gamma == 295
+    assert sum(map(len, lattice.gram)) <= base.rank**2

@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from nc3.exactlat import (
     DimensionMismatch,
+    ExactLatticeError,
+    IntersectionLattice,
     RationalMatrix,
     SmoothCurveParityError,
     ZeroCurveClass,
     adjunction_euler,
     adjunction_sum,
+    default_labels,
     kernel_dimension,
     make_lattice,
     matrix_rank,
@@ -106,6 +109,79 @@ def test_pair_and_adjunction_against_dense_double_sum(case):
     else:
         with pytest.raises(SmoothCurveParityError):
             adjunction_euler(u, k, lat)
+
+
+# ---------------------------------------------------------------------------
+# the block form base (+) -I
+
+
+@st.composite
+def block_lattices(draw):
+    """A symmetric base up to 5x5 (possibly empty, possibly ending in a -1
+    unit row), an exceptional count up to 40 and three vectors over the
+    whole rank."""
+    r = draw(st.integers(0, 5))
+    upper = {(i, j): draw(st.integers(-4, 4)) for i in range(r) for j in range(i, r)}
+    base = [[upper[min(i, j), max(i, j)] for j in range(r)] for i in range(r)]
+    if r and draw(st.booleans()):
+        for i in range(r):
+            base[i][r - 1] = base[r - 1][i] = 0
+        base[r - 1][r - 1] = -1
+    e = draw(st.integers(0, 40))
+    n = r + e
+    dense = [row + [0] * e for row in base] + [
+        [0] * (r + p) + [-1] + [0] * (e - p - 1) for p in range(e)
+    ]
+    vectors = [tuple(draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))) for _ in range(3)]
+    return base, e, dense, vectors
+
+
+@given(block_lattices())
+def test_block_form_against_dense_double_sum(case):
+    base, e, dense, (u, v, k) = case
+    n = len(dense)
+    lat = IntersectionLattice(
+        rank=n,
+        gram=tuple(map(tuple, base)),
+        basis_labels=default_labels(n),
+        exceptional=e,
+    )
+
+    def dense_pair(a, b):
+        return sum(a[i] * dense[i][j] * b[j] for i in range(n) for j in range(n))
+
+    assert pair(u, v, lat) == dense_pair(u, v)
+    assert pair(v, u, lat) == dense_pair(u, v)
+    assert adjunction_sum(u, k, lat) == dense_pair(u, u) + dense_pair(u, k)
+    # one form per Gram: the dense matrix gives the same record and hash
+    from_dense = make_lattice(dense)
+    assert from_dense == lat
+    assert hash(from_dense) == hash(lat)
+    assert sum(map(len, lat.gram)) <= len(base) ** 2
+
+
+def test_block_form_moves_trailing_minus_one_rows_into_the_count():
+    lat = make_lattice([[2, 0, 0], [0, -1, 0], [0, 0, -1]])
+    assert (lat.rank, lat.gram, lat.exceptional) == (3, ((2,),), 2)
+    # -1 on the diagonal with an off-diagonal entry is not exceptional
+    lat = make_lattice([[2, 1], [1, -1]])
+    assert (lat.rank, lat.gram, lat.exceptional) == (2, ((2, 1), (1, -1)), 0)
+    # a -1 row above a base row stays in the base
+    lat = make_lattice([[-1, 0], [0, 3]])
+    assert (lat.rank, lat.gram, lat.exceptional) == (2, ((-1, 0), (0, 3)), 0)
+    assert make_lattice([[-1]]) == IntersectionLattice(rank=1, gram=(), basis_labels=("b1",), exceptional=1)
+
+
+def test_block_form_refusals():
+    with pytest.raises(DimensionMismatch, match=r"gram matrix must be 1x1, got 2 rows"):
+        IntersectionLattice(rank=3, gram=((1, 0), (0, 1)), basis_labels=("a", "b", "c"), exceptional=2)
+    with pytest.raises(ExactLatticeError, match="exceptional count must be non-negative"):
+        IntersectionLattice(rank=1, gram=((1, 0), (0, 1)), basis_labels=("a",), exceptional=-1)
+    # an asymmetric tail above rows of -I is named as in the dense check
+    with pytest.raises(ExactLatticeError, match=r"not symmetric at \(2,0\)"):
+        make_lattice([[1, 0, 5], [0, -1, 0], [0, 0, -1]])
+    with pytest.raises(DimensionMismatch, match="vector"):
+        pair((1, 0), (1, 0, 0), make_lattice([[1, 0, 0], [0, -1, 0], [0, 0, -1]]))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from nc3.ncconfig import (
     restriction_difference_matrix,
     validate,
 )
-from tests.conftest import d21_all_ones_row
+from tests.conftest import all_catalog_cases, d21_all_ones_row, quintic_partition, rank_one_family
 
 
 def _with_surface(config, index, **changes):
@@ -228,6 +228,78 @@ def test_json_round_trip_after_blowup(quintic5_blown):
         restriction_difference_matrix(parsed).entries
         == restriction_difference_matrix(config_tilde).entries
     )
+
+
+def _round_trip_cases():
+    """Every catalog configuration and its blow-up, then the degree-15 and -21
+    rank-one rows with alpha 1, d/3, 2d/3 and d and their blow-ups."""
+    for fam_id, spec in all_catalog_cases():
+        config, divisor = catalog.instantiate(fam_id, spec)
+        yield f"{fam_id} {spec.display()}", config
+        yield f"{fam_id} {spec.display()} blown up", construction.sequential_blowup(config, divisor)[0]
+    for degree in (15, 21):
+        family = rank_one_family(degree)
+        for alpha in (1, degree // 3, 2 * degree // 3, degree):
+            spec = quintic_partition(degree - alpha + 1, *(1,) * (alpha - 1))
+            config, divisor = catalog.instantiate(family, spec)
+            yield f"d{degree} alpha {alpha}", config
+            yield f"d{degree} alpha {alpha} blown up", construction.sequential_blowup(config, divisor)[0]
+
+
+def test_export_then_parse_is_the_identity():
+    """The parser gives back the record that was exported, hash included.
+
+    The blown-up D3 lattice is held as its base block and a count of -1
+    classes but written dense; the parser must split the dense rows the
+    same way.
+    """
+    cases = list(_round_trip_cases())
+    assert len(cases) == 142
+    for name, config in cases:
+        parsed = config_from_json(config_to_json(config))
+        assert parsed == config, name
+        assert hash(parsed) == hash(config), name
+
+
+@pytest.mark.parametrize(
+    "surface,gram,message",
+    [
+        (0, [[]], "surface D1: invalid lattice: gram matrix must be 1x1, got 1 rows"),
+        (0, [[1, 2]], "surface D1: invalid lattice: gram matrix must be 1x1, got 1 rows"),
+        (2, [[]], "surface D3: invalid lattice: gram matrix must be 1x1, got 1 rows"),
+        (2, [[-1]], "surface D3: invalid lattice: expected 1 basis labels, got 16"),
+    ],
+    ids=["empty-row", "long-row", "empty-row-D3", "minus-one-D3"],
+)
+def test_gram_refusals_on_blown_up_quintic(surface, gram, message):
+    config, divisor = catalog.instantiate("quintic", quintic_partition(1, 4))
+    data = config_to_dict(construction.sequential_blowup(config, divisor)[0])
+    data["surfaces"][surface]["gram"] = gram
+    with pytest.raises(SchemaError, match=re.escape(message) + "$"):
+        ncconfig.config_from_dict(data)
+
+
+def test_minus_one_gram_is_accepted_on_a_rank_one_surface(quintic5):
+    config, _ = quintic5
+    data = config_to_dict(config)
+    data["surfaces"][0]["gram"] = [[-1]]
+    lattice = ncconfig.config_from_dict(data).surfaces[0].lattice
+    assert (lattice.rank, lattice.gram, lattice.exceptional) == (1, (), 1)
+
+
+def test_asymmetric_tail_under_minus_identity_rows_is_refused():
+    """D3 of the blown-up quintic (1,4) has rank 16: base [[1]] and 15 rows of -I.
+
+    A nonzero entry in the base row's tail breaks symmetry; the -I rows below
+    must not hide it.
+    """
+    config, divisor = catalog.instantiate("quintic", quintic_partition(1, 4))
+    data = config_to_dict(construction.sequential_blowup(config, divisor)[0])
+    gram = data["surfaces"][2]["gram"]
+    assert len(gram) == 16 and gram[15] == [0] * 15 + [-1]
+    gram[0][15] = 1
+    with pytest.raises(SchemaError, match=re.escape("surface D3: invalid lattice: gram matrix is not symmetric at (15,0)") + "$"):
+        ncconfig.config_from_dict(data)
 
 
 # In a vector or matrix the value sits after a valid integer, so the refusal

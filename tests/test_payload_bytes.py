@@ -17,6 +17,7 @@ import pytest
 from nc3 import catalog, construction, ncconfig
 from nc3._record import replace
 from nc3.cli import main
+from tests.conftest import d21_all_ones_row
 
 # (family id, digest of `catalog export --family <id>`,
 #  digest of `table --family <id> --format json`)
@@ -59,6 +60,16 @@ CONFIG_DIGESTS = [
     (False, "text", "69c7cb3302fb5138c99debc84b7c1ccf911ff37b1ef69b9a17fa0a6c44570c6d"),
 ]
 
+# The degree-21 all-ones blow-up: gamma 294, a 295x295 D3 Gram on disk.
+# Digests of its `config_to_json` text, and of `check --config` and
+# `invariants --config --format json` on that file, taken while the blown-up
+# D3 lattice was still held dense in memory.
+D21_EXPORT = "1ff8be52d0b4509512e736f31263faa1c27b6b0669e15086cda3f363a0f76643"
+D21_CONFIG_DIGESTS = [
+    (("check",), "9d54bfb6cb979ada0bd91a31cf004d81505da98757118986ba12c8d156925281"),
+    (("invariants", "--format", "json"), "f493a8bd9d621ccaebb1f10b9c646e8668fece18bd3e3848bc63039cbe656606"),
+]
+
 
 def stdout_digest(capsys, *argv):
     assert main(list(argv)) == 0
@@ -94,3 +105,14 @@ def test_invariants_config_payload_bytes(capsys, monkeypatch, tmp_path, lattice_
     monkeypatch.chdir(tmp_path)
     (tmp_path / "blown_up.json").write_text(ncconfig.config_to_json(config_tilde), encoding="utf-8")
     assert stdout_digest(capsys, "invariants", "--config", "blown_up.json", "--format", fmt) == digest
+
+
+def test_degree_21_blowup_payload_bytes(capsys, monkeypatch, tmp_path):
+    """The dense rows written from the block-form D3 lattice, and what reads them."""
+    config_tilde, _ = construction.sequential_blowup(*d21_all_ones_row())
+    text = ncconfig.config_to_json(config_tilde)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == D21_EXPORT
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "blown_up.json").write_text(text, encoding="utf-8")
+    for (command, *options), digest in D21_CONFIG_DIGESTS:
+        assert stdout_digest(capsys, command, "--config", "blown_up.json", *options) == digest, command
