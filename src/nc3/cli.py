@@ -110,7 +110,6 @@ def _resolve_source(
     args: argparse.Namespace,
 ) -> tuple[ncconfig.NCConfiguration, construction.CollectiveDivisor | None, dict[str, Any]]:
     """Configuration (+ divisor when a catalog partition is given) from flags."""
-    from . import catalog
     if args.family and args.config:
         raise CliError("give either --family or --config, not both", EXIT_PARSE)
     if args.config:
@@ -120,6 +119,7 @@ def _resolve_source(
         return config, None, provenance
     if not args.family:
         raise CliError("one of --family or --config is required", EXIT_PARSE)
+    from . import catalog
     try:
         fam = catalog.get_family(args.family)
     except catalog.UnknownFamily as exc:
@@ -217,16 +217,21 @@ def _invariants_record(
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
-    from . import construction, invariants
+    from . import construction, invariants, ncconfig
     config, divisor, provenance = _resolve_source(args)
     if args.family and divisor is None:
         raise CliError("invariants needs --partition with --family", EXIT_PARSE)
     record = _base_record("invariants", provenance)
     try:
         record.update(_invariants_record(config, divisor, args.trace))
-    except construction.AdmissibilityError as exc:
+    except (construction.AdmissibilityError, ncconfig.InvalidConfiguration) as exc:
         record["diagnostics"] = [d.as_dict() for d in exc.diagnostics]
-        print(_error_record("inadmissible collective divisor"), file=sys.stderr)
+        summary = (
+            "inadmissible collective divisor"
+            if isinstance(exc, construction.AdmissibilityError)
+            else str(exc)
+        )
+        print(_error_record(summary), file=sys.stderr)
         _emit(record, args)
         return EXIT_FAIL
     except invariants.NotDSemistable as exc:

@@ -29,6 +29,9 @@ from __future__ import annotations
 
 from . import construction, degeneration, ncconfig
 from ._record import Record
+# ``kernel_dimension`` stays a module attribute so that bench/tracing.py can
+# wrap it; the rank itself is taken once per configuration, by
+# ``NCConfiguration.kernel_dim``.
 from .exactlat import Vec, kernel_dimension
 from .ncconfig import MissingData, NCConfiguration
 
@@ -143,14 +146,13 @@ def h11_closed(
                 "h2_total not declared and the tracked lattices are not certified "
                 "complete; cannot compute h11 by the closed form"
             )
-        h2 = kernel_dimension(ncconfig.restriction_difference_matrix(config))
+        h2 = config.kernel_dim
     return h2 + 2 * divisor.alpha - 2
 
 
 def h11_kernel(config_tilde: NCConfiguration) -> int:
     """h^{1,1} of the smoothing from the blown-up configuration's kernel."""
-    dim = kernel_dimension(ncconfig.restriction_difference_matrix(config_tilde))
-    return dim - 2
+    return config_tilde.kernel_dim - 2
 
 
 def _smoothing(
@@ -163,15 +165,11 @@ def _smoothing(
     e is the triple-point sum and must equal ``closed_euler`` when that is
     given.  With complete lattices h^{1,1} is the kernel dimension minus 2 and
     must equal ``closed_h11`` when that is given; otherwise it is
-    ``closed_h11``.  The kernel route checks the restriction shapes itself,
-    the other route checks them here, both before the d-semistability check.
-    The closed forms and the pairings' route are tagged only when
-    ``closed_euler`` is given.
+    ``closed_h11``.  The closed forms and the pairings' route are tagged only
+    when ``closed_euler`` is given.
     """
     if config.lattice_is_full:
         h11 = h11_kernel(config)
-    else:
-        ncconfig.check_restriction_shapes(config)
     e = euler_smoothing(config)
     if closed_euler is not None and closed_euler != e:
         raise PathDisagreement(
@@ -211,10 +209,15 @@ def _smoothing(
 def smoothing_invariants(config: NCConfiguration) -> SmoothingInvariants:
     """Invariants of the smoothing of a configuration that is already d-semistable.
 
-    e is the triple-point sum.  h^{1,1} is the kernel dimension minus 2 when
-    the lattices are certified complete (and must then equal the declared
-    ``h2_total`` - 2), or ``h2_total`` - 2 otherwise.
+    The configuration must first pass :func:`ncconfig.validate`; on any error
+    :class:`ncconfig.InvalidConfiguration` carries its diagnostics.  e is the
+    triple-point sum.  h^{1,1} is the kernel dimension minus 2 when the
+    lattices are certified complete (validation has then matched it against
+    a declared ``h2_total``), or ``h2_total`` - 2 otherwise.
     """
+    diagnostics = ncconfig.validate(config)
+    if ncconfig.has_errors(diagnostics):
+        raise ncconfig.InvalidConfiguration(diagnostics)
     h2 = config.h2_total
     return _smoothing(config, None if h2 is None else h2 - 2)
 

@@ -34,6 +34,7 @@ whether kernel-based h2 counts may be trusted as the full second Betti number.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Callable, Iterable, Sequence
 
 from ._record import Record
@@ -96,6 +97,14 @@ class Diagnostic(Record, order=True):
 
 def has_errors(diagnostics: Iterable[Diagnostic]) -> bool:
     return any(d.is_error for d in diagnostics)
+
+
+class InvalidConfiguration(ConfigError):
+    """:func:`validate` reported an error; ``diagnostics`` holds its findings."""
+
+    def __init__(self, diagnostics: Sequence[Diagnostic]):
+        self.diagnostics = list(diagnostics)
+        super().__init__("configuration fails validation")
 
 
 class ComponentGeometry(Record):
@@ -162,12 +171,6 @@ class SurfaceGeometry(Record):
             if len(v) != self.lattice.rank:
                 raise ConfigError(f"surface {self.name}: {label} has wrong length")
 
-    def restriction_shape_ok(self, slot: int, component: ComponentGeometry) -> bool:
-        m = self.restrictions[slot]
-        if len(m) != self.lattice.rank:
-            return False
-        return all(len(r) == component.h2_rank for r in m)
-
 
 class TripleCurve(Record):
     """The triple intersection curve: Euler number and connectivity flag."""
@@ -206,6 +209,18 @@ class NCConfiguration(Record):
         names = [c.name for c in self.components]
         if len(set(names)) != 3:
             raise ConfigError("component names must be distinct")
+        for surf, adj in zip(self.surfaces, SURFACE_ADJACENCY):
+            for m, comp in zip(surf.restrictions, (self.components[i] for i in adj)):
+                if len(m) != surf.lattice.rank or any(len(r) != comp.h2_rank for r in m):
+                    raise ConfigError(
+                        f"surface {surf.name}: restriction from {comp.name} must be "
+                        f"{surf.lattice.rank}x{comp.h2_rank}"
+                    )
+
+    @cached_property
+    def kernel_dim(self) -> int:
+        """Kernel dimension of the restriction-difference matrix, ranked once."""
+        return kernel_dimension(restriction_difference_matrix(self))
 
     def adjacent(self, surface_index: int) -> tuple[int, int]:
         return SURFACE_ADJACENCY[surface_index]
@@ -250,37 +265,20 @@ class NCConfiguration(Record):
 # Validation
 
 
-def _shape_diagnostics(config: NCConfiguration) -> list[Diagnostic]:
-    out: list[Diagnostic] = []
-    for i, surf in enumerate(config.surfaces):
-        for slot, comp_idx in enumerate(SURFACE_ADJACENCY[i]):
-            comp = config.components[comp_idx]
-            if not surf.restriction_shape_ok(slot, comp):
-                out.append(
-                    Diagnostic(
-                        clause="shape",
-                        severity=SEVERITY_ERROR,
-                        target=surf.name,
-                        message=(
-                            f"restriction from {comp.name} must be "
-                            f"{surf.lattice.rank}x{comp.h2_rank}"
-                        ),
-                    )
-                )
-    return out
-
-
 def validate(config: NCConfiguration) -> list[Diagnostic]:
     """Check every numerically checkable standing hypothesis.
 
-    Structural clauses run first; cross-checks that presuppose coherent data
-    (declared h2 versus kernel dimension, boundary-coordinate coherence) run
-    only when no structural clause failed.  Hypotheses the numerical shadow
-    cannot see (cohomology vanishing, connectivity of the double surfaces,
-    the component-level anticanonical condition) are reported as notes.
+    This is the one gate: ``check`` reports these diagnostics, and
+    ``invariants.smoothing_invariants`` refuses a configuration with an
+    error among them.  Restriction shapes are a record invariant, so the
+    structural clauses (C3.1(2), (3), (4) and parity) run first, on every
+    configuration.  Cross-checks that presuppose coherent data (declared h2
+    versus kernel dimension, boundary-coordinate coherence) run only when no
+    structural clause failed.  Hypotheses the numerical shadow cannot see
+    (cohomology vanishing, connectivity of the double surfaces, the
+    component-level anticanonical condition) are reported as notes.
     """
     diags: list[Diagnostic] = []
-    diags.extend(_shape_diagnostics(config))
 
     # Clause (2): connectivity and curve type of the triple curve.
     if not config.triple.connected:
@@ -326,27 +324,24 @@ def validate(config: NCConfiguration) -> list[Diagnostic]:
         )
     )
 
-    shapes_ok = not has_errors(diags)
-
     # Clause (3): the distinguished ample classes must restrict equally.
-    if shapes_ok:
-        for i, surf in enumerate(config.surfaces):
-            j, k = SURFACE_ADJACENCY[i]
-            left = config.restrict(i, j, config.components[j].ample)
-            right = config.restrict(i, k, config.components[k].ample)
-            if left != right:
-                diags.append(
-                    Diagnostic(
-                        clause="C3.1(3)",
-                        severity=SEVERITY_ERROR,
-                        target=surf.name,
-                        message=(
-                            f"ample matching on {surf.name}: "
-                            f"{config.components[j].name} restricts to {left}, "
-                            f"{config.components[k].name} restricts to {right}"
-                        ),
-                    )
+    for i, surf in enumerate(config.surfaces):
+        j, k = SURFACE_ADJACENCY[i]
+        left = config.restrict(i, j, config.components[j].ample)
+        right = config.restrict(i, k, config.components[k].ample)
+        if left != right:
+            diags.append(
+                Diagnostic(
+                    clause="C3.1(3)",
+                    severity=SEVERITY_ERROR,
+                    target=surf.name,
+                    message=(
+                        f"ample matching on {surf.name}: "
+                        f"{config.components[j].name} restricts to {left}, "
+                        f"{config.components[k].name} restricts to {right}"
+                    ),
                 )
+            )
 
     # Clause (4): on each surface the anticanonical condition restricts to
     # K_D = -tau; the component-level statement itself is not checkable.
@@ -391,7 +386,7 @@ def validate(config: NCConfiguration) -> list[Diagnostic]:
     structural_ok = not has_errors(diags)
 
     if structural_ok and config.h2_total is not None:
-        dim = kernel_dimension(restriction_difference_matrix(config))
+        dim = config.kernel_dim
         if config.lattice_is_full:
             if dim != config.h2_total:
                 diags.append(
@@ -486,20 +481,6 @@ def _surface_between(config: NCConfiguration, i: int, j: int) -> int:
 # The restriction-difference matrix and its canonical kernel classes
 
 
-def check_restriction_shapes(config: NCConfiguration) -> None:
-    """Refuse restriction matrices that do not fit their surface and component.
-
-    Each of a surface's two matrices must have one row per lattice basis
-    class and one column per tracked class of the adjacent component; the
-    first surface where one does not raises :class:`MissingData`.
-    """
-    diags = _shape_diagnostics(config)
-    if diags:
-        raise MissingData(
-            f"surface {diags[0].target}: restriction matrices have inconsistent shapes"
-        )
-
-
 def restriction_difference_matrix(config: NCConfiguration) -> RationalMatrix:
     """Block matrix of pairwise restriction differences.
 
@@ -508,7 +489,6 @@ def restriction_difference_matrix(config: NCConfiguration) -> RationalMatrix:
     (rows grouped by surface).  Row block i carries + the restriction from
     the first adjacent component and - the restriction from the second.
     """
-    check_restriction_shapes(config)
     col_offsets = [0]
     for comp in config.components:
         col_offsets.append(col_offsets[-1] + comp.h2_rank)
@@ -685,10 +665,7 @@ def _intvec(x: Any, where: str) -> Vec:
 def _intmat(x: Any, where: str) -> IntMatrix:
     if not isinstance(x, list):
         raise SchemaError(f"{where}: expected matrix, got {x!r}")
-    rows = tuple(_intvec(r, where) for r in x)
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise SchemaError(f"{where}: ragged matrix")
-    return rows
+    return tuple(_intvec(r, where) for r in x)
 
 
 def _dense_gram(lattice: IntersectionLattice) -> list[list[int]]:
@@ -775,10 +752,8 @@ def config_from_dict(data: dict[str, Any]) -> NCConfiguration:
         if not isinstance(n, str):
             raise SchemaError("component name must be a string")
         names.append(n)
-    if len(set(names)) != 3:
-        raise SchemaError("component names must be distinct")
 
-    components: list[ComponentGeometry] = []
+    component_fields: list[dict[str, Any]] = []
     for i, c in enumerate(raw_comps):
         where = f"component {names[i]}"
         rank = _intval(_require(c, "h2_rank", where), where + ".h2_rank")
@@ -806,22 +781,19 @@ def config_from_dict(data: dict[str, Any]) -> NCConfiguration:
             if len(cn) != 3:
                 raise SchemaError(f"{where}: chern_numbers must have three entries")
             chern = (cn[0], cn[1], cn[2])
-        try:
-            components.append(
-                ComponentGeometry(
-                    name=names[i],
-                    euler=_intval(_require(c, "euler", where), where + ".euler"),
-                    h2_rank=rank,
-                    class_labels=tuple(labels),
-                    ample=ample,
-                    boundary=boundary,
-                    chern_numbers=chern,
-                )
+        component_fields.append(
+            dict(
+                name=names[i],
+                euler=_intval(_require(c, "euler", where), where + ".euler"),
+                h2_rank=rank,
+                class_labels=tuple(labels),
+                ample=ample,
+                boundary=boundary,
+                chern_numbers=chern,
             )
-        except ConfigError as exc:
-            raise SchemaError(str(exc))
+        )
 
-    surfaces: list[SurfaceGeometry] = []
+    surface_fields: list[dict[str, Any]] = []
     for i, s in enumerate(raw_surfs):
         sname = _require(s, "name", "surface")
         if not isinstance(sname, str):
@@ -857,23 +829,20 @@ def config_from_dict(data: dict[str, Any]) -> NCConfiguration:
         raw_bs = _require(s, "boundary_self", where)
         if not isinstance(raw_bs, list) or len(raw_bs) != 2:
             raise SchemaError(f"{where}: boundary_self must be a pair of vectors")
-        try:
-            surfaces.append(
-                SurfaceGeometry(
-                    name=sname,
-                    lattice=lattice,
-                    canonical=_intvec(_require(s, "canonical", where), where + ".canonical"),
-                    tau_class=_intvec(_require(s, "tau_class", where), where + ".tau_class"),
-                    euler=_intval(_require(s, "euler", where), where + ".euler"),
-                    restrictions=restrictions,
-                    boundary_self=(
-                        _intvec(raw_bs[0], where + ".boundary_self"),
-                        _intvec(raw_bs[1], where + ".boundary_self"),
-                    ),
-                )
+        surface_fields.append(
+            dict(
+                name=sname,
+                lattice=lattice,
+                canonical=_intvec(_require(s, "canonical", where), where + ".canonical"),
+                tau_class=_intvec(_require(s, "tau_class", where), where + ".tau_class"),
+                euler=_intval(_require(s, "euler", where), where + ".euler"),
+                restrictions=restrictions,
+                boundary_self=(
+                    _intvec(raw_bs[0], where + ".boundary_self"),
+                    _intvec(raw_bs[1], where + ".boundary_self"),
+                ),
             )
-        except ConfigError as exc:
-            raise SchemaError(str(exc))
+        )
 
     raw_triple = _require(data, "triple", "configuration")
     if not isinstance(raw_triple, dict):
@@ -881,10 +850,7 @@ def config_from_dict(data: dict[str, Any]) -> NCConfiguration:
     connected = _require(raw_triple, "connected", "triple")
     if not isinstance(connected, bool):
         raise SchemaError("triple.connected must be a boolean")
-    triple = TripleCurve(
-        euler=_intval(_require(raw_triple, "euler", "triple"), "triple.euler"),
-        connected=connected,
-    )
+    triple_euler = _intval(_require(raw_triple, "euler", "triple"), "triple.euler")
 
     h2_total = None
     if "h2_total" in data:
@@ -898,14 +864,18 @@ def config_from_dict(data: dict[str, Any]) -> NCConfiguration:
     if not isinstance(notes, list) or not all(isinstance(x, str) for x in notes):
         raise SchemaError("notes must be a list of strings")
 
-    return NCConfiguration(
-        components=tuple(components),
-        surfaces=tuple(surfaces),
-        triple=triple,
-        h2_total=h2_total,
-        lattice_is_full=lattice_is_full,
-        provenance_notes=tuple(notes),
-    )
+    # Every record invariant a file breaks is a schema error.
+    try:
+        return NCConfiguration(
+            components=tuple(ComponentGeometry(**f) for f in component_fields),
+            surfaces=tuple(SurfaceGeometry(**f) for f in surface_fields),
+            triple=TripleCurve(euler=triple_euler, connected=connected),
+            h2_total=h2_total,
+            lattice_is_full=lattice_is_full,
+            provenance_notes=tuple(notes),
+        )
+    except ConfigError as exc:
+        raise SchemaError(str(exc))
 
 
 def config_to_json(config: NCConfiguration) -> str:

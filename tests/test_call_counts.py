@@ -49,15 +49,18 @@ def test_invariants_family_route_blows_up_once(monkeypatch, capsys):
 
 
 def test_hodge_checks_shapes_once_and_ranks_once(monkeypatch):
+    """Restriction shapes are checked when a configuration is built: once, for
+    the blow-up.  The one rank goes through ``NCConfiguration.kernel_dim``."""
     counts = collections.Counter()
-    count_calls(monkeypatch, counts, ncconfig, "check_restriction_shapes")
+    count_calls(monkeypatch, counts, ncconfig.NCConfiguration, "__post_init__")
+    count_calls(monkeypatch, counts, ncconfig, "kernel_dimension")
     count_calls(monkeypatch, counts, invariants, "kernel_dimension")
     count_calls(monkeypatch, counts, exactlat, "matrix_rank")
     for fam_id, spec in all_catalog_cases():
         config, divisor = catalog.instantiate(fam_id, spec)
         counts.clear()
         invariants.hodge(config, divisor)
-        assert counts == {"check_restriction_shapes": 1, "kernel_dimension": 1, "matrix_rank": 1}, (fam_id, spec)
+        assert counts == {"__post_init__": 1, "kernel_dimension": 1, "matrix_rank": 1}, (fam_id, spec)
 
 
 def test_invariants_config_route_ranks_once(monkeypatch, tmp_path, capsys):
@@ -66,12 +69,16 @@ def test_invariants_config_route_ranks_once(monkeypatch, tmp_path, capsys):
     assert config_tilde.lattice_is_full
     path = tmp_path / "blown_up.json"
     path.write_text(ncconfig.config_to_json(config_tilde), encoding="utf-8")
+    assert config_tilde.h2_total is not None
     counts = collections.Counter()
-    count_calls(monkeypatch, counts, ncconfig, "check_restriction_shapes")
+    count_calls(monkeypatch, counts, ncconfig.NCConfiguration, "__post_init__")
+    count_calls(monkeypatch, counts, ncconfig, "validate")
     count_calls(monkeypatch, counts, exactlat, "matrix_rank")
     assert cli.main(["invariants", "--config", str(path), "--format", "json"]) == 0
     assert '"kernel"' in capsys.readouterr().out
-    assert counts == {"check_restriction_shapes": 1, "matrix_rank": 1}
+    # One parse builds (and shape-checks) one configuration; validation
+    # matches h2_total against the kernel, and the kernel route reuses it.
+    assert counts == {"__post_init__": 1, "validate": 1, "matrix_rank": 1}
 
 
 def test_blown_up_d3_gram_stores_only_its_base_block():

@@ -356,55 +356,57 @@ def test_invariants_config_file_refuses_non_semistable(tmp_path, capsys):
     assert "not d-semistable" in err
 
 
-def test_invariants_config_shape_mismatch_exits_1(tmp_path, capsys):
-    """A restriction of the wrong width reaches the kernel as MissingData: exit 1, no traceback."""
+def _wide_restriction_file(tmp_path, lattice_is_full):
+    """The blown-up quintic (5) export with D1's restriction from Y2 one column too wide."""
     from nc3 import catalog, construction, ncconfig
 
     config, divisor = catalog.instantiate("quintic", catalog.PartitionSpec(parts=((5,),)))
     config_tilde, _ = construction.sequential_blowup(config, divisor)
     data = ncconfig.config_to_dict(config_tilde)
     assert data["lattice_is_full"] is True
+    assert data["h2_total"] == 3
+    assert [c["h2_rank"] for c in data["components"]] == [3, 2, 1]
+    assert len(data["surfaces"][0]["gram"]) == 1
     for row in data["surfaces"][0]["restrictions"]["Y2"]:
         row.append(0)
+    data["lattice_is_full"] = lattice_is_full
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(data))
-    rc, out, err = run(capsys, "invariants", "--config", str(path))
-    assert rc == 1
+    return path
+
+
+@pytest.mark.parametrize("command", ["check", "invariants"])
+def test_invariants_config_shape_mismatch_exits_2(tmp_path, capsys, command):
+    """A restriction of the wrong width breaks a record invariant: a schema
+    error (exit 2) naming the surface, the component and the expected shape,
+    the same for `check` and `invariants`, with no traceback."""
+    path = _wide_restriction_file(tmp_path, lattice_is_full=True)
+    rc, out, err = run(capsys, command, "--config", str(path))
+    assert rc == 2
     assert out == ""
-    assert "Traceback" not in err
-    lines = err.splitlines()
-    assert len(lines) == 1
-    assert "inconsistent shapes" in json.loads(lines[0])["error"]
+    assert err.splitlines() == [
+        json.dumps(
+            {"error": f"schema error in {path}: surface D1: restriction from Y2 must be 1x2"}
+        )
+    ]
 
 
-def test_invariants_config_shape_mismatch_partial_lattice_exits_1(tmp_path, capsys):
-    """Without complete lattices h11 comes from h2_total, and a restriction of
-    the wrong width is still refused: exit 1, as `check --config` does."""
-    from nc3 import catalog, construction, ncconfig
-
-    config, divisor = catalog.instantiate("quintic", catalog.PartitionSpec(parts=((5,),)))
-    config_tilde, _ = construction.sequential_blowup(config, divisor)
-    data = ncconfig.config_to_dict(config_tilde)
-    for row in data["surfaces"][0]["restrictions"]["Y2"]:
-        row.append(0)
-    data["lattice_is_full"] = False
-    assert data["h2_total"] == 3
-    path = tmp_path / "wide-partial.json"
-    path.write_text(json.dumps(data))
-    rc, out, err = run(capsys, "invariants", "--config", str(path))
-    assert rc == 1
-    assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1
-    assert "inconsistent shapes" in json.loads(lines[0])["error"]
-    rc, out, _ = run(capsys, "check", "--config", str(path))
-    assert rc == 1
-    assert any(d["clause"] == "shape" for d in json.loads(out)["diagnostics"])
+def test_invariants_config_shape_mismatch_partial_lattice_exits_2(tmp_path, capsys):
+    """Without complete lattices h11 would come from h2_total, and a restriction
+    of the wrong width is still refused before any invariant: exit 2, as
+    `check --config` does."""
+    path = _wide_restriction_file(tmp_path, lattice_is_full=False)
+    outcomes = [run(capsys, c, "--config", str(path)) for c in ("invariants", "check")]
+    expected = json.dumps(
+        {"error": f"schema error in {path}: surface D1: restriction from Y2 must be 1x2"}
+    )
+    assert outcomes == [(2, "", expected + "\n")] * 2
 
 
 def test_invariants_config_refuses_h2_total_contradicting_kernel(tmp_path, capsys):
     """With complete lattices a declared h2_total must match the kernel; a file
-    where it does not is refused as `check --config` refuses it: exit 1."""
+    where it does not fails validation, and `invariants --config` refuses it
+    with exit 1 and the diagnostics `check --config` reports."""
     from nc3 import catalog, construction, ncconfig
 
     config, divisor = catalog.instantiate("quintic", catalog.PartitionSpec(parts=((5,),)))
@@ -415,18 +417,22 @@ def test_invariants_config_refuses_h2_total_contradicting_kernel(tmp_path, capsy
     data["h2_total"] = 4
     path = tmp_path / "h2-contradicts.json"
     path.write_text(json.dumps(data))
-    rc, out, _ = run(capsys, "check", "--config", str(path))
+    rc, out, err = run(capsys, "check", "--config", str(path))
     assert rc == 1
+    assert err == ""
+    checked = json.loads(out)["diagnostics"]
+    assert [d["clause"] for d in checked if d["severity"] == "error"] == ["h2-total"]
     assert any(
-        d["clause"] == "h2-total" and d["severity"] == "error"
-        for d in json.loads(out)["diagnostics"]
+        d["clause"] == "h2-total" and "h2_total 4" in d["message"] and "kernel dimension 3" in d["message"]
+        for d in checked
     )
     rc, out, err = run(capsys, "invariants", "--config", str(path))
     assert rc == 1
-    assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0]) == {"error": "h11 paths disagree: closed form 2, kernel 1"}
+    assert err.splitlines() == [json.dumps({"error": "configuration fails validation"})]
+    payload = json.loads(out)
+    jsonschema.validate(payload, OUTPUT_SCHEMA)
+    assert "invariants" not in payload
+    assert payload["diagnostics"] == checked
 
 
 def test_invariants_csv_star_column(capsys):

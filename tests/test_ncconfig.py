@@ -74,6 +74,17 @@ def test_disconnected_triple_curve_is_a_c312_error(quintic5):
     assert [d.clause for d in errors] == ["C3.1(2)"]
 
 
+def test_disconnected_triple_curve_does_not_hide_ample_matching(quintic5):
+    """Every structural clause runs on every configuration: a disconnected
+    triple curve is reported next to the broken ample matching on D2."""
+    config, _ = quintic5
+    doubled = tuple(tuple(2 * x for x in row) for row in config.surfaces[1].restrictions[0])
+    broken = _with_surface(config, 1, restrictions=(doubled, config.surfaces[1].restrictions[1]))
+    broken = replace(broken, triple=replace(broken.triple, connected=False))
+    errors = [(d.clause, d.target) for d in validate(broken) if d.is_error]
+    assert errors == [("C3.1(2)", "triple"), ("C3.1(3)", "D2")]
+
+
 def test_anticanonical_restriction_checked_per_surface(quintic5):
     config, _ = quintic5
     broken = _with_surface(config, 0, canonical=(2,))
@@ -345,6 +356,63 @@ def test_asymmetric_gram_is_a_schema_error(quintic5):
     # the message names the first asymmetric entry in row order
     data["surfaces"][0]["gram"] = [[1, 0, 1], [0, 1, 2], [0, 3, 1]]
     with pytest.raises(SchemaError, match=r"not symmetric at \(2,0\)"):
+        ncconfig.config_from_dict(data)
+
+
+def test_restriction_shape_is_a_record_invariant(quintic5):
+    """A restriction that does not fit its surface and component cannot be
+    built; the message names the surface, the component and the shape."""
+    config, _ = quintic5
+    r0, r1 = config.surfaces[0].restrictions
+    wide = tuple(row + (0,) for row in r0)
+    tall = r0 + r0
+    for bad, slot in ((wide, 0), (tall, 0), ((r1[0] + (0,),), 1)):
+        restrictions = (bad, r1) if slot == 0 else (r0, bad)
+        with pytest.raises(ncconfig.ConfigError) as info:
+            _with_surface(config, 0, restrictions=restrictions)
+        assert not isinstance(info.value, SchemaError)
+        comp = ("Y2", "Y3")[slot]
+        assert str(info.value) == f"surface D1: restriction from {comp} must be 1x1"
+
+
+def _rename_y2_to_y1(data):
+    """Y2 renamed Y1 wherever the parser looks a name up, so only the
+    configuration record sees the clash."""
+    data["components"][1]["name"] = "Y1"
+    for comp in data["components"]:
+        del comp["boundary"]
+    d1 = data["surfaces"][0]["restrictions"]
+    d1["Y1"] = d1.pop("Y2")
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (
+            lambda d: d["surfaces"][0]["restrictions"].update(Y2=[[1], [1, 0]]),
+            "surface D1: restriction from Y2 must be 1x1",
+        ),
+        (
+            lambda d: d["surfaces"][0].update(gram=[[1, 0], [0]]),
+            "surface D1: invalid lattice: gram matrix must be 2x2, got 2 rows",
+        ),
+        (_rename_y2_to_y1, "component names must be distinct"),
+        (
+            lambda d: d["components"][0].update(ample=[1, 0]),
+            "component Y1: ample class has wrong length",
+        ),
+        (
+            lambda d: d["surfaces"][2].update(canonical=[]),
+            "surface D3: canonical has wrong length",
+        ),
+    ],
+    ids=["ragged-restriction", "ragged-gram", "duplicate-names", "ample-length", "canonical-length"],
+)
+def test_broken_record_invariants_are_schema_errors(quintic5, mutate, message):
+    config, _ = quintic5
+    data = config_to_dict(config)
+    mutate(data)
+    with pytest.raises(SchemaError, match="^" + re.escape(message) + "$"):
         ncconfig.config_from_dict(data)
 
 

@@ -58,3 +58,19 @@ def test_verify_all_without_dataclasses_or_fractions():
     assert lines == ["63/63 rows match"]
     assert "nc3.catalog" in added
     assert "dataclasses" not in added and "fractions" not in added
+
+
+def test_check_config_loads_neither_catalog_nor_construction(tmp_path):
+    """``check --config`` reads an exported file; the README says it never
+    builds a catalog family, so neither module that does is loaded."""
+    from nc3 import catalog, ncconfig
+
+    config, _ = catalog.instantiate("quintic", catalog.PartitionSpec(parts=((5,),)))
+    path = tmp_path / "quintic.json"
+    path.write_text(ncconfig.config_to_json(config), encoding="utf-8")
+    lines, added = _loaded_by(
+        f"from nc3.cli import main\nassert main(['check', '--config', {str(path)!r}]) == 0"
+    )
+    assert json.loads("\n".join(lines))["source"]["path"] == str(path)
+    assert "nc3.ncconfig" in added
+    assert "nc3.catalog" not in added and "nc3.construction" not in added
