@@ -54,6 +54,7 @@ from .ncconfig import (
     ConfigError,
     DualComplexInfo,
     NCConfiguration,
+    OTHER_COMPONENTS,
     SURFACE_ADJACENCY,
     SurfaceGeometry,
     TripleCurve,
@@ -152,9 +153,7 @@ class PartitionSpec(Record):
         return PartitionSpec(parts=tuple(sorted(self.parts)))
 
     def display(self) -> str:
-        if len(self.parts[0]) == 1:
-            return "(" + ",".join(str(p[0]) for p in self.parts) + ")"
-        return "(" + ",".join("(" + ",".join(str(x) for x in p) + ")" for p in self.parts) + ")"
+        return f"({self.cli_form()})"
 
     def cli_form(self) -> str:
         if len(self.parts[0]) == 1:
@@ -406,7 +405,6 @@ def instantiate(
     comps = []
     for slot in range(3):
         fc = fam.components[order[slot]]
-        others = sorted(set(range(3)) - {slot})
         comps.append(
             ComponentGeometry(
                 name=fc.name,
@@ -414,7 +412,7 @@ def instantiate(
                 h2_rank=fam.rank,
                 class_labels=tuple(f"{lbl}|{fc.name}" for lbl in fam.labels),
                 ample=fam.ample,
-                boundary=tuple(fam.components[order[o]].cut for o in others),
+                boundary=tuple(fam.components[order[o]].cut for o in OTHER_COMPONENTS[slot]),
                 chern_numbers=fc.chern_numbers,
             )
         )

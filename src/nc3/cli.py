@@ -48,8 +48,11 @@ def _emit(payload: dict[str, Any], args: argparse.Namespace) -> None:
 def _emit_text(text: str, args: argparse.Namespace) -> None:
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise CliError(f"cannot write {out}: {exc}", EXIT_PARSE)
     else:
         print(text)
 
@@ -217,7 +220,7 @@ def _invariants_record(
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
-    from . import construction, invariants, ncconfig
+    from . import construction, ncconfig
     config, divisor, provenance = _resolve_source(args)
     if args.family and divisor is None:
         raise CliError("invariants needs --partition with --family", EXIT_PARSE)
@@ -231,11 +234,10 @@ def cmd_invariants(args: argparse.Namespace) -> int:
             if isinstance(exc, construction.AdmissibilityError)
             else str(exc)
         )
-        print(_error_record(summary), file=sys.stderr)
+        # The payload first: an --out that cannot be written is then the
+        # only error line.
         _emit(record, args)
-        return EXIT_FAIL
-    except invariants.NotDSemistable as exc:
-        print(_error_record(str(exc)), file=sys.stderr)
+        print(_error_record(summary), file=sys.stderr)
         return EXIT_FAIL
 
     if args.format == "json":

@@ -21,9 +21,14 @@ d-semistable by the triple point formula.  All bookkeeping is exact:
   pullback classes keep their coordinates and the triple-curve, canonical
   and self classes pick up the standard exceptional corrections;
 * each component's tracked H2 gains one class per exceptional divisor, and
-  the restriction matrices are extended with the true restrictions of those
-  classes (the center's class on the surface it sits on, indicator vectors
-  of exceptional points on the blown-up surface, zero elsewhere);
+  each restriction matrix gains a column per class holding its true
+  restriction: the center's class on the surface it sits on, the
+  exceptional points over the center on the third surface, zero elsewhere;
+* each blown-up restriction matrix is written once in final form: its old
+  rows, each extended by the new columns' entries, then on the third surface
+  one row per exceptional point.  The first two surfaces keep their lattice,
+  canonical and triple-curve classes and Euler number; only their
+  restrictions and self classes change;
 * the declared h2 of the configuration grows by exactly 2*alpha.
 
 Order matters for the construction (the trace records it) but not for any
@@ -35,18 +40,17 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import degeneration
-from ._record import Record
+from ._record import Record, replace
 from .exactlat import (
     IntersectionLattice,
-    IntMatrix,
     RationalMatrix,
     Vec,
     adjunction_euler,
     adjunction_sum,
     pair,
+    vec_scale,
     vec_sub,
     vec_sum,
-    vec_zero,
 )
 from .ncconfig import (
     SEVERITY_ERROR,
@@ -213,17 +217,6 @@ def center_euler(config: NCConfiguration, surface_index: int, c: Vec) -> int:
     return adjunction_euler(c, surf.canonical, surf.lattice)
 
 
-def _pad(v: Vec, extra: int) -> Vec:
-    return v + (0,) * extra
-
-
-def _extend_columns(m: IntMatrix, new_cols: Sequence[Vec], rank: int) -> IntMatrix:
-    """Append column vectors (given as lattice vectors) to a restriction matrix."""
-    old_rows = m if m else ((),) * rank
-    new_rows = zip(*new_cols) if new_cols else ((),) * rank
-    return tuple(tuple(r) + t for r, t in zip(old_rows, new_rows, strict=True))
-
-
 def sequential_blowup(
     config: NCConfiguration, divisor: CollectiveDivisor
 ) -> tuple[NCConfiguration, BlowupTrace]:
@@ -241,25 +234,10 @@ def sequential_blowup(
         return config, BlowupTrace(steps=(), exceptional_classes=(), kernel_classes=())
 
     alpha = divisor.alpha
-    mults = divisor.tau_multiplicities
     gamma = divisor.gamma
     c_on = divisor.components  # c_on[i][l]: class of curve l on surface i
     comp0, comp1, comp2 = config.components
     s0, s1, s2 = config.surfaces
-
-    # Exceptional points on the blown-up third surface, grouped by curve index.
-    offsets = []
-    pos = 0
-    for m in mults:
-        offsets.append(pos)
-        pos += m
-    group = [range(offsets[l], offsets[l] + mults[l]) for l in range(alpha)]
-
-    def indicator(l: int, sign: int) -> Vec:
-        v = [0] * gamma
-        for p in group[l]:
-            v[p] = sign
-        return tuple(v)
 
     # Each center's degree (against the surface's hyperplane class) and Euler
     # number, computed once: degree[i][l] and euler[i][l] for curve l on
@@ -308,20 +286,21 @@ def sequential_blowup(
         for d in degree[0]:
             chern1 = transport_chern(chern1, d)
 
+    zeros = (0,) * alpha
     new_comp0 = ComponentGeometry(
         name=comp0.name,
         euler=comp0.euler + sum(euler[1]) + sum(euler[2]),
         h2_rank=comp0.h2_rank + 2 * alpha,
         class_labels=comp0.class_labels + labels_e2 + labels_e3,
-        ample=_pad(comp0.ample, 2 * alpha),
+        ample=comp0.ample + zeros + zeros,
         boundary=None
         if comp0.boundary is None
         else (
             # toward component 1 (surface D3): proper transform subtracts the
             # stage-two exceptional divisors
-            comp0.boundary[0] + (0,) * alpha + (-1,) * alpha,
+            comp0.boundary[0] + zeros + (-1,) * alpha,
             # toward component 2 (surface D2): subtracts the stage-one ones
-            comp0.boundary[1] + (-1,) * alpha + (0,) * alpha,
+            comp0.boundary[1] + (-1,) * alpha + zeros,
         ),
         chern_numbers=chern0,
     )
@@ -330,57 +309,54 @@ def sequential_blowup(
         euler=comp1.euler + sum(euler[0]),
         h2_rank=comp1.h2_rank + alpha,
         class_labels=comp1.class_labels + labels_e1,
-        ample=_pad(comp1.ample, alpha),
+        ample=comp1.ample + zeros,
         boundary=None
         if comp1.boundary is None
         else (
             # toward component 0 (surface D3): centers meet it only in points
-            comp1.boundary[0] + (0,) * alpha,
+            comp1.boundary[0] + zeros,
             # toward component 2 (surface D1): centers lie on it
             comp1.boundary[1] + (-1,) * alpha,
         ),
         chern_numbers=chern1,
     )
-    new_comp2 = comp2
 
     # --- surfaces -----------------------------------------------------------
+    # Each restriction matrix is written once, row by row.  An exceptional
+    # divisor over a center on surface i restricts there to the center's
+    # class, so its column is the center's coordinates: row r of coords[i]
+    # holds coordinate r of every curve on surface i.
+    coords = [tuple(zip(*c_on[i])) for i in range(3)]
     total_c = [vec_sum(c_on[i], config.surfaces[i].lattice.rank) for i in range(3)]
 
-    # D1 = Y2 ^ Y3: the C1 centers are blown up inside Y2 (adjacency slot 0).
-    new_s0 = SurfaceGeometry(
-        name=s0.name,
-        lattice=s0.lattice,
-        canonical=s0.canonical,
-        tau_class=s0.tau_class,
-        euler=s0.euler,
+    # D1 = Y2 ^ Y3: the C1 centers are blown up inside Y2 (adjacency slot 0);
+    # E[l,1] restricts to the curve.
+    new_s0 = replace(
+        s0,
         restrictions=(
-            _extend_columns(s0.restrictions[0], c_on[0], s0.lattice.rank),
+            tuple(r + c for r, c in zip(s0.restrictions[0], coords[0])),
             s0.restrictions[1],
         ),
         boundary_self=(vec_sub(s0.boundary_self[0], total_c[0]), s0.boundary_self[1]),
     )
-    # D2 = Y3 ^ Y1: the C2 centers are blown up inside Y1 (adjacency slot 1).
-    new_s1 = SurfaceGeometry(
-        name=s1.name,
-        lattice=s1.lattice,
-        canonical=s1.canonical,
-        tau_class=s1.tau_class,
-        euler=s1.euler,
+    # D2 = Y3 ^ Y1: the C2 centers are blown up inside Y1 (adjacency slot 1);
+    # E[l,2] restricts to the curve, E'[l,3] to zero.
+    new_s1 = replace(
+        s1,
         restrictions=(
             s1.restrictions[0],
-            _extend_columns(
-                s1.restrictions[1],
-                list(c_on[1]) + [vec_zero(s1.lattice.rank)] * alpha,
-                s1.lattice.rank,
-            ),
+            tuple(r + c + zeros for r, c in zip(s1.restrictions[1], coords[1])),
         ),
         boundary_self=(s1.boundary_self[0], vec_sub(s1.boundary_self[1], total_c[1])),
     )
-    # D3 = Y1 ^ Y2: blown up at the gamma triple-curve points.
+    # D3 = Y1 ^ Y2: blown up at the gamma triple-curve points, one new row
+    # each.  curve_of[p] is the curve whose centers pass through point p, and
+    # unit[l] is the l-th unit vector of length alpha.
+    curve_of = [l for l, m in enumerate(divisor.tau_multiplicities) for _ in range(m)]
+    unit = [tuple(int(k == l) for k in range(alpha)) for l in range(alpha)]
     eps_labels = tuple(f"eps[{p + 1}]" for p in range(gamma))
-    old_rank = s2.lattice.rank
     new_lattice = IntersectionLattice(
-        rank=old_rank + gamma,
+        rank=s2.lattice.rank + gamma,
         gram=s2.lattice.gram,
         basis_labels=s2.lattice.basis_labels + eps_labels,
         exceptional=s2.lattice.exceptional + gamma,
@@ -388,23 +364,17 @@ def sequential_blowup(
     eps_all_pos = (1,) * gamma
     eps_all_neg = (-1,) * gamma
 
-    def widen_rows(m: IntMatrix, n_cols: int) -> IntMatrix:
-        """Add gamma zero rows (the exceptional point classes) below ``m``."""
-        return tuple(tuple(r) for r in m) + tuple((0,) * n_cols for _ in range(gamma))
-
-    # Columns of the extended restriction from component 0: pullbacks keep
-    # their coordinates (zero on the exceptional points); E[l,2] restricts to
-    # the exceptional points over its curve; E'[l,3] restricts to the proper
-    # transform of the corresponding C3 curve.
-    cols_e2 = [(0,) * old_rank + indicator(l, 1) for l in range(alpha)]
-    cols_e3 = [c_on[2][l] + indicator(l, -1) for l in range(alpha)]
-    new_r20 = _extend_columns(
-        widen_rows(s2.restrictions[0], comp0.h2_rank), cols_e2 + cols_e3, old_rank + gamma
+    # Restriction from component 0: pullbacks keep their coordinates (zero on
+    # the exceptional points); E[l,2] restricts to the points over curve l;
+    # E'[l,3] restricts to the proper transform of the l-th C3 curve, its
+    # class minus those points.  The points over one curve share one row tuple.
+    over0 = [(0,) * comp0.h2_rank + unit[l] + vec_scale(-1, unit[l]) for l in range(alpha)]
+    new_r20 = tuple(r + zeros + c for r, c in zip(s2.restrictions[0], coords[2])) + tuple(
+        over0[l] for l in curve_of
     )
-    cols_e1 = [(0,) * old_rank + indicator(l, 1) for l in range(alpha)]
-    new_r21 = _extend_columns(
-        widen_rows(s2.restrictions[1], comp1.h2_rank), cols_e1, old_rank + gamma
-    )
+    # Restriction from component 1: E[l,1] restricts to the points over curve l.
+    over1 = [(0,) * comp1.h2_rank + unit[l] for l in range(alpha)]
+    new_r21 = tuple(r + zeros for r in s2.restrictions[1]) + tuple(over1[l] for l in curve_of)
     new_s2 = SurfaceGeometry(
         name=s2.name,
         lattice=new_lattice,
@@ -419,7 +389,7 @@ def sequential_blowup(
     )
 
     new_config = NCConfiguration(
-        components=(new_comp0, new_comp1, new_comp2),
+        components=(new_comp0, new_comp1, comp2),
         surfaces=(new_s0, new_s1, new_s2),
         triple=config.triple,
         h2_total=None if config.h2_total is None else config.h2_total + 2 * alpha,
@@ -512,9 +482,6 @@ class AmpleMarginCertificate(Record):
     beta: int
     m: int
     values: tuple[int, ...]
-
-    def as_dict(self) -> dict[str, object]:
-        return {"beta": self.beta, "m": self.m, "values": list(self.values)}
 
 
 def ample_margin(problem: AmpleMarginProblem) -> AmpleMarginCertificate:

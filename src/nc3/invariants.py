@@ -252,14 +252,6 @@ class PicardPairings(Record):
     caveats: tuple[str, ...] = ()
     generator_certified: bool = False
 
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "h_cubed": self.h_cubed,
-            "h_dot_c2": self.h_dot_c2,
-            "caveats": list(self.caveats),
-            "generator_certified": self.generator_certified,
-        }
-
 
 def _icbrt(n: int) -> int:
     """Floor of the cube root of a non-negative integer (Newton on ints)."""

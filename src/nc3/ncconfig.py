@@ -58,6 +58,9 @@ from .exactlat import (
 # matrices, boundary_self slots, and the signs in the restriction-difference
 # matrix (+ first adjacent, - second adjacent).
 SURFACE_ADJACENCY: tuple[tuple[int, int], ...] = ((1, 2), (2, 0), (0, 1))
+# OTHER_COMPONENTS[i]: the two component indices other than i, increasing; the
+# order of a component's boundary classes.
+OTHER_COMPONENTS: tuple[tuple[int, int], ...] = ((1, 2), (0, 2), (0, 1))
 
 SCHEMA_ID = "ncconfig/1"
 
@@ -254,8 +257,7 @@ class NCConfiguration(Record):
             raise InsufficientBasis(
                 f"component {comp.name} does not declare boundary divisor coordinates"
             )
-        others = sorted(set(range(3)) - {component_index})
-        return comp.boundary[others.index(other_index)]
+        return comp.boundary[OTHER_COMPONENTS[component_index].index(other_index)]
 
     def total_rank(self) -> int:
         return sum(c.h2_rank for c in self.components)
@@ -430,7 +432,7 @@ def _boundary_coherence(config: NCConfiguration) -> list[Diagnostic]:
     for i, comp in enumerate(config.components):
         if comp.boundary is None:
             continue
-        for j in sorted(set(range(3)) - {i}):
+        for j in OTHER_COMPONENTS[i]:
             b = config.boundary_class(i, j)
             k = 3 - i - j
             # Surface Y_i ^ Y_j: expect the self-class from the Y_i side.
@@ -691,9 +693,9 @@ def config_to_dict(config: NCConfiguration) -> dict[str, Any]:
             "ample": list(c.ample),
         }
         if c.boundary is not None:
-            others = sorted(set(range(3)) - {i})
             entry["boundary"] = {
-                config.components[o].name: list(b) for o, b in zip(others, c.boundary)
+                config.components[o].name: list(b)
+                for o, b in zip(OTHER_COMPONENTS[i], c.boundary)
             }
         if c.chern_numbers is not None:
             entry["chern_numbers"] = list(c.chern_numbers)
@@ -760,18 +762,19 @@ def config_from_dict(data: dict[str, Any]) -> NCConfiguration:
         labels = _require(c, "class_labels", where)
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
             raise SchemaError(f"{where}: class_labels must be a list of strings")
+        # The default is sized from the labels: a rank that disagrees with
+        # them is a schema error, not an allocation of that size.
         ample = (
-            _intvec(c["ample"], where + ".ample") if "ample" in c else (1,) * rank
+            _intvec(c["ample"], where + ".ample") if "ample" in c else (1,) * len(labels)
         )
         boundary = None
         if "boundary" in c:
             raw_b = c["boundary"]
             if not isinstance(raw_b, dict):
                 raise SchemaError(f"{where}: boundary must map component names to vectors")
-            others = sorted(set(range(3)) - {i})
             try:
                 boundary = tuple(
-                    _intvec(raw_b[names[o]], where + ".boundary") for o in others
+                    _intvec(raw_b[names[o]], where + ".boundary") for o in OTHER_COMPONENTS[i]
                 )
             except KeyError as exc:
                 raise SchemaError(f"{where}: boundary missing entry for {exc.args[0]!r}")
@@ -887,6 +890,7 @@ def config_from_json(text: str) -> NCConfiguration:
 
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the parser's recursion limit
         raise SchemaError(f"invalid JSON: {exc}")
     return config_from_dict(data)

@@ -319,6 +319,57 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert payload["invariants"]["euler"] == -200
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("catalog", "list"),
+        ("table", "--family", "quintic"),
+        ("check", "--family", "quintic"),
+        ("invariants", "--config", None),
+    ],
+    ids=["catalog-list", "table", "check", "invariants-failing-validation"],
+)
+def test_out_to_unwritable_path_exits_2(tmp_path, capsys, argv):
+    """An --out that cannot be opened is one error line and exit 2, also where
+    the command would have exited 1 with a payload."""
+    argv = [str(_h2_contradicting_file(tmp_path)) if a is None else a for a in argv]
+    target = tmp_path / "missing-dir" / "out.txt"
+    rc, out, err = run(capsys, *argv, "--out", str(target))
+    assert (rc, out) == (2, "")
+    [line] = err.splitlines()
+    assert json.loads(line)["error"].startswith(f"cannot write {target}: ")
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("rank", [2**62, 2**63])
+def test_default_ample_is_sized_from_labels(tmp_path, capsys, rank):
+    """Without an `ample` entry the default class has one entry per label, so a
+    huge h2_rank is the rank/labels schema error, not an allocation."""
+    rc, out, _ = run(capsys, "catalog", "export", "--family", "quintic")
+    data = json.loads(out)
+    del data["components"][0]["ample"]
+    data["components"][0]["h2_rank"] = rank
+    path = tmp_path / "huge-rank.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "check", "--config", str(path))
+    assert (rc, out) == (2, "")
+    assert err == json.dumps(
+        {"error": f"schema error in {path}: component Y1: 1 labels for rank {rank}"}
+    ) + "\n"
+
+
+@pytest.mark.parametrize("command", ["check", "invariants"])
+def test_deeply_nested_config_exits_2(tmp_path, capsys, command):
+    """Nesting deeper than the JSON parser can follow is invalid JSON, not a
+    RecursionError traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    rc, out, err = run(capsys, command, "--config", str(path))
+    assert (rc, out) == (2, "")
+    [line] = err.splitlines()
+    assert json.loads(line)["error"].startswith(f"schema error in {path}: invalid JSON: ")
+
+
 def test_parse_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["invariants", "--format", "yaml", "--family", "quintic"])
@@ -351,9 +402,11 @@ def test_invariants_config_file_refuses_non_semistable(tmp_path, capsys):
     rc, out, _ = run(capsys, "catalog", "export", "--family", "quintic")
     path = tmp_path / "raw.json"
     path.write_text(out)
-    rc, _, err = run(capsys, "invariants", "--config", str(path))
-    assert rc == 1
-    assert "not d-semistable" in err
+    rc, out, err = run(capsys, "invariants", "--config", str(path))
+    assert (rc, out) == (1, "")
+    assert err == json.dumps(
+        {"error": "configuration is not d-semistable; normal-class residual [[5], [5], [5]]"}
+    ) + "\n"
 
 
 def _wide_restriction_file(tmp_path, lattice_is_full):
@@ -403,10 +456,8 @@ def test_invariants_config_shape_mismatch_partial_lattice_exits_2(tmp_path, caps
     assert outcomes == [(2, "", expected + "\n")] * 2
 
 
-def test_invariants_config_refuses_h2_total_contradicting_kernel(tmp_path, capsys):
-    """With complete lattices a declared h2_total must match the kernel; a file
-    where it does not fails validation, and `invariants --config` refuses it
-    with exit 1 and the diagnostics `check --config` reports."""
+def _h2_contradicting_file(tmp_path):
+    """The blown-up quintic (5) export with h2_total 4 against kernel dimension 3."""
     from nc3 import catalog, construction, ncconfig
 
     config, divisor = catalog.instantiate("quintic", catalog.PartitionSpec(parts=((5,),)))
@@ -417,6 +468,14 @@ def test_invariants_config_refuses_h2_total_contradicting_kernel(tmp_path, capsy
     data["h2_total"] = 4
     path = tmp_path / "h2-contradicts.json"
     path.write_text(json.dumps(data))
+    return path
+
+
+def test_invariants_config_refuses_h2_total_contradicting_kernel(tmp_path, capsys):
+    """With complete lattices a declared h2_total must match the kernel; a file
+    where it does not fails validation, and `invariants --config` refuses it
+    with exit 1 and the diagnostics `check --config` reports."""
+    path = _h2_contradicting_file(tmp_path)
     rc, out, err = run(capsys, "check", "--config", str(path))
     assert rc == 1
     assert err == ""

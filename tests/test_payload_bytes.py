@@ -70,6 +70,16 @@ D21_CONFIG_DIGESTS = [
     (("invariants", "--format", "json"), "f493a8bd9d621ccaebb1f10b9c646e8668fece18bd3e3848bc63039cbe656606"),
 ]
 
+# `config_to_json` of blown-up rows no digest above covers: a rank-two
+# partition whose curves meet the triple curve in 3, 3 and 12 points, a
+# rank-one partition with a repeated part, and a row whose components sit in
+# another order (family component 3 in slot 1).
+BLOWUP_EXPORT_DIGESTS = [
+    ("p2xp2", ((0, 1), (1, 0), (2, 2)), None, "6dba53861e37da4ff428886a35ca0845411f5ebaedb6dbe7d5961c5c97e951b2"),
+    ("quintic", ((1,), (1,), (3,)), None, "447909d01d4455d9ce23b73471d7a671b23cb437217872eebfa71e3e6dd0ae4a"),
+    ("p2xp2", ((1, 0), (2, 3)), (2, 0, 1), "d0fac7e576c9499298f7e1bab174e431b2b45a3eea8116a17c849f4a3478013a"),
+]
+
 
 def stdout_digest(capsys, *argv):
     assert main(list(argv)) == 0
@@ -116,3 +126,17 @@ def test_degree_21_blowup_payload_bytes(capsys, monkeypatch, tmp_path):
     (tmp_path / "blown_up.json").write_text(text, encoding="utf-8")
     for (command, *options), digest in D21_CONFIG_DIGESTS:
         assert stdout_digest(capsys, command, "--config", "blown_up.json", *options) == digest, command
+
+
+@pytest.mark.parametrize(
+    "fam_id,parts,order,digest",
+    BLOWUP_EXPORT_DIGESTS,
+    ids=["p2xp2-01-10-22", "quintic-1-1-3", "p2xp2-10-23-order-201"],
+)
+def test_blowup_export_bytes(fam_id, parts, order, digest):
+    config, divisor = catalog.instantiate(
+        fam_id, catalog.PartitionSpec(parts=parts), component_order=order
+    )
+    config_tilde, _ = construction.sequential_blowup(config, divisor)
+    text = ncconfig.config_to_json(config_tilde)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
