@@ -143,6 +143,10 @@ def check_collective_divisor(
         number of each curve class with the triple-curve class;
     (c) the projectivity witnesses are attested (warning otherwise);
     (d) each curve class has even adjunction sum (smooth-curve parity).
+
+    The pairing and adjunction sum are computed once per distinct class on
+    a surface; a class repeated over several curves still gets one (b) and
+    one (d) diagnostic per curve.
     """
     diags: list[Diagnostic] = []
     normal = degeneration.collective_normal_class(config)
@@ -172,8 +176,15 @@ def check_collective_divisor(
                     ),
                 )
             )
+        numbers: dict[Vec, tuple[int, int]] = {}
         for l, c in enumerate(classes):
-            m = pair(c, surf.tau_class, surf.lattice)
+            key = tuple(c)
+            if key not in numbers:
+                numbers[key] = (
+                    pair(c, surf.tau_class, surf.lattice),
+                    adjunction_sum(c, surf.canonical, surf.lattice),
+                )
+            m, s = numbers[key]
             if m != divisor.tau_multiplicities[l]:
                 diags.append(
                     Diagnostic(
@@ -187,7 +198,6 @@ def check_collective_divisor(
                         ),
                     )
                 )
-            s = adjunction_sum(c, surf.canonical, surf.lattice)
             if s % 2 != 0:
                 diags.append(
                     Diagnostic(
@@ -224,7 +234,9 @@ def sequential_blowup(
 
     Refuses divisors that fail :func:`check_collective_divisor`.  With
     ``alpha == 0`` (legal only when the collective normal class already
-    vanishes) the configuration is returned unchanged.
+    vanishes) the configuration is returned unchanged.  Each center's degree
+    and Euler number are computed once per distinct class on its surface, so
+    equal parts of a partition cost one pairing between them.
     """
     diags = check_collective_divisor(config, divisor)
     if has_errors(diags):
@@ -240,15 +252,20 @@ def sequential_blowup(
     s0, s1, s2 = config.surfaces
 
     # Each center's degree (against the surface's hyperplane class) and Euler
-    # number, computed once: degree[i][l] and euler[i][l] for curve l on
-    # surface i.  They feed the trace, the component Euler numbers and the
-    # Chern transport.
+    # number, computed once per distinct class: degree[i][l] and euler[i][l]
+    # for curve l on surface i.  They feed the trace, the component Euler
+    # numbers and the Chern transport.
     degree = []
     euler = []
     for i, surf in enumerate(config.surfaces):
         h = config.hyperplane_on_surface(i)
-        degree.append([pair(c, h, surf.lattice) for c in c_on[i]])
-        euler.append([center_euler(config, i, c) for c in c_on[i]])
+        numbers = {
+            c: (pair(c, h, surf.lattice), center_euler(config, i, c))
+            for c in dict.fromkeys(map(tuple, c_on[i]))
+        }
+        degree_i, euler_i = zip(*(numbers[tuple(c)] for c in c_on[i]))
+        degree.append(degree_i)
+        euler.append(euler_i)
 
     # --- trace ------------------------------------------------------------
     # (blown-up component, surface holding the centers, center label)
@@ -353,7 +370,7 @@ def sequential_blowup(
     # each.  curve_of[p] is the curve whose centers pass through point p, and
     # unit[l] is the l-th unit vector of length alpha.
     curve_of = [l for l, m in enumerate(divisor.tau_multiplicities) for _ in range(m)]
-    unit = [tuple(int(k == l) for k in range(alpha)) for l in range(alpha)]
+    unit = [zeros[:l] + (1,) + zeros[l + 1 :] for l in range(alpha)]
     eps_labels = tuple(f"eps[{p + 1}]" for p in range(gamma))
     new_lattice = IntersectionLattice(
         rank=s2.lattice.rank + gamma,

@@ -12,14 +12,17 @@ numbers) reduces to three primitives implemented here:
   via adjunction: e(c) = -c.(c + K).
 
 No floating point is used anywhere in this package, and all arithmetic goes
-through Python integers, so the contract is unbounded precision.  Rank is
-computed by sparse integer elimination: rows are kept as ``{col: value}``
-dicts, each step pivots on the shortest row and updates only the rows that
-meet the pivot column, and every updated row is divided by the gcd of its
-entries (its content) so the numbers stay small.  ``Fraction`` entries are
-accepted at the API boundary: ``matrix_rank`` clears the denominators of the
-rows that hold one, once, before elimination.  Only the rank over the
-rationals is needed, never torsion.
+through Python integers, so the contract is unbounded precision.  Rank runs
+on the distinct nonzero rows of a matrix: a repeated row or a zero row adds
+nothing to the row space, and a blown-up surface repeats one restriction row
+for every point over a curve.  It is computed by sparse integer elimination:
+rows are kept as ``{col: value}`` dicts, each step pivots on the shortest row
+and updates only the rows that meet the pivot column, and every updated row
+is divided by the gcd of its entries (its content) so the numbers stay
+small.  ``Fraction`` entries are accepted at the API boundary:
+``matrix_rank`` clears the denominators of the rows that hold one, once,
+before elimination.  Only the rank over the rationals is needed, never
+torsion.
 """
 
 from __future__ import annotations
@@ -295,11 +298,16 @@ def _sparse_rank(rows: Iterable[Sequence[int]]) -> int:
 def matrix_rank(m: RationalMatrix) -> int:
     """Exact rank over the rationals.
 
-    Integer rows go to the elimination as they are.  A row that holds a
-    ``Fraction`` is scaled once by the lcm of its denominators.
+    Only the distinct nonzero rows are ranked: repeats are dropped first,
+    keeping the first of each in order, then zero rows.  Neither changes the
+    row space, so the rank is that of the whole matrix.  Integer rows go to
+    the elimination as they are.  A row that holds a ``Fraction`` is scaled
+    once by the lcm of its denominators.
     """
     rows: list[Sequence[int]] = []
-    for r in m.entries:
+    for r in dict.fromkeys(map(tuple, m.entries)):
+        if not any(r):
+            continue
         if not {int}.issuperset(map(type, r)):
             lcm = math.lcm(*(x.denominator for x in r))
             r = tuple(int(x * lcm) for x in r)

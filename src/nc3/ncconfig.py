@@ -214,7 +214,7 @@ class NCConfiguration(Record):
             raise ConfigError("component names must be distinct")
         for surf, adj in zip(self.surfaces, SURFACE_ADJACENCY):
             for m, comp in zip(surf.restrictions, (self.components[i] for i in adj)):
-                if len(m) != surf.lattice.rank or any(len(r) != comp.h2_rank for r in m):
+                if len(m) != surf.lattice.rank or not {comp.h2_rank}.issuperset(map(len, m)):
                     raise ConfigError(
                         f"surface {surf.name}: restriction from {comp.name} must be "
                         f"{surf.lattice.rank}x{comp.h2_rank}"
@@ -490,6 +490,8 @@ def restriction_difference_matrix(config: NCConfiguration) -> RationalMatrix:
     component, in order).  Codomain: the direct sum of the surface lattices
     (rows grouped by surface).  Row block i carries + the restriction from
     the first adjacent component and - the restriction from the second.
+    Equal restriction rows (a blown-up surface has one per point over a
+    curve) give one row tuple, built once and repeated.
     """
     col_offsets = [0]
     for comp in config.components:
@@ -499,12 +501,17 @@ def restriction_difference_matrix(config: NCConfiguration) -> RationalMatrix:
     rows: list[tuple[int, ...]] = []
     for i in range(3):
         j, k = SURFACE_ADJACENCY[i]
-        # j != k, so the two column blocks of a row do not overlap.
+        built: dict[tuple[Vec, Vec], tuple[int, ...]] = {}
         for r_plus, r_minus in zip(config.restriction(i, j), config.restriction(i, k)):
-            row = [0] * total_cols
-            row[col_offsets[j] : col_offsets[j + 1]] = r_plus
-            row[col_offsets[k] : col_offsets[k + 1]] = [-x for x in r_minus]
-            rows.append(tuple(row))
+            key = (tuple(r_plus), tuple(r_minus))
+            row = built.get(key)
+            if row is None:
+                # j != k, so the two column blocks of a row do not overlap.
+                cells = [0] * total_cols
+                cells[col_offsets[j] : col_offsets[j + 1]] = r_plus
+                cells[col_offsets[k] : col_offsets[k + 1]] = [-x for x in r_minus]
+                row = built[key] = tuple(cells)
+            rows.append(row)
     return RationalMatrix(rows=len(rows), cols=total_cols, entries=tuple(rows))
 
 

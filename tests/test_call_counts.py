@@ -88,3 +88,51 @@ def test_blown_up_d3_gram_stores_only_its_base_block():
     lattice = construction.sequential_blowup(config, divisor)[0].surfaces[2].lattice
     assert lattice.rank == base.rank + divisor.gamma == 295
     assert sum(map(len, lattice.gram)) <= base.rank**2
+
+
+def count_sparse_rank_rows(monkeypatch, rows_seen):
+    """Record how many rows each ``_sparse_rank`` call receives."""
+    original = exactlat._sparse_rank
+
+    def counted(rows):
+        rows = list(rows)
+        rows_seen.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(exactlat, "_sparse_rank", counted)
+
+
+def test_d21_all_ones_hodge_pairs_and_ranks_each_distinct_value_once(monkeypatch):
+    """The 21 centers on a surface share one class, and the 297 rows of the
+    restriction-difference matrix hold 24 distinct ones."""
+    counts = collections.Counter()
+    for module in (construction, exactlat):
+        count_calls(monkeypatch, counts, module, "pair")
+        count_calls(monkeypatch, counts, module, "adjunction_sum")
+    rows_seen = []
+    count_sparse_rank_rows(monkeypatch, rows_seen)
+    config, divisor = d21_all_ones_row()
+    invariants.hodge(config, divisor)
+    assert counts["pair"] <= 12, counts
+    assert counts["adjunction_sum"] <= 6, counts
+    assert len(rows_seen) == 1 and rows_seen[0] <= 24, rows_seen
+
+
+def test_rank_never_sees_more_rows_than_the_distinct_nonzero_ones(monkeypatch):
+    distinct = []
+    original_rank = exactlat.matrix_rank
+
+    def recording_rank(m):
+        distinct.append(len({tuple(r) for r in m.entries if any(r)}))
+        return original_rank(m)
+
+    monkeypatch.setattr(exactlat, "matrix_rank", recording_rank)
+    rows_seen = []
+    count_sparse_rank_rows(monkeypatch, rows_seen)
+    for fam_id, spec in all_catalog_cases():
+        config, divisor = catalog.instantiate(fam_id, spec)
+        distinct.clear()
+        rows_seen.clear()
+        invariants.hodge(config, divisor)
+        assert len(distinct) == len(rows_seen) == 1, (fam_id, spec)
+        assert rows_seen[0] <= distinct[0], (fam_id, spec, rows_seen, distinct)

@@ -78,6 +78,33 @@ def test_odd_adjunction_curve_fails_clause_d(quintic5):
     assert "CD(d)" in clauses
 
 
+def test_repeated_bad_class_gets_one_diagnostic_per_curve():
+    """Equal classes are paired once, but every curve keeps its own (b) and (d)."""
+    config, divisor = catalog.instantiate("quintic", quintic_partition(1, 1, 1, 1, 1))
+    s0, s1, s2 = config.surfaces
+    # K = 0 on D1 makes (1).(1 + K) = 3 odd for each of the five equal curves.
+    odd = replace(config, surfaces=(replace(s0, canonical=(0,)), s1, s2))
+    bad = replace(divisor, tau_multiplicities=(3, 2, 3, 2, 3))
+    meets = "meets the triple curve in 3 points, declared multiplicity is 2"
+    odd_sum = "has odd adjunction sum 3; no smooth curve carries this class"
+    expected = [
+        ("CD(b)", surf, f"curve {l} on {surf} {meets}") for surf in ("D1", "D2", "D3") for l in (2, 4)
+    ] + [("CD(d)", "D1", f"curve {l} on D1 {odd_sum}") for l in range(1, 6)]
+    for classes in (bad.components, tuple(tuple(map(list, comps)) for comps in bad.components)):
+        diags = check_collective_divisor(odd, replace(bad, components=classes))
+        assert all(d.is_error for d in diags)
+        assert [(d.clause, d.target, d.message) for d in diags] == expected
+
+
+def test_list_valued_curve_classes_give_the_same_invariants():
+    for fam_id, spec in all_catalog_cases():
+        config, divisor = catalog.instantiate(fam_id, spec)
+        as_lists = replace(
+            divisor, components=tuple(tuple(map(list, comps)) for comps in divisor.components)
+        )
+        assert invariants.hodge(config, as_lists) == invariants.hodge(config, divisor), (fam_id, spec)
+
+
 def test_p2xp2_bidegree_divisor_matches_reference_gamma():
     spec = catalog.PartitionSpec(parts=((1, 0), (2, 3)))
     config, divisor = catalog.instantiate("p2xp2", spec)

@@ -250,6 +250,36 @@ def test_rank_nullity_against_oracle(n_rows, n_cols, data):
     assert kernel_dimension(m) + matrix_rank(m) == n_cols
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 7), st.data())
+def test_rank_is_unchanged_by_repeats_zero_rows_order_and_row_types(n_rows, n_cols, data):
+    """Rank runs on distinct nonzero rows; none of these edits may change it."""
+    cell = st.one_of(
+        st.integers(-3, 3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    )
+    rows = data.draw(
+        st.lists(
+            st.lists(cell, min_size=n_cols, max_size=n_cols),
+            min_size=n_rows,
+            max_size=n_rows,
+        )
+    )
+    rank = _oracle_rank(rows)
+    edited = [list(r) for r in rows]
+    for _ in range(data.draw(st.integers(0, 6))):
+        edited.append(list(data.draw(st.sampled_from(rows))))
+    for _ in range(data.draw(st.integers(0, 3))):
+        edited.insert(data.draw(st.integers(0, len(edited))), [0] * n_cols)
+    edited = data.draw(st.permutations(edited))
+    as_lists = data.draw(st.booleans())
+    entries = tuple(list(r) if as_lists else tuple(r) for r in edited)
+    m = RationalMatrix(rows=len(entries), cols=n_cols, entries=entries)
+    assert matrix_rank(m) == rank
+    assert matrix_rank(RationalMatrix.from_rows(edited)) == rank
+    assert kernel_dimension(m) == n_cols - rank
+
+
 def _sparse_integer_rows(rnd, n_rows, n_cols, density, zero_rows=()):
     """Entries in {-2..2}; each cell is non-zero with probability ``density``."""
     return [
