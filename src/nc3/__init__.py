@@ -21,9 +21,9 @@ _EXPORTS = {
         "IntersectionLattice", "RationalMatrix", "adjunction_euler", "kernel_dimension", "pair",
     ),
     "ncconfig": (
-        "ComponentGeometry", "Diagnostic", "DualComplexInfo", "NCConfiguration",
-        "SurfaceGeometry", "TripleCurve", "component_restriction_classes", "dual_complex",
-        "restriction_difference_matrix", "validate",
+        "ComponentGeometry", "Diagnostic", "NCConfiguration", "SurfaceGeometry",
+        "TripleCurve", "component_restriction_classes", "restriction_difference_matrix",
+        "validate",
     ),
     "degeneration": (
         "NormalClassTriple", "collective_normal_class", "is_d_semistable", "triple_sum_check",
@@ -34,12 +34,12 @@ _EXPORTS = {
         "transport_chern",
     ),
     "invariants": (
-        "SmoothingInvariants", "cubic_form_value", "euler_closed", "euler_smoothing",
-        "h11_closed", "h11_kernel", "hodge", "picard_one_pairings", "smoothing_invariants",
+        "SmoothingInvariants", "euler_closed", "euler_smoothing", "h11_closed",
+        "h11_kernel", "hodge", "picard_one_pairings", "smoothing_invariants",
     ),
     "catalog": (
-        "ExpandedConfiguration", "Family", "PartitionSpec", "base_change_expand",
-        "enumerate_partitions", "expected_table", "family_ids", "get_family", "instantiate",
+        "Family", "PartitionSpec", "enumerate_partitions", "expected_table", "family_ids",
+        "get_family", "instantiate",
     ),
 }
 

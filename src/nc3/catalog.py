@@ -38,7 +38,7 @@ import functools
 import itertools
 from typing import Iterator, Sequence
 
-from . import construction, degeneration
+from . import construction
 from ._record import Record
 from .exactlat import (
     IntersectionLattice,
@@ -51,8 +51,6 @@ from .exactlat import (
 )
 from .ncconfig import (
     ComponentGeometry,
-    ConfigError,
-    DualComplexInfo,
     NCConfiguration,
     OTHER_COMPONENTS,
     SURFACE_ADJACENCY,
@@ -166,24 +164,6 @@ class TableRow(Record):
     h11: int
     h12: int
     star: bool
-
-
-class AddedComponent(Record):
-    description: str
-    euler: int
-
-
-class ExpandedConfiguration(Record):
-    """Summary record of a base-changed configuration with >= 4 components."""
-
-    component_count: int
-    added_components: tuple[AddedComponent, ...]
-    dual_complex: DualComplexInfo
-    kn_hypothesis_ok: bool
-
-    def __post_init__(self) -> None:
-        if self.component_count < 4:
-            raise ConfigError("expanded configurations have at least four components")
 
 
 def _fam(
@@ -608,43 +588,3 @@ def expected_table(family: Family | str) -> list[TableRow]:
     rows.sort(key=lambda r: r.partition.parts)
     return rows
 
-
-# ---------------------------------------------------------------------------
-# Base-change expansion to four or more components
-
-
-def base_change_expand(config: NCConfiguration, times: int) -> ExpandedConfiguration:
-    """Blow up the triple curve in the family and base-change, ``times`` times.
-
-    Each round inserts one new component, a P1-bundle over the triple curve
-    (Euler number 2 e(tau)), and adds two triangles to the dual complex.
-    Such a bundle has nonvanishing H^1 of its structure sheaf unless the
-    triple curve is rational, so the cohomological hypothesis behind the
-    smoothing criterion fails for the added components; ``kn_hypothesis_ok``
-    records this, and nothing is asserted about smoothability of the
-    expanded configuration.
-    """
-    if times < 1:
-        raise ConfigError("times must be at least 1")
-    ok, residual = degeneration.is_d_semistable(config)
-    if not ok:
-        from .invariants import NotDSemistable
-
-        raise NotDSemistable(residual)
-    if not config.triple.connected:
-        raise ConfigError("base change needs a connected triple curve")
-    added = tuple(
-        AddedComponent(
-            description="P1-bundle over the triple curve",
-            euler=2 * config.triple.euler,
-        )
-        for _ in range(times)
-    )
-    return ExpandedConfiguration(
-        component_count=3 + times,
-        added_components=added,
-        dual_complex=DualComplexInfo(
-            dimension=2, max_cells=1 + 2 * times, type_label="III"
-        ),
-        kn_hypothesis_ok=config.triple.euler == 2,
-    )

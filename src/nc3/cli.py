@@ -9,18 +9,19 @@ Subcommands:
 * ``catalog``     list families, export configurations and reference tables.
 
 Exit codes: 0 success, 1 validation/verification failure or inadmissible
-input, 2 parse or schema errors.  Payloads go to stdout and are
-deterministic (stable ordering, no timestamps); diagnostics for failures go
-to stderr as single-line JSON.
+input or a closed stdout, 2 parse or schema errors.  Payloads go to stdout
+and are deterministic (stable ordering, no timestamps); diagnostics for
+failures, argument errors included, go to stderr as single-line JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, NoReturn, Sequence
 
 if TYPE_CHECKING:
     from . import catalog, construction, ncconfig
@@ -74,6 +75,17 @@ def _error_record(message: str) -> str:
     return json.dumps({"error": message})
 
 
+class _JsonErrorParser(argparse.ArgumentParser):
+    """Reports an argument error as one JSON line on stderr, exit code 2.
+
+    ``add_subparsers`` builds the subcommand parsers with the same class.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        print(_error_record(message), file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
+
+
 def _parse_partition(text: str) -> catalog.PartitionSpec:
     """Parse ``5``, ``1,4`` or ``(1,0),(2,3)`` into a partition."""
     from . import catalog
@@ -115,6 +127,8 @@ def _resolve_source(
     """Configuration (+ divisor when a catalog partition is given) from flags."""
     if args.family and args.config:
         raise CliError("give either --family or --config, not both", EXIT_PARSE)
+    if getattr(args, "order", None) and not getattr(args, "partition", None):
+        raise CliError("--order needs --partition", EXIT_PARSE)
     if args.config:
         config, provenance = _load_config_file(args.config)
         if getattr(args, "partition", None):
@@ -224,6 +238,8 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     config, divisor, provenance = _resolve_source(args)
     if args.family and divisor is None:
         raise CliError("invariants needs --partition with --family", EXIT_PARSE)
+    if args.config and args.trace:
+        raise CliError("--trace needs --family", EXIT_PARSE)
     record = _base_record("invariants", provenance)
     try:
         record.update(_invariants_record(config, divisor, args.trace))
@@ -447,7 +463,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``nc3`` argument parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _JsonErrorParser(
         prog="nc3",
         description=(
             "exact invariants of smoothed three-component normal crossing "
@@ -522,8 +538,20 @@ LIBRARY_ERRORS = (
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so that the flush at
+        # interpreter exit cannot raise again (the recipe in Python's
+        # ``signal`` docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
+    return code
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         return args.fn(args)
     except CliError as exc:

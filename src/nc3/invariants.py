@@ -32,7 +32,7 @@ from ._record import Record
 # ``kernel_dimension`` stays a module attribute so that bench/tracing.py can
 # wrap it; the rank itself is taken once per configuration, by
 # ``NCConfiguration.kernel_dim``.
-from .exactlat import Vec, kernel_dimension
+from .exactlat import kernel_dimension
 from .ncconfig import MissingData, NCConfiguration
 
 
@@ -249,25 +249,6 @@ class PicardPairings(Record):
 
     h_cubed: int | None
     h_dot_c2: int | None
-    caveats: tuple[str, ...] = ()
-    generator_certified: bool = False
-
-
-def _icbrt(n: int) -> int:
-    """Floor of the cube root of a non-negative integer (Newton on ints)."""
-    if n < 2:
-        return n
-    x = 1 << ((n.bit_length() + 2) // 3)
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            return x
-        x = y
-
-
-def _is_perfect_cube(n: int) -> bool:
-    a = abs(n)
-    return _icbrt(a) ** 3 == a
 
 
 def picard_one_pairings(config: NCConfiguration) -> PicardPairings:
@@ -275,55 +256,12 @@ def picard_one_pairings(config: NCConfiguration) -> PicardPairings:
 
     Requires Chern pairings on all three components; if any are missing the
     fields are omitted rather than raising.  The sums are well-defined
-    regardless of the Picard rank; caveats flag the cases where they are not
-    the rank-one classification data.
+    regardless of the Picard rank; they are the rank-one classification data
+    only when h11 = 1.
     """
     if any(c.chern_numbers is None for c in config.components):
         return PicardPairings(h_cubed=None, h_dot_c2=None)
-    h_cubed = sum(c.chern_numbers[0] for c in config.components)
-    h_dot_c2 = sum(c.chern_numbers[1] - c.chern_numbers[2] for c in config.components)
-    caveats = []
-    ok, _ = degeneration.is_d_semistable(config)
-    if not ok:
-        caveats.append("not d-semistable: pairings describe no smoothing")
-    if config.h2_total is not None and config.h2_total - 2 != 1:
-        caveats.append("not a Picard-one situation")
-    certified = ok and h_cubed > 0 and not _is_perfect_cube(h_cubed)
     return PicardPairings(
-        h_cubed=h_cubed,
-        h_dot_c2=h_dot_c2,
-        caveats=tuple(caveats),
-        generator_certified=certified,
+        h_cubed=sum(c.chern_numbers[0] for c in config.components),
+        h_dot_c2=sum(c.chern_numbers[1] - c.chern_numbers[2] for c in config.components),
     )
-
-
-CubicTensor = tuple[tuple[tuple[int, ...], ...], ...]
-
-
-def cubic_form_value(
-    classes: tuple[Vec, Vec, Vec],
-    tensors: tuple[CubicTensor, CubicTensor, CubicTensor],
-) -> int:
-    """Cup cube of a collective class: per-component tensor contraction.
-
-    Mixed terms between components are zero by definition of the inherited
-    product, so the value is the sum of the three diagonal contractions.
-    """
-    total = 0
-    for v, t in zip(classes, tensors):
-        n = len(v)
-        if len(t) != n or any(len(p) != n for p in t) or any(
-            len(row) != n for p in t for row in p
-        ):
-            raise MissingData(
-                f"cubic tensor of shape incompatible with class length {n}"
-            )
-        for a in range(n):
-            if v[a] == 0:
-                continue
-            for b in range(n):
-                if v[b] == 0:
-                    continue
-                for c in range(n):
-                    total += t[a][b][c] * v[a] * v[b] * v[c]
-    return total

@@ -182,22 +182,6 @@ class TripleCurve(Record):
     connected: bool
 
 
-class DualComplexInfo(Record):
-    """Shape of the dual complex and the resulting degeneration type."""
-
-    dimension: int
-    max_cells: int
-    type_label: str
-
-    _ROMAN = {0: "I", 1: "II", 2: "III"}
-
-    def __post_init__(self) -> None:
-        if self._ROMAN.get(self.dimension) != self.type_label:
-            raise ConfigError(
-                f"type label {self.type_label!r} does not encode dimension {self.dimension}"
-            )
-
-
 class NCConfiguration(Record):
     components: tuple[ComponentGeometry, ComponentGeometry, ComponentGeometry]
     surfaces: tuple[SurfaceGeometry, SurfaceGeometry, SurfaceGeometry]
@@ -570,21 +554,6 @@ def component_restriction_classes(config: NCConfiguration) -> tuple[Vec, Vec]:
         ),
     )
     return e1, e2
-
-
-def dual_complex(config: Any) -> DualComplexInfo:
-    """Dual complex: one triangle for three components.
-
-    Summary records produced by base change carry their own dual complex,
-    which is returned as is; anything else must be a three-component
-    configuration.
-    """
-    info = getattr(config, "dual_complex", None)
-    if isinstance(info, DualComplexInfo):
-        return info
-    if not isinstance(config, NCConfiguration):
-        raise ConfigError("dual_complex expects a configuration or an expanded record")
-    return DualComplexInfo(dimension=2, max_cells=1, type_label="III")
 
 
 # ---------------------------------------------------------------------------

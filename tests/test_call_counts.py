@@ -7,7 +7,7 @@ calls, so the counts are the same on every machine.
 import collections
 import functools
 
-from nc3 import catalog, cli, construction, exactlat, invariants, ncconfig
+from nc3 import catalog, cli, construction, degeneration, exactlat, invariants, ncconfig
 from tests.conftest import all_catalog_cases, d21_all_ones_row
 
 
@@ -46,6 +46,24 @@ def test_invariants_family_route_blows_up_once(monkeypatch, capsys):
     assert "trace:" in capsys.readouterr().out
     assert counts["sequential_blowup"] == 1
     assert counts["check_collective_divisor"] == 1
+
+
+def test_collective_normal_class_passes_per_hodge_and_per_invariants_call(monkeypatch, capsys):
+    """Per row, the divisor check and the triple-point sum each take one pass;
+    the Chern pairings take none."""
+    counts = collections.Counter()
+    count_calls(monkeypatch, counts, degeneration, "collective_normal_class")
+    cases = all_catalog_cases()
+    for fam_id, spec in cases:
+        invariants.hodge(*catalog.instantiate(fam_id, spec))
+    assert len(cases) == 63
+    assert counts["collective_normal_class"] == 126
+    counts.clear()
+    assert cli.main(["invariants", "--family", "quintic", "--partition", "1,4"]) == 0
+    capsys.readouterr()
+    # The input's residual, the blow-up's residual, the divisor check and
+    # the triple-point sum.
+    assert counts["collective_normal_class"] == 4
 
 
 def test_hodge_checks_shapes_once_and_ranks_once(monkeypatch):

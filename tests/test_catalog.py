@@ -5,12 +5,9 @@ from fractions import Fraction
 import pytest
 
 from nc3 import catalog, construction, invariants, ncconfig
-from nc3._record import replace
 from nc3.catalog import (
-    ExpandedConfiguration,
     PartitionSpec,
     PartitionError,
-    base_change_expand,
     enumerate_partitions,
     expected_table,
     family_ids,
@@ -272,53 +269,6 @@ def test_table_inversion_rejects_the_alternative_ambient_reading():
 
 
 # ---------------------------------------------------------------------------
-# base-change expansion
-
-
-def test_base_change_expansion_of_blown_up_quintic(quintic5_blown):
-    config_tilde, _ = quintic5_blown
-    expanded = base_change_expand(config_tilde, times=1)
-    assert expanded.component_count == 4
-    assert [a.euler for a in expanded.added_components] == [0]
-    assert expanded.dual_complex.max_cells == 3
-    assert expanded.dual_complex.type_label == "III"
-    assert not expanded.kn_hypothesis_ok
-
-
-def test_base_change_expansion_twice(quintic5_blown):
-    config_tilde, _ = quintic5_blown
-    expanded = base_change_expand(config_tilde, times=2)
-    assert expanded.component_count == 5
-    assert expanded.dual_complex.max_cells == 5
-
-
-def test_base_change_requires_semistability(quintic5):
-    config, _ = quintic5
-    with pytest.raises(invariants.NotDSemistable):
-        base_change_expand(config, times=1)
-
-
-def test_base_change_rational_triple_curve_flag(quintic5_blown):
-    config_tilde, _ = quintic5_blown
-    hypothetical = replace(
-        config_tilde, triple=ncconfig.TripleCurve(euler=2, connected=True)
-    )
-    expanded = base_change_expand(hypothetical, times=1)
-    assert expanded.kn_hypothesis_ok
-    assert [a.euler for a in expanded.added_components] == [4]
-
-
-def test_expanded_configuration_needs_four_components():
-    with pytest.raises(ncconfig.ConfigError):
-        ExpandedConfiguration(
-            component_count=3,
-            added_components=(),
-            dual_complex=ncconfig.DualComplexInfo(2, 1, "III"),
-            kn_hypothesis_ok=False,
-        )
-
-
-# ---------------------------------------------------------------------------
 # export
 
 
@@ -334,14 +284,3 @@ def test_catalog_export_round_trips():
             == ncconfig.restriction_difference_matrix(config).entries
         )
 
-
-def test_dual_complex_of_expanded_record(quintic5_blown):
-    config_tilde, _ = quintic5_blown
-    expanded = base_change_expand(config_tilde, times=1)
-    info = ncconfig.dual_complex(expanded)
-    assert (info.dimension, info.max_cells, info.type_label) == (2, 3, "III")
-
-
-def test_dual_complex_rejects_other_inputs():
-    with pytest.raises(ncconfig.ConfigError):
-        ncconfig.dual_complex(42)

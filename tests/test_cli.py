@@ -1,14 +1,21 @@
 import csv
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from nc3 import catalog
 from nc3.cli import main
 
-SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "schemas"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCHEMA_DIR = ROOT / "schemas"
 OUTPUT_SCHEMA = json.loads((SCHEMA_DIR / "output.schema.json").read_text())
 CONFIG_SCHEMA = json.loads((SCHEMA_DIR / "ncconfig.schema.json").read_text())
 
@@ -542,3 +549,110 @@ def test_check_and_invariants_outputs_byte_identical(capsys):
         rc2, out2, _ = run(capsys, *argv)
         assert rc1 == rc2 == 0
         assert out1 == out2
+
+
+@pytest.fixture(scope="module")
+def blown_up_export(tmp_path_factory):
+    """The blown-up quintic (1,4) configuration, exported to a file."""
+    from nc3 import construction, ncconfig
+
+    config, divisor = catalog.instantiate("quintic", catalog.PartitionSpec(parts=((1,), (4,))))
+    path = tmp_path_factory.mktemp("export") / "quintic-1-4.json"
+    path.write_text(ncconfig.config_to_json(construction.sequential_blowup(config, divisor)[0]))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["table"],
+        ["table", "--family", "quintic", "--format", "xml"],
+        ["invariants", "--family", "quintic", "--partition", "-1,6"],
+    ],
+)
+def test_argument_errors_are_one_json_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    [line] = captured.err.splitlines()
+    assert set(json.loads(line)) == {"error"}
+
+
+def test_help_goes_to_stdout(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "-h"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.err) == (0, "")
+    assert captured.out.startswith("usage: nc3 table")
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [(["--trace"], "--trace needs --family"), (["--order", "1,4"], "--order needs --partition")],
+)
+def test_invariants_config_refuses_family_only_flags(capsys, blown_up_export, flags, message):
+    rc, out, err = run(capsys, "invariants", "--config", blown_up_export, *flags)
+    assert (rc, out, err) == (2, "", json.dumps({"error": message}) + "\n")
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nc3.cli", "verify"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+_FAMILIES = catalog.family_ids()
+_PARTITION_TEXT = st.one_of(
+    st.sampled_from(["5", "1,4", "2,3", "1,1,3", "0,5", "-1,6", "1,,4", " 1 , 4 ", "(1,0),(0,1)",
+                     "(1,1),(1,1),(1,1)", "(1,4", "--trace", "-", ""]),
+    st.text(alphabet="0123456789-,() x", max_size=12),
+)
+_FLAG_WITH_VALUE = st.tuples(
+    st.sampled_from(["--family", "--config", "--partition", "--order", "--format"]),
+    st.one_of(st.sampled_from(_FAMILIES + ("nope", "json", "csv", "text", "xml")), _PARTITION_TEXT),
+).map(list)
+_BARE = st.sampled_from(["--trace", "--after-blowup", "--expected", "list", "export", "--bogus"]).map(
+    lambda flag: [flag]
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    sub=st.sampled_from(["check", "invariants", "table", "verify", "catalog", "bogus"]),
+    family=st.sampled_from(_FAMILIES),
+    chunks=st.lists(st.one_of(_FLAG_WITH_VALUE, _BARE), max_size=5),
+    use_export=st.booleans(),
+)
+def test_argv_fuzz_exits_0_1_or_2_with_at_most_one_json_error_line(
+    capsys, blown_up_export, sub, family, chunks, use_export
+):
+    # verify names one family first, so that no draw verifies all of them.
+    argv = [sub] + (["--family", family] if sub == "verify" else [])
+    for chunk in chunks:
+        if use_export and chunk[0] == "--config":
+            chunk = ["--config", blown_up_export]
+        argv += chunk
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (argv, code, err)
+    lines = err.splitlines()
+    assert len(lines) <= 1, (argv, err)
+    for line in lines:
+        assert set(json.loads(line)) == {"error"}, (argv, line)

@@ -9,7 +9,6 @@ from nc3.invariants import (
     NotDSemistable,
     PathDisagreement,
     SmoothingInvariants,
-    cubic_form_value,
     euler_closed,
     euler_smoothing,
     h11_closed,
@@ -258,17 +257,12 @@ def test_picard_pairings_blown_up_quintic(quintic5_blown):
     config_tilde, _ = quintic5_blown
     p = picard_one_pairings(config_tilde)
     assert (p.h_cubed, p.h_dot_c2) == (5, 50)
-    assert p.caveats == ()
-    # 5 is positive and not a perfect cube
-    assert p.generator_certified
 
 
 def test_picard_pairings_pre_blowup_caveat(quintic5):
     config, _ = quintic5
     p = picard_one_pairings(config)
     assert (p.h_cubed, p.h_dot_c2) == (5, -20)
-    assert any("not d-semistable" in c for c in p.caveats)
-    assert not p.generator_certified
 
 
 def test_picard_pairings_rank_caveat():
@@ -282,7 +276,6 @@ def test_picard_pairings_rank_caveat():
     config_tilde, _ = construction.sequential_blowup(cooked, divisor)
     p = picard_one_pairings(config_tilde)
     assert p.h_cubed == 3
-    assert any("Picard-one" in c for c in p.caveats)
 
 
 def test_picard_pairings_omitted_without_chern_data():
@@ -292,66 +285,6 @@ def test_picard_pairings_omitted_without_chern_data():
     assert p.h_cubed is None and p.h_dot_c2 is None
     inv = hodge(config, divisor)
     assert inv.h_cubed is None and "h_cubed" not in inv.as_dict()
-
-
-# ---------------------------------------------------------------------------
-# cubic_form_value
-
-
-def _rank1(d):
-    return (((d,),),)
-
-
-def test_cubic_form_quintic_distinguished_class():
-    value = cubic_form_value(
-        ((1,), (1,), (1,)), (_rank1(1), _rank1(1), _rank1(3))
-    )
-    assert value == 5
-
-
-def test_cubic_form_zero_tensors():
-    value = cubic_form_value(((4,), (-2,), (7,)), (_rank1(0), _rank1(0), _rank1(0)))
-    assert value == 0
-
-
-def test_cubic_form_determinism_fixture():
-    value = cubic_form_value(
-        ((-2,), (1,), (1,)), (_rank1(1), _rank1(1), _rank1(3))
-    )
-    assert value == -4
-
-
-def test_cubic_form_rank2_mixed_terms_zero():
-    # tensor of (P2 x P2)-type: t[a][b][c] counts (h1+h2)-monomials
-    t = (
-        ((0, 0), (0, 1)),
-        ((0, 1), (1, 0)),
-    )
-    value = cubic_form_value(
-        ((1, 1), (0, 0), (0, 0)),
-        ((t, t) if False else t, t, t),
-    )
-    # (1,1)^3 against t: sum over all (a,b,c): t111=0? expand by hand:
-    # entries with one h1, two h2 or two h1, one h2 contribute 1 each
-    assert value == sum(
-        t[a][b][c] for a in range(2) for b in range(2) for c in range(2)
-    )
-
-
-def test_cubic_form_shape_mismatch():
-    with pytest.raises(ncconfig.MissingData):
-        cubic_form_value(((1, 1), (1,), (1,)), (_rank1(1), _rank1(1), _rank1(3)))
-
-
-def test_perfect_cube_detection_exact_on_big_integers():
-    from nc3.invariants import _is_perfect_cube
-
-    n = 10**60 + 3
-    assert _is_perfect_cube(n**3)
-    assert not _is_perfect_cube(n**3 + 1)
-    assert not _is_perfect_cube(n**3 - 1)
-    assert _is_perfect_cube(0) and _is_perfect_cube(1) and _is_perfect_cube(-8)
-    assert not _is_perfect_cube(5)
 
 
 def test_h11_closed_from_kernel_when_h2_not_declared(quintic5):

@@ -10,13 +10,11 @@ from nc3._record import replace
 from nc3.exactlat import kernel_dimension, mat_vec
 from nc3.ncconfig import (
     Diagnostic,
-    DualComplexInfo,
     SchemaError,
     component_restriction_classes,
     config_from_json,
     config_to_dict,
     config_to_json,
-    dual_complex,
     dumps,
     restriction_difference_matrix,
     validate,
@@ -239,21 +237,6 @@ def test_missing_boundary_coordinates_raise(quintic5):
     )
     with pytest.raises(ncconfig.InsufficientBasis):
         component_restriction_classes(stripped)
-
-
-# ---------------------------------------------------------------------------
-# dual complex
-
-
-def test_dual_complex_of_three_components(quintic5):
-    config, _ = quintic5
-    info = dual_complex(config)
-    assert (info.dimension, info.max_cells, info.type_label) == (2, 1, "III")
-
-
-def test_dual_complex_roman_numeral_invariant():
-    with pytest.raises(ncconfig.ConfigError):
-        DualComplexInfo(dimension=2, max_cells=1, type_label="II")
 
 
 # ---------------------------------------------------------------------------

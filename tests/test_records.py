@@ -35,7 +35,6 @@ def _sample_pairs():
         construction.AmpleMarginProblem(table=((-1,),)),
         construction.AmpleMarginProblem(table=((-1, 1), (0, -1))),
     )
-    expanded = (catalog.base_change_expand(t5, 1), catalog.base_change_expand(t5, 2))
     rows = catalog.expected_table(quintic)
     return [
         (quintic.components[0], p2.components[0]),
@@ -43,8 +42,6 @@ def _sample_pairs():
         (quintic, p2),
         (quintic_partition(5), quintic_partition(1, 4)),
         (rows[0], rows[1]),
-        (expanded[0].added_components[0], catalog.AddedComponent("P1-bundle", 2)),
-        expanded,
         (c5.surfaces[2].lattice, t5.surfaces[2].lattice),
         (exactlat.RationalMatrix.from_rows([[1, 2]]), exactlat.RationalMatrix.from_rows([[1, 3]])),
         (degeneration.collective_normal_class(c5), degeneration.collective_normal_class(t5)),
@@ -53,7 +50,6 @@ def _sample_pairs():
         (t5.components[0], t14.components[0]),
         (t5.surfaces[2], t14.surfaces[2]),
         (ncconfig.TripleCurve(0, True), ncconfig.TripleCurve(euler=2, connected=True)),
-        (ncconfig.dual_complex(c5), expanded[0].dual_complex),
         (c5, t5),
         (d5, d14),
         (trace14.steps[0], trace14.steps[1]),
@@ -71,7 +67,7 @@ IDS = [type(a).__name__ for a, _ in PAIRS]
 
 def test_every_record_class_is_sampled():
     classes = set(_record_classes())
-    assert len(classes) == 24
+    assert len(classes) == 21
     assert {type(a) for a, _ in PAIRS} == classes
     assert all(type(a) is type(b) for a, b in PAIRS)
 
@@ -141,19 +137,16 @@ def _invalid_changes():
     """(record, changes that break its __post_init__, expected exception)."""
     c5, d5 = catalog.instantiate("quintic", quintic_partition(5))
     inv = invariants.hodge(c5, d5)
-    expanded = catalog.base_change_expand(construction.sequential_blowup(c5, d5)[0], 1)
     return [
         (exactlat.make_lattice([[3]]), {"rank": 2}, exactlat.DimensionMismatch),
         (exactlat.RationalMatrix.from_rows([[1, 2]]), {"cols": 3}, exactlat.DimensionMismatch),
         (c5.components[0], {"h2_rank": 0}, ncconfig.ConfigError),
         (c5.surfaces[0], {"canonical": (1, 1)}, ncconfig.ConfigError),
-        (expanded.dual_complex, {"type_label": "II"}, ncconfig.ConfigError),
         (c5, {"surfaces": c5.surfaces[:2]}, ncconfig.ConfigError),
         (d5, {"alpha": 2}, ValueError),
         (construction.AmpleMarginProblem(((-1,),)), {"table": ((0,),)}, construction.AmpleMarginError),
         (inv, {"h12": inv.h12 + 1}, invariants.PathDisagreement),
         (quintic_partition(5), {"parts": ()}, catalog.PartitionError),
-        (expanded, {"component_count": 3}, ncconfig.ConfigError),
     ]
 
 

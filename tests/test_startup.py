@@ -74,3 +74,11 @@ def test_check_config_loads_neither_catalog_nor_construction(tmp_path):
     assert json.loads("\n".join(lines))["source"]["path"] == str(path)
     assert "nc3.ncconfig" in added
     assert "nc3.catalog" not in added and "nc3.construction" not in added
+
+
+def test_every_public_name_resolves():
+    """``__all__`` and ``dir(nc3)`` list only names that the lazy lookup finds."""
+    import nc3
+
+    assert [name for name in nc3.__all__ if not hasattr(nc3, name)] == []
+    assert [name for name in dir(nc3) if not hasattr(nc3, name)] == []
