@@ -10,7 +10,9 @@ number) changes its digest.  A deliberate format change must update the
 digests in the same change and say so.
 """
 
+import copy
 import hashlib
+import json
 
 import pytest
 
@@ -140,3 +142,182 @@ def test_blowup_export_bytes(fam_id, parts, order, digest):
     config_tilde, _ = construction.sequential_blowup(config, divisor)
     text = ncconfig.config_to_json(config_tilde)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+# Refusals.  Each mutation of the blown-up quintic (1,4) export below makes
+# `validate` report one kind of finding (the last one several, across
+# surfaces and clauses, to pin their order).  The digests cover stdout,
+# stderr and the exit code of `check --config` and `invariants --config`.
+def _set(obj, **values):
+    obj.update(values)
+
+
+REFUSAL_MUTATIONS = {
+    "disconnected-triple-curve": lambda d: _set(d["triple"], connected=False),
+    "odd-triple-euler": lambda d: _set(d["triple"], euler=1),
+    "ample-mismatch": lambda d: _set(d["components"][0], ample=[2, 0, 0, 0, 0]),
+    "canonical-not-minus-tau": lambda d: _set(d["surfaces"][0], canonical=[-3]),
+    "parity": lambda d: _set(d["surfaces"][0], canonical=[-2]),
+    "h2-total-error": lambda d: _set(d, h2_total=6),
+    "h2-total-note": lambda d: _set(d, lattice_is_full=False),
+    "coherence-self-class": lambda d: _set(d["surfaces"][0], boundary_self=[[-1], [1]]),
+    "coherence-triple-class": lambda d: _set(d["surfaces"][1], tau_class=[2], canonical=[-2]),
+    "several": lambda d: (
+        _set(d["triple"], connected=False),
+        _set(d["surfaces"][0], canonical=[-3]),
+        _set(d["surfaces"][1], canonical=[-2]),
+    ),
+}
+
+REFUSAL_DIGESTS = {
+    "disconnected-triple-curve": (
+        "e675c5ea3b1d51187851a4880a3f4d5ec47e831e15f10b568ccaf7e76d10ab82",
+        "463c6b55b08abe135562a03b3a4c8de59455be93fa34c3d4245483c24594cb76",
+    ),
+    "odd-triple-euler": (
+        "e255075129d52a45e82e59b81c1e187927ddb47683e7fc7a9d6744be1106957a",
+        "f4c3ce14295ea47aca13da56895a15b24d0781110f2d03445b8964a8d6d09e9a",
+    ),
+    "ample-mismatch": (
+        "d2993f66b7fca9ddd291884b13ec6b445c745454a8236794544453f388f162d5",
+        "2b5967138885b33b7f4a57253711c72e8dd2896e8a980ea8e7ae891220dd3c29",
+    ),
+    "canonical-not-minus-tau": (
+        "5210b957ef2959acb1edd022161b03ba611f1a5318fe0a6e49b0f47d8f77ec37",
+        "7203de69201c89e93a3f68a6e36f16d9c564bd1a12e5893bfa9ac3c5955956f9",
+    ),
+    "parity": (
+        "f279d5922a2b840c37f925012a2f0e8a366ffc8bd1e23ec990d71d4a84074880",
+        "36d4309bce998636dda9793c68281e594500dd0b82f97e2f26a479daad6da98e",
+    ),
+    "h2-total-error": (
+        "f762e710151696048acb19592e9f99691925d1abb53a59d9694a1d68b6de222d",
+        "09420cc27df79759c452c287e704ac71a75bdeb15d678aba195032aa76075aba",
+    ),
+    "h2-total-note": (
+        "d9eb0f5d1d66ee1c3538a706fc72ced07abe9d62186d10d7230cfdc28db14075",
+        "1711d7eb5c3303a95ccdde5830d66d8d8411642850df8ffb9ab8a6ab4e01afc0",
+    ),
+    "coherence-self-class": (
+        "7c4c715d7788cf66ba47c73967ef4af66b5f17b0493e4b72e73fa220c8ac53c6",
+        "165a428801164650dcaf4991a27ad8064c91960c97d5df9cccaa59f19f4ccdc5",
+    ),
+    "coherence-triple-class": (
+        "f3c629f64ac3afa0a74d699195df41ef90bda0ef319e714e0266e5ddee5d3d48",
+        "742e089718c7acbf767c5a45df16f1be6f32933491d8cead08cc4edbda894cd5",
+    ),
+    "several": (
+        "f12d52597ea58dbc88410215a62d0a6d5967873831f82a6c93cf2197719d97cc",
+        "928310ba96cd9a770c27a46fa3ebd4967fa85a5409e367a6e0331314c3463798",
+    ),
+}
+
+
+def refusal_digest(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    text = f"{code}\0{captured.out}\0{captured.err}"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def quintic_1_4_blown_up_dict():
+    config, divisor = catalog.instantiate("quintic", catalog.PartitionSpec(parts=((1,), (4,))))
+    return ncconfig.config_to_dict(construction.sequential_blowup(config, divisor)[0])
+
+
+@pytest.mark.parametrize("name", list(REFUSAL_MUTATIONS))
+def test_validation_refusal_bytes(capsys, monkeypatch, tmp_path, quintic_1_4_blown_up_dict, name):
+    data = copy.deepcopy(quintic_1_4_blown_up_dict)
+    REFUSAL_MUTATIONS[name](data)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "broken.json").write_text(json.dumps(data), encoding="utf-8")
+    digests = tuple(
+        refusal_digest(capsys, command, "--config", "broken.json", "--format", "json")
+        if command == "invariants"
+        else refusal_digest(capsys, command, "--config", "broken.json")
+        for command in ("check", "invariants")
+    )
+    assert digests == REFUSAL_DIGESTS[name]
+
+
+def test_collective_divisor_findings():
+    """CD(a)-(d) on one divisor, and CD(shape) on another."""
+    raw, _ = catalog.instantiate("quintic", catalog.PartitionSpec(parts=((5,),)))
+    # A canonical class of the wrong parity on D1 makes its curves fail (d).
+    d1 = replace(raw.surfaces[0], canonical=(-2,))
+    config = replace(raw, surfaces=(d1, *raw.surfaces[1:]))
+    divisor = construction.CollectiveDivisor(
+        alpha=2,
+        components=(((1,), (3,)), ((2,), (3,)), ((2,), (3,))),
+        tau_multiplicities=(6, 9),
+        g_witness_present=False,
+    )
+    assert [d.as_dict() for d in construction.check_collective_divisor(config, divisor)] == [
+        {
+            "clause": "CD(a)",
+            "severity": "error",
+            "target": "D1",
+            "message": "curve classes on D1 sum to (4,), but the collective normal class there is (5,)",
+        },
+        {
+            "clause": "CD(b)",
+            "severity": "error",
+            "target": "D1",
+            "message": "curve 1 on D1 meets the triple curve in 3 points, declared multiplicity is 6",
+        },
+        {
+            "clause": "CD(c)",
+            "severity": "warning",
+            "target": "divisor",
+            "message": "no projectivity witnesses attested; the blown-up variety may not be projective",
+        },
+        {
+            "clause": "CD(d)",
+            "severity": "error",
+            "target": "D1",
+            "message": "curve 1 on D1 has odd adjunction sum -3; no smooth curve carries this class",
+        },
+        {
+            "clause": "CD(d)",
+            "severity": "error",
+            "target": "D1",
+            "message": "curve 2 on D1 has odd adjunction sum 9; no smooth curve carries this class",
+        },
+    ]
+    divisor = construction.CollectiveDivisor(
+        alpha=1, components=(((5,),), ((5, 0),), ((5,),)), tau_multiplicities=(15,)
+    )
+    assert [d.as_dict() for d in construction.check_collective_divisor(raw, divisor)] == [
+        {
+            "clause": "CD(shape)",
+            "severity": "error",
+            "target": "D2",
+            "message": "curve classes on D2 must have length 1",
+        },
+    ]
+
+
+UNKNOWN_FAMILY_LINE = json.dumps(
+    {
+        "error": "unknown family 'nope'; known: cubic4fold-111, gr25-section, p2xp2, "
+        "quadric4fold-112, quintic, three-p3-quadric, two-quadrics-p6"
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "--family", "nope"),
+        ("verify", "--family", "nope"),
+        ("catalog", "export", "--family", "nope"),
+        ("check", "--family", "nope"),
+        ("invariants", "--family", "nope", "--partition", "5"),
+    ],
+    ids=["table", "verify", "catalog-export", "check", "invariants"],
+)
+def test_unknown_family_refusal(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", UNKNOWN_FAMILY_LINE + "\n")
