@@ -47,7 +47,7 @@ def _emit(payload: dict[str, Any], args: argparse.Namespace) -> None:
 
 
 def _emit_text(text: str, args: argparse.Namespace) -> None:
-    out = getattr(args, "out", None)
+    out = args.out
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
@@ -127,44 +127,36 @@ def _resolve_source(
     """Configuration (+ divisor when a catalog partition is given) from flags."""
     if args.family and args.config:
         raise CliError("give either --family or --config, not both", EXIT_PARSE)
-    if getattr(args, "order", None) and not getattr(args, "partition", None):
+    if args.order and not args.partition:
         raise CliError("--order needs --partition", EXIT_PARSE)
     if args.config:
         config, provenance = _load_config_file(args.config)
-        if getattr(args, "partition", None):
+        if args.partition:
             raise CliError("--partition needs --family", EXIT_PARSE)
         return config, None, provenance
     if not args.family:
         raise CliError("one of --family or --config is required", EXIT_PARSE)
     from . import catalog
-    try:
-        fam = catalog.get_family(args.family)
-    except catalog.UnknownFamily as exc:
-        raise CliError(str(exc), EXIT_PARSE)
+    fam = catalog.get_family(args.family)
     provenance = {"catalog": fam.id}
-    partition_text = getattr(args, "partition", None)
-    if not partition_text:
+    if not args.partition:
         # Degree-one placeholder not meaningful: check-style commands on raw
         # family configurations use the trivial instantiation below.
         spec = catalog.PartitionSpec(parts=(fam.total_degree,))
         config, divisor = catalog.instantiate(fam, spec)
         return config, None, provenance
-    spec = _parse_partition(partition_text).canonical()
-    order_text = getattr(args, "order", None)
-    if order_text:
-        ordered = _parse_partition(order_text)
+    spec = _parse_partition(args.partition).canonical()
+    if args.order:
+        ordered = _parse_partition(args.order)
         if ordered.canonical().parts != spec.parts:
             raise CliError(
-                f"--order {order_text!r} is not an ordering of partition "
+                f"--order {args.order!r} is not an ordering of partition "
                 f"{spec.display()}",
                 EXIT_PARSE,
             )
         spec = ordered
-    try:
-        config, divisor = catalog.instantiate(fam, spec)
-    except catalog.PartitionError as exc:
-        # the text parsed but the partition is inadmissible for this family
-        raise CliError(str(exc), EXIT_FAIL)
+    # a partition that parsed but is inadmissible here is a PartitionError: exit 1
+    config, divisor = catalog.instantiate(fam, spec)
     provenance["partition"] = spec.cli_form()
     return config, divisor, provenance
 
@@ -325,10 +317,7 @@ def _family_rows(fam: catalog.Family) -> list[dict[str, Any]]:
 
 def cmd_table(args: argparse.Namespace) -> int:
     from . import catalog
-    try:
-        fam = catalog.get_family(args.family)
-    except catalog.UnknownFamily as exc:
-        raise CliError(str(exc), EXIT_PARSE)
+    fam = catalog.get_family(args.family)
     rows = _family_rows(fam)
     if args.format == "json":
         _emit(
@@ -398,13 +387,8 @@ def verify_family(fam: catalog.Family) -> tuple[int, int, list[dict[str, Any]]]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import catalog
-    if args.family == "all":
-        fams = [catalog.get_family(f) for f in catalog.family_ids()]
-    else:
-        try:
-            fams = [catalog.get_family(args.family)]
-        except catalog.UnknownFamily as exc:
-            raise CliError(str(exc), EXIT_PARSE)
+    ids = catalog.family_ids() if args.family == "all" else (args.family,)
+    fams = [catalog.get_family(f) for f in ids]
     matched = total = 0
     all_mismatches: list[dict[str, Any]] = []
     for fam in fams:
@@ -438,10 +422,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     # export
     if not args.family:
         raise CliError("catalog export needs --family", EXIT_PARSE)
-    try:
-        fam = catalog.get_family(args.family)
-    except catalog.UnknownFamily as exc:
-        raise CliError(str(exc), EXIT_PARSE)
+    fam = catalog.get_family(args.family)
     if args.expected:
         rows = catalog.expected_table(fam)
         _emit_csv(
@@ -472,15 +453,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_source(p: argparse.ArgumentParser, with_partition: bool = True) -> None:
+    def add_source(p: argparse.ArgumentParser) -> None:
         p.add_argument("--family", help="catalog family id")
         p.add_argument("--config", help="path to an ncconfig/1 JSON file")
-        if with_partition:
-            p.add_argument("--partition", help="e.g. 5 or 1,4 or (1,0),(2,3)")
-            p.add_argument(
-                "--order",
-                help="ordering of the partition parts for the blow-up trace",
-            )
+        p.add_argument("--partition", help="e.g. 5 or 1,4 or (1,0),(2,3)")
+        p.add_argument(
+            "--order",
+            help="ordering of the partition parts for the blow-up trace",
+        )
         p.add_argument("--out", help="write the payload to a file")
 
     p_check = sub.add_parser("check", help="validate and report d-semistability")
@@ -530,6 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 LIBRARY_ERRORS = (
     ("nc3.ncconfig", "SchemaError", EXIT_PARSE),
     ("nc3.ncconfig", "ConfigError", EXIT_FAIL),
+    ("nc3.catalog", "UnknownFamily", EXIT_PARSE),
     ("nc3.catalog", "PartitionError", EXIT_FAIL),
     ("nc3.construction", "AdmissibilityError", EXIT_FAIL),
     ("nc3.invariants", "NotDSemistable", EXIT_FAIL),
@@ -560,8 +541,7 @@ def _run(args: argparse.Namespace) -> int:
     except Exception as exc:
         for module, name, code in LIBRARY_ERRORS:
             if isinstance(exc, getattr(sys.modules.get(module), name, ())):
-                prefix = "schema error: " if code == EXIT_PARSE else ""
-                print(_error_record(prefix + str(exc)), file=sys.stderr)
+                print(_error_record(str(exc)), file=sys.stderr)
                 return code
         raise
 

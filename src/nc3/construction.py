@@ -53,7 +53,6 @@ from .exactlat import (
     vec_sum,
 )
 from .ncconfig import (
-    SEVERITY_ERROR,
     SEVERITY_WARNING,
     ComponentGeometry,
     Diagnostic,
@@ -131,6 +130,15 @@ class BlowupTrace(Record):
         }
 
 
+# The CD(c) finding: projectivity is attested, never computed.
+_NO_WITNESS_WARNING = Diagnostic(
+    "CD(c)",
+    SEVERITY_WARNING,
+    "divisor",
+    "no projectivity witnesses attested; the blown-up variety may not be projective",
+)
+
+
 def check_collective_divisor(
     config: NCConfiguration, divisor: CollectiveDivisor
 ) -> list[Diagnostic]:
@@ -155,25 +163,21 @@ def check_collective_divisor(
         bad_len = [c for c in classes if len(c) != surf.lattice.rank]
         if bad_len:
             diags.append(
-                Diagnostic(
-                    clause="CD(shape)",
-                    severity=SEVERITY_ERROR,
-                    target=surf.name,
-                    message=f"curve classes on {surf.name} must have length {surf.lattice.rank}",
+                Diagnostic.error(
+                    "CD(shape)",
+                    surf.name,
+                    f"curve classes on {surf.name} must have length {surf.lattice.rank}",
                 )
             )
             continue
         total = vec_sum(classes, surf.lattice.rank)
         if total != normal.classes[i]:
             diags.append(
-                Diagnostic(
-                    clause="CD(a)",
-                    severity=SEVERITY_ERROR,
-                    target=surf.name,
-                    message=(
-                        f"curve classes on {surf.name} sum to {total}, but the "
-                        f"collective normal class there is {normal.classes[i]}"
-                    ),
+                Diagnostic.error(
+                    "CD(a)",
+                    surf.name,
+                    f"curve classes on {surf.name} sum to {total}, but the "
+                    f"collective normal class there is {normal.classes[i]}",
                 )
             )
         numbers: dict[Vec, tuple[int, int]] = {}
@@ -187,38 +191,25 @@ def check_collective_divisor(
             m, s = numbers[key]
             if m != divisor.tau_multiplicities[l]:
                 diags.append(
-                    Diagnostic(
-                        clause="CD(b)",
-                        severity=SEVERITY_ERROR,
-                        target=surf.name,
-                        message=(
-                            f"curve {l + 1} on {surf.name} meets the triple curve in "
-                            f"{m} points, declared multiplicity is "
-                            f"{divisor.tau_multiplicities[l]}"
-                        ),
+                    Diagnostic.error(
+                        "CD(b)",
+                        surf.name,
+                        f"curve {l + 1} on {surf.name} meets the triple curve in "
+                        f"{m} points, declared multiplicity is "
+                        f"{divisor.tau_multiplicities[l]}",
                     )
                 )
             if s % 2 != 0:
                 diags.append(
-                    Diagnostic(
-                        clause="CD(d)",
-                        severity=SEVERITY_ERROR,
-                        target=surf.name,
-                        message=(
-                            f"curve {l + 1} on {surf.name} has odd adjunction sum {s}; "
-                            f"no smooth curve carries this class"
-                        ),
+                    Diagnostic.error(
+                        "CD(d)",
+                        surf.name,
+                        f"curve {l + 1} on {surf.name} has odd adjunction sum {s}; "
+                        f"no smooth curve carries this class",
                     )
                 )
     if not divisor.g_witness_present:
-        diags.append(
-            Diagnostic(
-                clause="CD(c)",
-                severity=SEVERITY_WARNING,
-                target="divisor",
-                message="no projectivity witnesses attested; the blown-up variety may not be projective",
-            )
-        )
+        diags.append(_NO_WITNESS_WARNING)
     return sorted(diags)
 
 

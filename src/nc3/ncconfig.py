@@ -93,6 +93,10 @@ class Diagnostic(Record, order=True):
     target: str
     message: str
 
+    @classmethod
+    def error(cls, clause: str, target: str, message: str) -> Diagnostic:
+        return cls(clause=clause, severity=SEVERITY_ERROR, target=target, message=message)
+
     @property
     def is_error(self) -> bool:
         return self.severity == SEVERITY_ERROR
@@ -251,6 +255,24 @@ class NCConfiguration(Record):
 # Validation
 
 
+# Hypotheses the numerical shadow cannot see, reported as the same notes on
+# every configuration.
+_ASSUMED_NOTES = tuple(
+    Diagnostic(clause, SEVERITY_NOTE, target, "assumed, not checkable: " + hypothesis)
+    for clause, target, hypothesis in (
+        ("C3.1(2)", "components", "H^1 and H^2 of each component structure sheaf vanish"),
+        ("C3.1(2)", "surfaces", "H^1 and H^2 of each double-surface structure sheaf vanish"),
+        ("C3.1(2)", "surfaces", "the double surfaces are connected"),
+        (
+            "C3.1(4)",
+            "components",
+            "minus the sum of the boundary divisors is a canonical divisor of each "
+            "component (only its surface restriction is checked)",
+        ),
+    )
+)
+
+
 def validate(config: NCConfiguration) -> list[Diagnostic]:
     """Check every numerically checkable standing hypothesis.
 
@@ -262,131 +284,66 @@ def validate(config: NCConfiguration) -> list[Diagnostic]:
     versus kernel dimension, boundary-coordinate coherence) run only when no
     structural clause failed.  Hypotheses the numerical shadow cannot see
     (cohomology vanishing, connectivity of the double surfaces, the
-    component-level anticanonical condition) are reported as notes.
+    component-level anticanonical condition) are constant notes, the same
+    four on every configuration.  The findings come back sorted.
     """
-    diags: list[Diagnostic] = []
+    diags = list(_ASSUMED_NOTES)
 
     # Clause (2): connectivity and curve type of the triple curve.
     if not config.triple.connected:
-        diags.append(
-            Diagnostic(
-                clause="C3.1(2)",
-                severity=SEVERITY_ERROR,
-                target="triple",
-                message="triple curve must be connected",
-            )
-        )
+        diags.append(Diagnostic.error("C3.1(2)", "triple", "triple curve must be connected"))
     if config.triple.euler > 2 or config.triple.euler % 2 != 0:
         diags.append(
-            Diagnostic(
-                clause="C3.1(2)",
-                severity=SEVERITY_ERROR,
-                target="triple",
-                message=f"triple curve Euler number {config.triple.euler} is not that of a smooth connected curve",
+            Diagnostic.error(
+                "C3.1(2)",
+                "triple",
+                f"triple curve Euler number {config.triple.euler} is not that of a smooth connected curve",
             )
         )
-    diags.append(
-        Diagnostic(
-            clause="C3.1(2)",
-            severity=SEVERITY_NOTE,
-            target="components",
-            message="assumed, not checkable: H^1 and H^2 of each component structure sheaf vanish",
-        )
-    )
-    diags.append(
-        Diagnostic(
-            clause="C3.1(2)",
-            severity=SEVERITY_NOTE,
-            target="surfaces",
-            message="assumed, not checkable: H^1 and H^2 of each double-surface structure sheaf vanish",
-        )
-    )
-    diags.append(
-        Diagnostic(
-            clause="C3.1(2)",
-            severity=SEVERITY_NOTE,
-            target="surfaces",
-            message="assumed, not checkable: the double surfaces are connected",
-        )
-    )
 
-    # Clause (3): the distinguished ample classes must restrict equally.
     for i, surf in enumerate(config.surfaces):
+        # Clause (3): the distinguished ample classes must restrict equally.
         j, k = SURFACE_ADJACENCY[i]
         left = config.restrict(i, j, config.components[j].ample)
         right = config.restrict(i, k, config.components[k].ample)
         if left != right:
             diags.append(
-                Diagnostic(
-                    clause="C3.1(3)",
-                    severity=SEVERITY_ERROR,
-                    target=surf.name,
-                    message=(
-                        f"ample matching on {surf.name}: "
-                        f"{config.components[j].name} restricts to {left}, "
-                        f"{config.components[k].name} restricts to {right}"
-                    ),
+                Diagnostic.error(
+                    "C3.1(3)",
+                    surf.name,
+                    f"ample matching on {surf.name}: "
+                    f"{config.components[j].name} restricts to {left}, "
+                    f"{config.components[k].name} restricts to {right}",
                 )
             )
-
-    # Clause (4): on each surface the anticanonical condition restricts to
-    # K_D = -tau; the component-level statement itself is not checkable.
-    for surf in config.surfaces:
+        # Clause (4): on each surface the anticanonical condition restricts to
+        # K_D = -tau; the component-level statement itself is not checkable.
         if vec_add(surf.canonical, surf.tau_class) != vec_zero(surf.lattice.rank):
             diags.append(
-                Diagnostic(
-                    clause="C3.1(4)",
-                    severity=SEVERITY_ERROR,
-                    target=surf.name,
-                    message=(
-                        f"canonical class {surf.canonical} is not minus the triple-curve "
-                        f"class {surf.tau_class} on {surf.name}"
-                    ),
+                Diagnostic.error(
+                    "C3.1(4)",
+                    surf.name,
+                    f"canonical class {surf.canonical} is not minus the triple-curve "
+                    f"class {surf.tau_class} on {surf.name}",
                 )
             )
-    diags.append(
-        Diagnostic(
-            clause="C3.1(4)",
-            severity=SEVERITY_NOTE,
-            target="components",
-            message=(
-                "assumed, not checkable: minus the sum of the boundary divisors is a "
-                "canonical divisor of each component (only its surface restriction is checked)"
-            ),
-        )
-    )
-
-    # Smooth-curve parity of the triple-curve class on each surface; the
-    # surface itself guarantees both classes have the lattice's rank.
-    for surf in config.surfaces:
+        # Smooth-curve parity of the triple-curve class; the surface itself
+        # guarantees both classes have the lattice's rank.
         if adjunction_sum(surf.tau_class, surf.canonical, surf.lattice) % 2 != 0:
             diags.append(
-                Diagnostic(
-                    clause="parity",
-                    severity=SEVERITY_ERROR,
-                    target=surf.name,
-                    message=f"triple-curve class on {surf.name} fails smooth-curve adjunction parity",
+                Diagnostic.error(
+                    "parity",
+                    surf.name,
+                    f"triple-curve class on {surf.name} fails smooth-curve adjunction parity",
                 )
             )
 
-    structural_ok = not has_errors(diags)
+    if has_errors(diags):
+        return sorted(diags)
 
-    if structural_ok and config.h2_total is not None:
+    if config.h2_total is not None:
         dim = config.kernel_dim
-        if config.lattice_is_full:
-            if dim != config.h2_total:
-                diags.append(
-                    Diagnostic(
-                        clause="h2-total",
-                        severity=SEVERITY_ERROR,
-                        target="configuration",
-                        message=(
-                            f"declared h2_total {config.h2_total} does not equal the "
-                            f"kernel dimension {dim} of the restriction-difference matrix"
-                        ),
-                    )
-                )
-        else:
+        if not config.lattice_is_full:
             diags.append(
                 Diagnostic(
                     clause="h2-total",
@@ -398,10 +355,16 @@ def validate(config: NCConfiguration) -> list[Diagnostic]:
                     ),
                 )
             )
-
-    if structural_ok:
-        diags.extend(_boundary_coherence(config))
-
+        elif dim != config.h2_total:
+            diags.append(
+                Diagnostic.error(
+                    "h2-total",
+                    "configuration",
+                    f"declared h2_total {config.h2_total} does not equal the "
+                    f"kernel dimension {dim} of the restriction-difference matrix",
+                )
+            )
+    diags.extend(_boundary_coherence(config))
     return sorted(diags)
 
 
@@ -416,51 +379,36 @@ def _boundary_coherence(config: NCConfiguration) -> list[Diagnostic]:
     for i, comp in enumerate(config.components):
         if comp.boundary is None:
             continue
-        for j in OTHER_COMPONENTS[i]:
-            b = config.boundary_class(i, j)
+        for j, b in zip(OTHER_COMPONENTS[i], comp.boundary):
+            # Surface k = Y_i ^ Y_j: expect the self-class from the Y_i side.
             k = 3 - i - j
-            # Surface Y_i ^ Y_j: expect the self-class from the Y_i side.
-            s_ij = _surface_between(config, i, j)
-            surf = config.surfaces[s_ij]
-            slot = SURFACE_ADJACENCY[s_ij].index(i)
-            expected_self = surf.boundary_self[slot]
-            got = config.restrict(s_ij, i, b)
+            surf = config.surfaces[k]
+            expected_self = surf.boundary_self[SURFACE_ADJACENCY[k].index(i)]
+            got = config.restrict(k, i, b)
             if got != expected_self:
                 out.append(
-                    Diagnostic(
-                        clause="coherence",
-                        severity=SEVERITY_ERROR,
-                        target=surf.name,
-                        message=(
-                            f"boundary divisor of {comp.name} toward "
-                            f"{config.components[j].name} restricts to {got}, expected "
-                            f"self-class {expected_self} on {surf.name}"
-                        ),
+                    Diagnostic.error(
+                        "coherence",
+                        surf.name,
+                        f"boundary divisor of {comp.name} toward "
+                        f"{config.components[j].name} restricts to {got}, expected "
+                        f"self-class {expected_self} on {surf.name}",
                     )
                 )
-            # Surface Y_i ^ Y_k: expect the triple-curve class.
-            s_ik = _surface_between(config, i, k)
-            surf2 = config.surfaces[s_ik]
-            got2 = config.restrict(s_ik, i, b)
-            if got2 != surf2.tau_class:
+            # Surface j = Y_i ^ Y_k: expect the triple-curve class.
+            surf = config.surfaces[j]
+            got = config.restrict(j, i, b)
+            if got != surf.tau_class:
                 out.append(
-                    Diagnostic(
-                        clause="coherence",
-                        severity=SEVERITY_ERROR,
-                        target=surf2.name,
-                        message=(
-                            f"boundary divisor of {comp.name} toward "
-                            f"{config.components[j].name} restricts to {got2} on "
-                            f"{surf2.name}, expected the triple-curve class {surf2.tau_class}"
-                        ),
+                    Diagnostic.error(
+                        "coherence",
+                        surf.name,
+                        f"boundary divisor of {comp.name} toward "
+                        f"{config.components[j].name} restricts to {got} on "
+                        f"{surf.name}, expected the triple-curve class {surf.tau_class}",
                     )
                 )
     return out
-
-
-def _surface_between(config: NCConfiguration, i: int, j: int) -> int:
-    """Index of the surface Y_i ^ Y_j (the one opposite the third component)."""
-    return 3 - i - j
 
 
 # ---------------------------------------------------------------------------
@@ -866,7 +814,8 @@ def config_from_json(text: str) -> NCConfiguration:
 
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: nesting deeper than the parser's recursion limit
+    except (ValueError, RecursionError) as exc:
+        # ValueError: JSONDecodeError, or an integer literal past Python's
+        # digit limit; RecursionError: nesting past the parser's limit
         raise SchemaError(f"invalid JSON: {exc}")
     return config_from_dict(data)

@@ -377,6 +377,21 @@ def test_deeply_nested_config_exits_2(tmp_path, capsys, command):
     assert json.loads(line)["error"].startswith(f"schema error in {path}: invalid JSON: ")
 
 
+@pytest.mark.parametrize("command", ["check", "invariants"])
+def test_integer_literal_past_the_digit_limit_exits_2(tmp_path, capsys, command):
+    """An integer literal longer than Python's 4,300-digit conversion limit is
+    a schema error with one JSON line, not a ValueError traceback."""
+    rc, out, _ = run(capsys, "catalog", "export", "--family", "quintic")
+    text = out.replace('"euler": -6', '"euler": -' + "9" * 5001, 1)
+    assert text != out
+    path = tmp_path / "huge-literal.json"
+    path.write_text(text)
+    rc, out, err = run(capsys, command, "--config", str(path))
+    assert (rc, out) == (2, "")
+    [line] = err.splitlines()
+    assert json.loads(line)["error"].startswith(f"schema error in {path}: invalid JSON: ")
+
+
 def test_parse_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["invariants", "--format", "yaml", "--family", "quintic"])

@@ -152,6 +152,12 @@ def _set(obj, **values):
     obj.update(values)
 
 
+def _several(data):
+    _set(data["triple"], connected=False)
+    _set(data["surfaces"][0], canonical=[-3])
+    _set(data["surfaces"][1], canonical=[-2])
+
+
 REFUSAL_MUTATIONS = {
     "disconnected-triple-curve": lambda d: _set(d["triple"], connected=False),
     "odd-triple-euler": lambda d: _set(d["triple"], euler=1),
@@ -162,11 +168,7 @@ REFUSAL_MUTATIONS = {
     "h2-total-note": lambda d: _set(d, lattice_is_full=False),
     "coherence-self-class": lambda d: _set(d["surfaces"][0], boundary_self=[[-1], [1]]),
     "coherence-triple-class": lambda d: _set(d["surfaces"][1], tau_class=[2], canonical=[-2]),
-    "several": lambda d: (
-        _set(d["triple"], connected=False),
-        _set(d["surfaces"][0], canonical=[-3]),
-        _set(d["surfaces"][1], canonical=[-2]),
-    ),
+    "several": _several,
 }
 
 REFUSAL_DIGESTS = {
