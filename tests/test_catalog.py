@@ -14,8 +14,9 @@ from nc3.catalog import (
     get_family,
     instantiate,
 )
+from nc3._record import replace
 from nc3.exactlat import pair
-from tests.conftest import quintic_partition
+from tests.conftest import quintic_partition, rank_one_family
 
 EXPECTED_ROW_COUNTS = {
     "quintic": 7,
@@ -47,6 +48,42 @@ def test_enumeration_is_canonically_sorted():
         specs = enumerate_partitions(fam_id)
         assert [s.parts for s in specs] == sorted(s.parts for s in specs)
         assert all(s.parts == s.canonical().parts for s in specs)
+
+
+def _partition_count(n):
+    """p(n), adding the parts 1, 2, ..., n one size at a time (coin-change recurrence)."""
+    ways = [1] + [0] * n
+    for k in range(1, n + 1):
+        for m in range(k, n + 1):
+            ways[m] += ways[m - k]
+    return ways[n]
+
+
+def test_rank_one_enumeration_counts_partitions():
+    assert [_partition_count(n) for n in (9, 15, 21)] == [30, 176, 792]
+    for degree in range(1, 22):
+        specs = [s.parts for s in enumerate_partitions(rank_one_family(degree))]
+        assert len(specs) == _partition_count(degree), degree
+        assert specs == sorted(set(specs)), degree
+
+
+def _brute_force_partitions(target):
+    """Every multiset of nonzero non-negative parts summing to ``target``, sorted."""
+    parts = [p for p in itertools.product(*(range(t + 1) for t in target)) if any(p)]
+    return sorted(
+        combo
+        for alpha in range(1, sum(target) + 1)
+        for combo in itertools.combinations_with_replacement(parts, alpha)
+        if tuple(map(sum, zip(*combo))) == target
+    )
+
+
+@pytest.mark.parametrize("target", [(3, 3), (2, 2), (2, 3), (0, 3)])
+def test_rank_two_enumeration_matches_brute_force(target):
+    fam = replace(get_family("p2xp2"), total_degree=target)
+    specs = [s.parts for s in enumerate_partitions(fam)]
+    assert specs == _brute_force_partitions(target)
+    assert all(list(p) == sorted(p) for p in specs)
 
 
 def test_partition_degree_constraint():

@@ -290,6 +290,47 @@ def test_verify_detects_injected_mismatch(capsys, monkeypatch):
     assert "MISMATCH" in out
 
 
+def _patch_reference(monkeypatch, fam_id, rows):
+    """Make ``catalog.expected_table`` return ``rows`` for ``fam_id``."""
+    original = catalog.expected_table
+    monkeypatch.setattr(
+        catalog,
+        "expected_table",
+        lambda fam: rows if getattr(fam, "id", fam) == fam_id else original(fam),
+    )
+
+
+def test_verify_mismatch_output_for_a_wrong_reference_pair(capsys, monkeypatch):
+    rows = catalog.expected_table("gr25-section")
+    broken = [catalog.TableRow(rows[0].partition, rows[0].h11, rows[0].h12 + 1, rows[0].star)]
+    _patch_reference(monkeypatch, "gr25-section", broken + rows[1:])
+    assert run(capsys, "verify", "--family", "gr25-section") == (
+        1,
+        "MISMATCH gr25-section 1,1,1: computed (5,35), expected (5,36)\n"
+        "2/3 rows match\n",
+        "",
+    )
+
+
+def test_verify_mismatch_output_for_a_row_that_raises(capsys, monkeypatch):
+    from nc3 import invariants
+
+    original = invariants.hodge
+
+    def hodge(config, divisor, blowup=None):
+        if divisor.alpha == 2:
+            raise RuntimeError("row failed")
+        return original(config, divisor, blowup)
+
+    monkeypatch.setattr(invariants, "hodge", hodge)
+    assert run(capsys, "verify", "--family", "gr25-section") == (
+        1,
+        "MISMATCH gr25-section 1,2: computed error: row failed, expected (3,48)\n"
+        "2/3 rows match\n",
+        "",
+    )
+
+
 def test_catalog_list(capsys):
     rc, out, _ = run(capsys, "catalog", "list")
     assert rc == 0

@@ -16,7 +16,12 @@ from nc3.invariants import (
     hodge,
     picard_one_pairings,
 )
-from tests.conftest import d21_all_ones_row, quintic_partition, rank_one_family
+from tests.conftest import (
+    all_catalog_cases,
+    d21_all_ones_row,
+    quintic_partition,
+    rank_one_family,
+)
 
 
 def _case(fam_id, *parts):
@@ -109,6 +114,14 @@ def test_euler_closed_standalone_refuses_inadmissible_divisor(quintic5):
     )
     with pytest.raises(construction.AdmissibilityError):
         euler_closed(config, bad)
+
+
+def test_euler_closed_without_trace_equals_the_trace_fed_value():
+    """``hodge`` feeds its blow-up's trace to the closed form and refuses to
+    return unless that value is its Euler number."""
+    for fam_id, spec in all_catalog_cases():
+        config, divisor = catalog.instantiate(fam_id, spec)
+        assert euler_closed(config, divisor) == hodge(config, divisor).euler, (fam_id, spec)
 
 
 # ---------------------------------------------------------------------------

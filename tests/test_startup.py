@@ -29,10 +29,12 @@ NOT_AT_IMPORT = (
 def _loaded_by(code: str) -> tuple[list[str], list[str]]:
     """(stdout lines before the last, modules that ``code`` added to sys.modules)."""
     script = (
-        "import json, sys\n"
+        "import sys\n"
         "before = set(sys.modules)\n"
         f"{code}\n"
-        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        "added = sorted(set(sys.modules) - before)\n"
+        "import json\n"
+        "print(json.dumps(added))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
@@ -58,6 +60,16 @@ def test_verify_all_without_dataclasses_or_fractions():
     assert lines == ["63/63 rows match"]
     assert "nc3.catalog" in added
     assert "dataclasses" not in added and "fractions" not in added
+
+
+def test_table_csv_loads_no_json_digest_rational_or_record_module():
+    """The command behind the benchmark's ``cli_table_s``."""
+    lines, added = _loaded_by(
+        "from nc3.cli import main\n"
+        "assert main(['table', '--family', 'p2xp2', '--format', 'csv']) == 0"
+    )
+    assert lines[0] == "family,partition,h11,h12,euler,star" and len(lines) == 32
+    assert sorted({"json", "hashlib", "fractions", "dataclasses"} & set(added)) == []
 
 
 def test_check_config_loads_neither_catalog_nor_construction(tmp_path):
