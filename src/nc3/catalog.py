@@ -446,42 +446,30 @@ def instantiate(
 # Partition enumeration
 
 
-def _scalar_partitions(n: int, min_part: int = 1) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for p in range(min_part, n + 1):
-        for rest in _scalar_partitions(n - p, p):
-            yield (p,) + rest
+def _partitions(target: Vec, smallest: Vec) -> Iterator[tuple[Vec, ...]]:
+    """Multisets of parts, each at least ``smallest``, that sum to ``target``.
 
-
-def _vector_partitions(target: Vec, min_part: Vec | None) -> Iterator[tuple[Vec, ...]]:
-    if all(x == 0 for x in target):
-        yield ()
-        return
-    candidates = [
-        p
-        for p in itertools.product(*(range(t + 1) for t in target))
-        if any(p) and (min_part is None or p >= min_part)
-    ]
-    for p in candidates:
+    Each is a non-decreasing tuple of parts, yielded in lexicographic order.
+    Every later part is at least the one just taken, so a part other than
+    the whole target leaves a remainder at least as large: its first
+    coordinate is at most half the target's, and no coordinate goes negative.
+    """
+    ranges = [range(t + 1) for t in target]
+    ranges[0] = range(smallest[0], target[0] // 2 + 1)
+    for p in itertools.product(*ranges):
         remaining = tuple(t - x for t, x in zip(target, p))
-        if any(r < 0 for r in remaining):
-            continue
-        for rest in _vector_partitions(remaining, p):
-            yield (p,) + rest
+        if smallest <= p <= remaining:
+            for rest in _partitions(remaining, p):
+                yield (p,) + rest
+    yield (target,)
 
 
 def enumerate_partitions(family: Family | str) -> list[PartitionSpec]:
     """All partitions meeting the family degree, canonically ordered."""
     fam = get_family(family) if isinstance(family, str) else family
-    if fam.rank == 1:
-        specs = {
-            tuple((a,) for a in parts) for parts in _scalar_partitions(fam.total_degree[0])
-        }
-    else:
-        specs = set(_vector_partitions(fam.total_degree, None))
-    return [PartitionSpec(parts=p) for p in sorted(specs)]
+    # (0, ..., 0, 1) is the smallest nonzero part.
+    smallest = (0,) * (fam.rank - 1) + (1,)
+    return [PartitionSpec(parts=p) for p in _partitions(fam.total_degree, smallest)]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import functools
 import os
 import re
 import sys
-from typing import TYPE_CHECKING, Any, Iterable, NoReturn, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, NoReturn, Sequence
 
 if TYPE_CHECKING:
     from . import catalog, construction, ncconfig
@@ -293,15 +293,27 @@ def _star_for(fam_id: str | None, partition_text: str | None) -> bool:
 # table / verify
 
 
-def _family_rows(fam: catalog.Family) -> list[dict[str, Any]]:
-    """One computed row per partition of ``fam``, with its reference star flag."""
+def _family_rows(fam: catalog.Family) -> Iterator[tuple[Any, Any, Any]]:
+    """Each enumerated partition of ``fam``, its reference row (``None`` if
+    the reference table lacks it), and ``hodge``'s result or the exception
+    that building or computing the row raised."""
     from . import catalog, invariants
     expected = {r.partition.parts: r for r in catalog.expected_table(fam)}
-    rows = []
     for spec in catalog.enumerate_partitions(fam):
-        config, divisor = catalog.instantiate(fam, spec)
-        inv = invariants.hodge(config, divisor)
-        exp = expected.get(spec.parts)
+        try:
+            result = invariants.hodge(*catalog.instantiate(fam, spec))
+        except Exception as exc:  # verify counts a failing row as a mismatch
+            result = exc
+        yield spec, expected.get(spec.parts), result
+
+
+def cmd_table(args: argparse.Namespace) -> int:
+    from . import catalog
+    fam = catalog.get_family(args.family)
+    rows = []
+    for spec, exp, inv in _family_rows(fam):
+        if isinstance(inv, Exception):
+            raise inv
         rows.append(
             {
                 "family": fam.id,
@@ -312,13 +324,6 @@ def _family_rows(fam: catalog.Family) -> list[dict[str, Any]]:
                 "star": bool(exp.star) if exp else False,
             }
         )
-    return rows
-
-
-def cmd_table(args: argparse.Namespace) -> int:
-    from . import catalog
-    fam = catalog.get_family(args.family)
-    rows = _family_rows(fam)
     if args.format == "json":
         _emit(
             {
@@ -344,65 +349,47 @@ def cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def verify_family(fam: catalog.Family) -> tuple[int, int, list[dict[str, Any]]]:
+def verify_family(fam: catalog.Family) -> tuple[int, int, list[str]]:
     """Compare computed rows against the reference table.
 
-    Returns (matches, total, mismatches); a row that raises is a mismatch.
+    Returns (matches, total, MISMATCH lines): ``total`` counts the reference
+    rows and ``matches`` those whose computed pair equals the reference
+    pair.  A row that raises is a mismatch.
     """
-    from . import catalog, invariants
-    specs = catalog.enumerate_partitions(fam)
-    expected = {r.partition.parts: r for r in catalog.expected_table(fam)}
-    mismatches: list[dict[str, Any]] = []
-    total = len(expected)
-    if {s.parts for s in specs} != set(expected):
-        mismatches.append(
-            {
-                "family": fam.id,
-                "partition": "-",
-                "computed": f"{len(specs)} partitions enumerated",
-                "expected": f"{total} reference rows",
-            }
-        )
-
-    for spec in specs:
-        exp = expected.get(spec.parts)
+    from . import catalog
+    reference = {r.partition.parts for r in catalog.expected_table(fam)}
+    enumerated = set()
+    matches = 0
+    lines = []
+    for spec, exp, inv in _family_rows(fam):
+        enumerated.add(spec.parts)
         if exp is None:
             computed, wanted = "enumerated", "absent from reference table"
         else:
             wanted = f"({exp.h11},{exp.h12})"
-            try:
-                config, divisor = catalog.instantiate(fam, spec)
-                inv = invariants.hodge(config, divisor)
-                computed = f"({inv.h11},{inv.h12})"
-            except Exception as exc:  # a failing row must count as a mismatch
-                computed = f"error: {exc}"
+            computed = f"error: {inv}" if isinstance(inv, Exception) else f"({inv.h11},{inv.h12})"
             if computed == wanted:
+                matches += 1
                 continue
-        mismatches.append(
-            {"family": fam.id, "partition": spec.cli_form(), "computed": computed, "expected": wanted}
+        lines.append(f"MISMATCH {fam.id} {spec.cli_form()}: computed {computed}, expected {wanted}")
+    if enumerated != reference:
+        lines.insert(
+            0,
+            f"MISMATCH {fam.id} -: computed {len(enumerated)} partitions enumerated, "
+            f"expected {len(reference)} reference rows",
         )
-    matches = total - sum(1 for m in mismatches if m["partition"] != "-")
-    return matches, total, mismatches
+    return matches, len(reference), lines
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import catalog
     ids = catalog.family_ids() if args.family == "all" else (args.family,)
-    fams = [catalog.get_family(f) for f in ids]
-    matched = total = 0
-    all_mismatches: list[dict[str, Any]] = []
-    for fam in fams:
-        m, t, mismatches = verify_family(fam)
-        matched += m
-        total += t
-        all_mismatches.extend(mismatches)
-    for mm in all_mismatches:
-        print(
-            f"MISMATCH {mm['family']} {mm['partition']}: computed {mm['computed']}, "
-            f"expected {mm['expected']}"
-        )
-    print(f"{matched}/{total} rows match")
-    return EXIT_OK if not all_mismatches else EXIT_FAIL
+    results = [verify_family(catalog.get_family(f)) for f in ids]
+    lines = [line for _, _, mismatches in results for line in mismatches]
+    matched = sum(r[0] for r in results)
+    total = sum(r[1] for r in results)
+    print(*lines, f"{matched}/{total} rows match", sep="\n")
+    return EXIT_OK if not lines else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------

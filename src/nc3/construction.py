@@ -213,11 +213,6 @@ def check_collective_divisor(
     return sorted(diags)
 
 
-def center_euler(config: NCConfiguration, surface_index: int, c: Vec) -> int:
-    surf = config.surfaces[surface_index]
-    return adjunction_euler(c, surf.canonical, surf.lattice)
-
-
 def sequential_blowup(
     config: NCConfiguration, divisor: CollectiveDivisor
 ) -> tuple[NCConfiguration, BlowupTrace]:
@@ -251,7 +246,7 @@ def sequential_blowup(
     for i, surf in enumerate(config.surfaces):
         h = config.hyperplane_on_surface(i)
         numbers = {
-            c: (pair(c, h, surf.lattice), center_euler(config, i, c))
+            c: (pair(c, h, surf.lattice), adjunction_euler(c, surf.canonical, surf.lattice))
             for c in dict.fromkeys(map(tuple, c_on[i]))
         }
         degree_i, euler_i = zip(*(numbers[tuple(c)] for c in c_on[i]))

@@ -110,22 +110,14 @@ def euler_closed(
 
     Adds the centers' Euler numbers (adjunction on each surface) and
     subtracts twice the number of triple-curve points to the triple-point
-    sum of the original configuration.  Given the trace of the blow-up along
-    ``divisor``, which already refused an inadmissible divisor, the centers'
-    Euler numbers are read from its steps; without it the divisor is checked
-    here and the numbers computed.
+    sum of the original configuration.  The centers' Euler numbers are read
+    from the steps of ``trace``, the trace of the blow-up along ``divisor``;
+    without it the configuration is blown up along ``divisor`` here, which
+    refuses an inadmissible divisor.
     """
     if trace is None:
-        diags = construction.check_collective_divisor(config, divisor)
-        if ncconfig.has_errors(diags):
-            raise construction.AdmissibilityError(diags)
-        centers = sum(
-            construction.center_euler(config, i, c)
-            for i in range(3)
-            for c in divisor.components[i]
-        )
-    else:
-        centers = sum(step.euler for step in trace.steps)
+        trace = construction.sequential_blowup(config, divisor)[1]
+    centers = sum(step.euler for step in trace.steps)
     return (
         sum(c.euler for c in config.components)
         - 2 * sum(s.euler for s in config.surfaces)

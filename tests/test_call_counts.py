@@ -48,6 +48,17 @@ def test_invariants_family_route_blows_up_once(monkeypatch, capsys):
     assert counts["check_collective_divisor"] == 1
 
 
+def test_standalone_euler_closed_blows_up_once(monkeypatch):
+    """Without a trace the closed form takes its centers from one blow-up,
+    which checks the divisor once."""
+    counts = collections.Counter()
+    count_calls(monkeypatch, counts, construction, "sequential_blowup")
+    count_calls(monkeypatch, counts, construction, "check_collective_divisor")
+    config, divisor = catalog.instantiate("quintic", catalog.PartitionSpec(parts=((1,), (4,))))
+    invariants.euler_closed(config, divisor)
+    assert counts == {"sequential_blowup": 1, "check_collective_divisor": 1}
+
+
 def test_collective_normal_class_passes_per_hodge_and_per_invariants_call(monkeypatch, capsys):
     """Per row, the divisor check and the triple-point sum each take one pass;
     the Chern pairings take none."""

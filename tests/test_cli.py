@@ -331,6 +331,34 @@ def test_verify_mismatch_output_for_a_row_that_raises(capsys, monkeypatch):
     )
 
 
+def test_verify_counts_only_reference_rows_that_match(capsys, monkeypatch):
+    """A partition missing from the reference table does not lower the count
+    of matching reference rows."""
+    rows = catalog.expected_table("gr25-section")
+    _patch_reference(monkeypatch, "gr25-section", [rows[0], rows[2]])
+    assert run(capsys, "verify", "--family", "gr25-section") == (
+        1,
+        "MISMATCH gr25-section -: computed 3 partitions enumerated, expected 2 reference rows\n"
+        "MISMATCH gr25-section 1,2: computed enumerated, expected absent from reference table\n"
+        "2/2 rows match\n",
+        "",
+    )
+
+
+def test_verify_does_not_count_a_reference_row_never_enumerated(capsys, monkeypatch):
+    rows = catalog.expected_table("gr25-section")
+    extra = catalog.TableRow(
+        partition=catalog.PartitionSpec(parts=((1,),) * 4), h11=7, h12=30, star=False
+    )
+    _patch_reference(monkeypatch, "gr25-section", rows + [extra])
+    assert run(capsys, "verify", "--family", "gr25-section") == (
+        1,
+        "MISMATCH gr25-section -: computed 3 partitions enumerated, expected 4 reference rows\n"
+        "3/4 rows match\n",
+        "",
+    )
+
+
 def test_catalog_list(capsys):
     rc, out, _ = run(capsys, "catalog", "list")
     assert rc == 0
