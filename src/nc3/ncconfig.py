@@ -658,11 +658,32 @@ def config_to_dict(config: NCConfiguration) -> dict[str, Any]:
     return out
 
 
+# The keys each object of an ncconfig/1 file may hold: the ``properties`` of
+# that object in schemas/ncconfig.schema.json, which admits no others.
+_CONFIG_KEYS = frozenset(
+    {"schema", "components", "surfaces", "triple", "h2_total", "lattice_is_full", "notes"}
+)
+_COMPONENT_KEYS = frozenset(
+    {"name", "euler", "h2_rank", "class_labels", "ample", "boundary", "chern_numbers"}
+)
+_SURFACE_KEYS = frozenset(
+    {"name", "gram", "basis_labels", "canonical", "tau_class", "euler", "restrictions", "boundary_self"}
+)
+_TRIPLE_KEYS = frozenset({"euler", "connected"})
+
+
+def _refuse_unknown_keys(obj: dict[str, Any], keys: frozenset[str], where: str) -> None:
+    unknown = sorted(obj.keys() - keys)
+    if unknown:
+        raise SchemaError(f"{where}: unknown key {unknown[0]!r}")
+
+
 def config_from_dict(data: dict[str, Any]) -> NCConfiguration:
     if not isinstance(data, dict):
         raise SchemaError("configuration must be a JSON object")
     if data.get("schema") != SCHEMA_ID:
         raise SchemaError(f"unsupported schema {data.get('schema')!r}, expected {SCHEMA_ID!r}")
+    _refuse_unknown_keys(data, _CONFIG_KEYS, "configuration")
 
     raw_comps = _require(data, "components", "configuration")
     raw_surfs = _require(data, "surfaces", "configuration")
@@ -682,6 +703,7 @@ def config_from_dict(data: dict[str, Any]) -> NCConfiguration:
     component_fields: list[dict[str, Any]] = []
     for i, c in enumerate(raw_comps):
         where = f"component {names[i]}"
+        _refuse_unknown_keys(c, _COMPONENT_KEYS, where)
         rank = _intval(_require(c, "h2_rank", where), where + ".h2_rank")
         labels = _require(c, "class_labels", where)
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
@@ -726,6 +748,7 @@ def config_from_dict(data: dict[str, Any]) -> NCConfiguration:
         if not isinstance(sname, str):
             raise SchemaError("surface name must be a string")
         where = f"surface {sname}"
+        _refuse_unknown_keys(s, _SURFACE_KEYS, where)
         gram = _intmat(_require(s, "gram", where), where + ".gram")
         labels_raw = s.get("basis_labels")
         if labels_raw is not None and not (
@@ -774,6 +797,7 @@ def config_from_dict(data: dict[str, Any]) -> NCConfiguration:
     raw_triple = _require(data, "triple", "configuration")
     if not isinstance(raw_triple, dict):
         raise SchemaError("triple must be a JSON object")
+    _refuse_unknown_keys(raw_triple, _TRIPLE_KEYS, "triple")
     connected = _require(raw_triple, "connected", "triple")
     if not isinstance(connected, bool):
         raise SchemaError("triple.connected must be a boolean")

@@ -682,6 +682,58 @@ def test_invariants_config_refuses_family_only_flags(capsys, blown_up_export, fl
     assert (rc, out, err) == (2, "", json.dumps({"error": message}) + "\n")
 
 
+def _rename(obj, old, new):
+    obj[new] = obj.pop(old)
+
+
+UNKNOWN_KEY_CASES = {
+    "configuration": (
+        lambda d: _rename(d, "lattice_is_full", "lattice_is_ful"),
+        "configuration: unknown key 'lattice_is_ful'",
+    ),
+    "component": (
+        lambda d: _rename(d["components"][0], "ample", "amplee"),
+        "component Y1: unknown key 'amplee'",
+    ),
+    "surface": (
+        lambda d: _rename(d["surfaces"][2], "basis_labels", "basis_label"),
+        "surface D3: unknown key 'basis_label'",
+    ),
+    # Of several unknown keys the first in sorted order is named.
+    "triple": (lambda d: d["triple"].update(genus=1, degree=0), "triple: unknown key 'degree'"),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "invariants"])
+@pytest.mark.parametrize("level", sorted(UNKNOWN_KEY_CASES))
+def test_unknown_key_is_a_schema_error(tmp_path, capsys, blown_up_export, command, level):
+    """The schema sets additionalProperties false on every object, so a
+    misspelt key is refused instead of silently taking a default."""
+    mutate, message = UNKNOWN_KEY_CASES[level]
+    data = json.loads(pathlib.Path(blown_up_export).read_text())
+    mutate(data)
+    path = tmp_path / "unknown-key.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run(capsys, command, "--config", str(path))
+    assert (rc, out) == (2, "")
+    assert err == json.dumps({"error": f"schema error in {path}: {message}"}) + "\n"
+
+
+def test_reader_accepts_exactly_the_schema_properties():
+    from nc3 import ncconfig
+
+    levels = CONFIG_SCHEMA["properties"]
+    objects = [
+        (ncconfig._CONFIG_KEYS, CONFIG_SCHEMA),
+        (ncconfig._COMPONENT_KEYS, levels["components"]["items"]),
+        (ncconfig._SURFACE_KEYS, levels["surfaces"]["items"]),
+        (ncconfig._TRIPLE_KEYS, levels["triple"]),
+    ]
+    for keys, schema in objects:
+        assert schema["additionalProperties"] is False
+        assert keys == set(schema["properties"])
+
+
 def test_closed_stdout_exits_1_without_traceback():
     read_end, write_end = os.pipe()
     os.close(read_end)
