@@ -358,11 +358,15 @@ def verify_family(fam: catalog.Family) -> tuple[int, int, list[str]]:
     """
     from . import catalog
     reference = {r.partition.parts for r in catalog.expected_table(fam)}
-    enumerated = set()
-    matches = 0
+    rows = list(_family_rows(fam))
     lines = []
-    for spec, exp, inv in _family_rows(fam):
-        enumerated.add(spec.parts)
+    if {spec.parts for spec, _, _ in rows} != reference:
+        lines.append(
+            f"MISMATCH {fam.id} -: computed {len(rows)} partitions enumerated, "
+            f"expected {len(reference)} reference rows"
+        )
+    matches = 0
+    for spec, exp, inv in rows:
         if exp is None:
             computed, wanted = "enumerated", "absent from reference table"
         else:
@@ -372,12 +376,6 @@ def verify_family(fam: catalog.Family) -> tuple[int, int, list[str]]:
                 matches += 1
                 continue
         lines.append(f"MISMATCH {fam.id} {spec.cli_form()}: computed {computed}, expected {wanted}")
-    if enumerated != reference:
-        lines.insert(
-            0,
-            f"MISMATCH {fam.id} -: computed {len(enumerated)} partitions enumerated, "
-            f"expected {len(reference)} reference rows",
-        )
     return matches, len(reference), lines
 
 

@@ -660,19 +660,15 @@ def config_to_dict(config: NCConfiguration) -> dict[str, Any]:
 
 # The keys each object of an ncconfig/1 file may hold: the ``properties`` of
 # that object in schemas/ncconfig.schema.json, which admits no others.
-_CONFIG_KEYS = frozenset(
-    {"schema", "components", "surfaces", "triple", "h2_total", "lattice_is_full", "notes"}
-)
-_COMPONENT_KEYS = frozenset(
-    {"name", "euler", "h2_rank", "class_labels", "ample", "boundary", "chern_numbers"}
-)
-_SURFACE_KEYS = frozenset(
-    {"name", "gram", "basis_labels", "canonical", "tau_class", "euler", "restrictions", "boundary_self"}
-)
-_TRIPLE_KEYS = frozenset({"euler", "connected"})
+_CONFIG_KEYS = {"schema", "components", "surfaces", "triple", "h2_total", "lattice_is_full", "notes"}
+_COMPONENT_KEYS = {"name", "euler", "h2_rank", "class_labels", "ample", "boundary", "chern_numbers"}
+_SURFACE_KEYS = {
+    "name", "gram", "basis_labels", "canonical", "tau_class", "euler", "restrictions", "boundary_self"
+}
+_TRIPLE_KEYS = {"euler", "connected"}
 
 
-def _refuse_unknown_keys(obj: dict[str, Any], keys: frozenset[str], where: str) -> None:
+def _refuse_unknown_keys(obj: dict[str, Any], keys: set[str], where: str) -> None:
     unknown = sorted(obj.keys() - keys)
     if unknown:
         raise SchemaError(f"{where}: unknown key {unknown[0]!r}")
