@@ -601,6 +601,24 @@ def test_invariants_csv_star_column(capsys):
     assert rows[1] == ["quintic", "2,3", "3", "61", "-116", "*"]
 
 
+@pytest.mark.parametrize("reverse_order", [False, True], ids=["canonical", "reversed-order"])
+def test_invariants_csv_star_matches_the_reference_for_every_row(capsys, reverse_order):
+    stars = {}
+    for fam_id in catalog.family_ids():
+        for ref in catalog.expected_table(fam_id):
+            text = ref.partition.cli_form()
+            argv = ["invariants", "--family", fam_id, "--partition", text, "--format", "csv"]
+            if reverse_order:
+                reversed_spec = catalog.PartitionSpec(parts=ref.partition.parts[::-1])
+                argv += ["--order", reversed_spec.cli_form()]
+            rc, out, _ = run(capsys, *argv)
+            assert rc == 0, argv
+            (row,) = csv.DictReader(io.StringIO(out))
+            stars[fam_id, text] = (row["star"], "*" if ref.star else "")
+    assert len(stars) == 63
+    assert all(got == want for got, want in stars.values())
+
+
 def test_partition_parser_tolerates_spaces(capsys):
     rc, out, _ = run(
         capsys,

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from nc3 import catalog, construction, ncconfig
 from nc3._record import replace
-from nc3.exactlat import kernel_dimension, mat_vec
+from nc3.exactlat import IntersectionLattice, kernel_dimension, mat_vec
 from nc3.ncconfig import (
     Diagnostic,
     SchemaError,
@@ -335,6 +336,34 @@ def test_asymmetric_tail_under_minus_identity_rows_is_refused():
         ncconfig.config_from_dict(data)
 
 
+# Cells of the -I rows under D3's base row; json turns each back into a bool,
+# a float or a string, none of which is an integer.
+@pytest.mark.parametrize(
+    "row,col,bad",
+    [(9, 0, False), (15, 15, True), (1, 1, -1.0), (7, 3, "0")],
+    ids=["false-for-zero", "true-on-diagonal", "float-on-diagonal", "string-off-diagonal"],
+)
+def test_non_integer_cells_in_the_minus_identity_tail_are_refused(capsys, tmp_path, row, col, bad):
+    from nc3.cli import main
+
+    config, divisor = catalog.instantiate("quintic", quintic_partition(1, 4))
+    data = config_to_dict(construction.sequential_blowup(config, divisor)[0])
+    gram = data["surfaces"][2]["gram"]
+    assert len(gram) == 16 and gram[row][col] == (-1 if row == col else 0)
+    gram[row][col] = bad
+    message = f"surface D3.gram: expected integer, got {bad!r}"
+    with pytest.raises(SchemaError, match=re.escape(message) + "$"):
+        ncconfig.config_from_dict(json.loads(json.dumps(data)))
+    path = tmp_path / "tail.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["check", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        json.dumps({"error": f"schema error in {path}: {message}"})
+    ]
+
+
 # In a vector or matrix the value sits after a valid integer, so the refusal
 # has to find it; booleans are not integers.
 @pytest.mark.parametrize(
@@ -506,3 +535,54 @@ def test_degree_21_export_matches_stdlib_encoder():
     config_tilde, _ = construction.sequential_blowup(config, divisor)
     data = config_to_dict(config_tilde)
     assert config_to_json(config_tilde) == json.dumps(data, indent=2, sort_keys=True)
+
+
+def _stress_rows(seed):
+    """One seeded partition per alpha of the degree-9, -15 and -21 rank-one families."""
+    rng = random.Random(seed)
+    for degree in (9, 15, 21):
+        family = rank_one_family(degree)
+        by_alpha = {}
+        for spec in catalog.enumerate_partitions(family):
+            by_alpha.setdefault(spec.alpha, []).append(spec)
+        for alpha in sorted(by_alpha):
+            yield family, rng.choice(by_alpha[alpha])
+
+
+def _edge_lattice_configs():
+    """The raw quintic (5), whose lattices have no -1 classes, and copies with
+    D1 replaced by an all -I lattice (base block of rank 0) and by rank 0."""
+    config, _ = catalog.instantiate("quintic", quintic_partition(5))
+    yield config
+    minus_identity = IntersectionLattice(rank=1, gram=((-1,),), basis_labels=("e1",))
+    assert (minus_identity.gram, minus_identity.exceptional) == ((), 1)
+    yield _with_surface(config, 0, lattice=minus_identity)
+    yield _with_surface(
+        config,
+        0,
+        lattice=IntersectionLattice(rank=0, gram=(), basis_labels=()),
+        canonical=(),
+        tau_class=(),
+        boundary_self=((), ()),
+        restrictions=((), ()),
+    )
+
+
+def test_writer_matches_stdlib_encoder_on_blown_up_and_edge_configurations():
+    """Every blow-up of the catalog and of a seeded stress sample, in two
+    component orders, and the edge lattices, written as the stdlib writes
+    ``config_to_dict``; a parsed file, whose rows share nothing, writes back
+    the same text."""
+    rows = [(catalog.get_family(f), spec) for f, spec in all_catalog_cases()]
+    rows += _stress_rows(seed=901)
+    assert len(rows) == 63 + 45
+    configs = [
+        construction.sequential_blowup(*catalog.instantiate(family, spec, component_order=order))[0]
+        for family, spec in rows
+        for order in ((0, 1, 2), (2, 0, 1))
+    ]
+    configs += _edge_lattice_configs()
+    for config in configs:
+        text = config_to_json(config)
+        assert text == json.dumps(config_to_dict(config), indent=2, sort_keys=True)
+        assert config_to_json(config_from_json(text)) == text

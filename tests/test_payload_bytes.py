@@ -145,7 +145,7 @@ def test_blowup_export_bytes(fam_id, parts, order, digest):
 
 
 # Refusals.  Each mutation of the blown-up quintic (1,4) export below makes
-# `validate` report one kind of finding (the last one several, across
+# `validate` report one kind of finding (``several`` reports several, across
 # surfaces and clauses, to pin their order).  The digests cover stdout,
 # stderr and the exit code of `check --config` and `invariants --config`.
 def _set(obj, **values):
@@ -169,6 +169,8 @@ REFUSAL_MUTATIONS = {
     "coherence-self-class": lambda d: _set(d["surfaces"][0], boundary_self=[[-1], [1]]),
     "coherence-triple-class": lambda d: _set(d["surfaces"][1], tau_class=[2], canonical=[-2]),
     "several": _several,
+    # One of the twelve equal D3 rows over the degree-4 curve, made distinct.
+    "repeated-d3-row": lambda d: d["surfaces"][2]["restrictions"]["Y2"].__setitem__(6, [0, 1, 1]),
 }
 
 REFUSAL_DIGESTS = {
@@ -211,6 +213,10 @@ REFUSAL_DIGESTS = {
     "several": (
         "f12d52597ea58dbc88410215a62d0a6d5967873831f82a6c93cf2197719d97cc",
         "928310ba96cd9a770c27a46fa3ebd4967fa85a5409e367a6e0331314c3463798",
+    ),
+    "repeated-d3-row": (
+        "c959200df63fc96a50f50877a9b7003a2d7a759d7c2d2300410d343b2e1ba65d",
+        "b75f9971e02b71eb115bf595a6a38e867a2b162c3b605baf16c45124c5019fad",
     ),
 }
 
