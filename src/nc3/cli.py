@@ -123,8 +123,11 @@ def _load_config_file(path: str) -> tuple[ncconfig.NCConfiguration, dict[str, An
 
 def _resolve_source(
     args: argparse.Namespace,
-) -> tuple[ncconfig.NCConfiguration, construction.CollectiveDivisor | None, dict[str, Any]]:
-    """Configuration (+ divisor when a catalog partition is given) from flags."""
+) -> tuple[
+    ncconfig.NCConfiguration, construction.CollectiveDivisor | None, dict[str, Any], tuple | None
+]:
+    """Configuration (+ divisor and canonical parts when a catalog partition
+    is given) from flags."""
     if args.family and args.config:
         raise CliError("give either --family or --config, not both", EXIT_PARSE)
     if args.order and not args.partition:
@@ -133,7 +136,7 @@ def _resolve_source(
         config, provenance = _load_config_file(args.config)
         if args.partition:
             raise CliError("--partition needs --family", EXIT_PARSE)
-        return config, None, provenance
+        return config, None, provenance, None
     if not args.family:
         raise CliError("one of --family or --config is required", EXIT_PARSE)
     from . import catalog
@@ -144,11 +147,12 @@ def _resolve_source(
         # family configurations use the trivial instantiation below.
         spec = catalog.PartitionSpec(parts=(fam.total_degree,))
         config, divisor = catalog.instantiate(fam, spec)
-        return config, None, provenance
+        return config, None, provenance, None
     spec = _parse_partition(args.partition).canonical()
+    parts = spec.parts
     if args.order:
         ordered = _parse_partition(args.order)
-        if ordered.canonical().parts != spec.parts:
+        if ordered.canonical().parts != parts:
             raise CliError(
                 f"--order {args.order!r} is not an ordering of partition "
                 f"{spec.display()}",
@@ -158,7 +162,7 @@ def _resolve_source(
     # a partition that parsed but is inadmissible here is a PartitionError: exit 1
     config, divisor = catalog.instantiate(fam, spec)
     provenance["partition"] = spec.cli_form()
-    return config, divisor, provenance
+    return config, divisor, provenance, parts
 
 
 def _base_record(command: str, provenance: dict[str, Any]) -> dict[str, Any]:
@@ -175,7 +179,7 @@ def _base_record(command: str, provenance: dict[str, Any]) -> dict[str, Any]:
 
 def cmd_check(args: argparse.Namespace) -> int:
     from . import degeneration, ncconfig
-    config, divisor, provenance = _resolve_source(args)
+    config, divisor, provenance, _ = _resolve_source(args)
     record = _base_record("check", provenance)
     if args.after_blowup:
         if divisor is None:
@@ -227,7 +231,7 @@ def _invariants_record(
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     from . import construction, ncconfig
-    config, divisor, provenance = _resolve_source(args)
+    config, divisor, provenance, parts = _resolve_source(args)
     if args.family and divisor is None:
         raise CliError("invariants needs --partition with --family", EXIT_PARSE)
     if args.config and args.trace:
@@ -253,7 +257,8 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         partition = provenance.get("partition")
         row = {**record["invariants"], "family": args.family or "-", "partition": partition or "-"}
-        row["star"] = _star_for(args.family, partition)
+        reference = _reference_rows(args.family).get(parts) if parts else None
+        row["star"] = reference is not None and reference.star
         _emit_csv(TABLE_COLUMNS, [row], args)
     else:
         import json
@@ -278,19 +283,14 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _star_for(fam_id: str | None, partition_text: str | None) -> bool:
-    if fam_id is None or partition_text is None:
-        return False
-    from . import catalog
-    spec = _parse_partition(partition_text).canonical()
-    for row in catalog.expected_table(fam_id):
-        if row.partition.parts == spec.parts:
-            return row.star
-    return False
-
-
 # ---------------------------------------------------------------------------
 # table / verify
+
+
+def _reference_rows(fam: catalog.Family | str) -> dict[tuple, catalog.TableRow]:
+    """The reference table of ``fam``, keyed by canonical partition parts."""
+    from . import catalog
+    return {r.partition.parts: r for r in catalog.expected_table(fam)}
 
 
 def _family_rows(fam: catalog.Family) -> Iterator[tuple[Any, Any, Any]]:
@@ -298,7 +298,7 @@ def _family_rows(fam: catalog.Family) -> Iterator[tuple[Any, Any, Any]]:
     the reference table lacks it), and ``hodge``'s result or the exception
     that building or computing the row raised."""
     from . import catalog, invariants
-    expected = {r.partition.parts: r for r in catalog.expected_table(fam)}
+    expected = _reference_rows(fam)
     for spec in catalog.enumerate_partitions(fam):
         try:
             result = invariants.hodge(*catalog.instantiate(fam, spec))
@@ -356,8 +356,7 @@ def verify_family(fam: catalog.Family) -> tuple[int, int, list[str]]:
     rows and ``matches`` those whose computed pair equals the reference
     pair.  A row that raises is a mismatch.
     """
-    from . import catalog
-    reference = {r.partition.parts for r in catalog.expected_table(fam)}
+    reference = _reference_rows(fam).keys()
     rows = list(_family_rows(fam))
     lines = []
     if {spec.parts for spec, _, _ in rows} != reference:

@@ -97,6 +97,23 @@ def as_int_matrix(rows: Iterable[Iterable[int]]) -> IntMatrix:
     return out
 
 
+def base_rank(rows: Sequence[Sequence[int]]) -> int:
+    """The rank of the base block of a dense Gram matrix ``base (+) -I``.
+
+    The -I block is the maximal run of trailing rows that are -1 on the
+    diagonal and zero elsewhere, each checked at C speed.  It counts only
+    when the matrix is square and every row above it is zero over its
+    columns; otherwise the base block is the whole matrix.
+    """
+    n = len(rows)
+    b = n
+    while b and len(rows[b - 1]) == n and rows[b - 1][b - 1] == -1 and rows[b - 1].count(0) == n - 1:
+        b -= 1
+    if b < n and all(len(r) == n and not any(r[b:]) for r in rows[:b]):
+        return b
+    return n
+
+
 class IntersectionLattice(Record):
     """A finite-rank integral lattice with a symmetric Gram form.
 
@@ -130,14 +147,10 @@ class IntersectionLattice(Record):
             raise DimensionMismatch(
                 f"gram matrix must be {n}x{n}, got {len(gram)} rows"
             )
-        # The maximal trailing -I block: rows that are -1 on the diagonal and
-        # zero elsewhere, each checked at C speed.  Base rows must then be
-        # zero over those columns; if one is not, the form is not symmetric
-        # and the full check below names the entry.
-        b = n
-        while b and gram[b - 1][b - 1] == -1 and gram[b - 1].count(0) == n - 1:
-            b -= 1
-        if b < n and not any(any(r[b:]) for r in gram[:b]):
+        # If the base rows are not zero over a trailing -I block, the form is
+        # not symmetric and the full check below names the entry.
+        b = base_rank(gram)
+        if b < n:
             gram = tuple(r[:b] for r in gram[:b])
             object.__setattr__(self, "gram", gram)
             object.__setattr__(self, "exceptional", self.exceptional + n - b)

@@ -45,6 +45,7 @@ from .exactlat import (
     RationalMatrix,
     Vec,
     adjunction_sum,
+    base_rank,
     default_labels,
     kernel_dimension,
     mat_vec,
@@ -227,7 +228,15 @@ class NCConfiguration(Record):
         return self.surfaces[surface_index].restrictions[adj.index(component_index)]
 
     def restrict(self, surface_index: int, component_index: int, v: Vec) -> Vec:
-        return mat_vec(self.restriction(surface_index, component_index), v)
+        """Image of ``v`` under a restriction matrix, each distinct row multiplied once.
+
+        A blown-up surface repeats one restriction row for every point over
+        a curve, in a file as equal rows and after the blow-up as one shared
+        row.
+        """
+        m = self.restriction(surface_index, component_index)
+        distinct = tuple(dict.fromkeys(m))
+        return tuple(map(dict(zip(distinct, mat_vec(distinct, v))).__getitem__, m))
 
     def hyperplane_on_surface(self, surface_index: int) -> Vec:
         """Restriction of the distinguished ample class to a surface.
@@ -513,14 +522,18 @@ def dumps(obj: Any) -> str:
 
     This is the one layout of every file and payload nc3 writes: 2-space
     indent, sorted keys, ASCII escapes, one scalar per line.  The stdlib
-    encoder falls back to pure Python when given an indent; here a list of
-    plain ints is joined in one ``str.join``.  Values are dicts with string
-    keys, lists, tuples, strings, ints, bools and ``None``; anything else
-    (floats included) raises ``TypeError``.
+    encoder falls back to pure Python when given an indent; here the text is
+    appended to one list of fragments and joined once, as the stdlib's
+    ``_iterencode`` does, and a list of plain ints is joined in one
+    ``str.join``.  Values are dicts with string keys, lists, tuples,
+    strings, ints, bools and ``None``; anything else (floats included)
+    raises ``TypeError``.
     """
     from json.encoder import encode_basestring_ascii
 
-    return _dumps(obj, "\n", encode_basestring_ascii)
+    out: list[str] = []
+    _write(obj, "\n", encode_basestring_ascii, out.append)
+    return "".join(out)
 
 
 class _IntText(dict):
@@ -535,36 +548,51 @@ class _IntText(dict):
 _INT_TEXT = _IntText((k, int.__repr__(k)) for k in range(-16, 17))
 
 
-def _dumps(x: Any, newline: str, quote: Callable[[str], str]) -> str:
+def _write(x: Any, newline: str, quote: Callable[[str], str], emit: Callable[[str], Any]) -> None:
+    """Append the text of ``x`` to ``emit``; ``newline`` ends the line before its closing bracket."""
     if isinstance(x, str):
-        return quote(x)
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    inner = newline + "  "
-    if isinstance(x, dict):
+        emit(quote(x))
+    elif x is None:
+        emit("null")
+    elif x is True:
+        emit("true")
+    elif x is False:
+        emit("false")
+    elif isinstance(x, int):
+        emit(int.__repr__(x))
+    elif isinstance(x, dict):
         if not x:
-            return "{}"
-        items = []
+            emit("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
         for key in sorted(x):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(quote(key) + ": " + _dumps(x[key], inner, quote))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(x, (list, tuple)):
+            emit(lead)
+            emit(quote(key))
+            emit(": ")
+            _write(x[key], inner, quote, emit)
+            lead = "," + inner
+        emit(newline + "}")
+    elif isinstance(x, (list, tuple)):
         if not x:
-            return "[]"
+            emit("[]")
+            return
+        inner = newline + "  "
         if {int}.issuperset(map(type, x)):
-            items = map(_INT_TEXT.__getitem__, x)
-        else:
-            items = [_dumps(v, inner, quote) for v in x]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+            emit("[" + inner + ("," + inner).join(map(_INT_TEXT.__getitem__, x)) + newline + "]")
+            return
+        lead = "[" + inner
+        for v in x:
+            emit(lead)
+            _write(v, inner, quote, emit)
+            lead = "," + inner
+        emit(newline + "]")
+    elif isinstance(x, _DenseText):
+        x.write(newline, quote, emit)
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _require(obj: dict[str, Any], key: str, where: str) -> Any:
@@ -579,34 +607,129 @@ def _intval(x: Any, where: str) -> int:
     return x
 
 
-def _intvec(x: Any, where: str) -> Vec:
+def _intlist(x: Any, where: str) -> list[int]:
     if not isinstance(x, list):
         raise SchemaError(f"{where}: expected list of integers, got {x!r}")
     if not {int}.issuperset(map(type, x)):
         for v in x:
             _intval(v, where)
-    return tuple(x)
+    return x
+
+
+def _intvec(x: Any, where: str) -> Vec:
+    return tuple(_intlist(x, where))
+
+
+def _introws(x: Any, where: str) -> list[list[int]]:
+    if not isinstance(x, list):
+        raise SchemaError(f"{where}: expected matrix, got {x!r}")
+    return [_intlist(r, where) for r in x]
 
 
 def _intmat(x: Any, where: str) -> IntMatrix:
-    if not isinstance(x, list):
-        raise SchemaError(f"{where}: expected matrix, got {x!r}")
-    return tuple(_intvec(r, where) for r in x)
+    return tuple(map(tuple, _introws(x, where)))
 
 
-def _dense_gram(lattice: IntersectionLattice) -> list[list[int]]:
-    """The rows of ``gram (+) -I``: the one place the dense form is built."""
-    n = lattice.rank
-    tail = [0] * lattice.exceptional
-    rows = [list(r) + tail for r in lattice.gram]
-    for p in range(len(lattice.gram), n):
+def _gram(x: Any, where: str) -> tuple[IntMatrix, int]:
+    """A dense Gram matrix as its base block and the count of its trailing -I rows.
+
+    Every cell is type-checked, but only the base block is copied into
+    tuples: a blown-up surface's -I rows are found on the parsed lists.
+    """
+    rows = _introws(x, where)
+    b = base_rank(rows)
+    if b == len(rows):
+        return tuple(map(tuple, rows)), 0
+    return tuple(tuple(r[:b]) for r in rows[:b]), len(rows) - b
+
+
+def _dense(rows: IntMatrix, exceptional: int = 0) -> list[list[int]]:
+    """The dense rows of the Gram form ``rows (+) -I``, as lists.
+
+    With ``exceptional`` 0 this is any matrix, such as a restriction
+    matrix.  ``config_to_dict`` writes its matrices with it, and
+    ``config_to_json`` writes the same text through ``_DenseText``.
+    """
+    n = len(rows) + exceptional
+    tail = [0] * exceptional
+    out = [list(r) + tail for r in rows]
+    for p in range(len(rows), n):
         row = [0] * n
         row[p] = -1
-        rows.append(row)
-    return rows
+        out.append(row)
+    return out
+
+
+class _DenseText:
+    """``config_to_json``'s stand-in for ``_dense(rows, exceptional)``: the writer
+    emits the text of those lists without building them.
+
+    Each row's zero tail is one repeated string, and each ``-I`` row is cut
+    out of one all-zeros row text around its ``-1``.  A row object that the
+    matrix repeats (the blow-up shares one restriction row per curve) is
+    written once.  Rows that are not all exact ints go through ``_write``.
+    """
+
+    __slots__ = ("rows", "exceptional")
+
+    def __init__(self, rows: IntMatrix, exceptional: int = 0):
+        self.rows = rows
+        self.exceptional = exceptional
+
+    def write(self, newline: str, quote: Callable[[str], str], emit: Callable[[str], Any]) -> None:
+        rows, exceptional = self.rows, self.exceptional
+        if not rows and not exceptional:
+            emit("[]")
+            return
+        inner = newline + "  "
+        cell = inner + "  "
+        sep = "," + cell
+        zero = sep + "0"
+        tail = zero * exceptional
+        texts: dict[int, str] = {}
+        lead = "[" + inner
+        for r in rows:
+            text = texts.get(id(r))
+            if text is None:
+                if r and {int}.issuperset(map(type, r)):
+                    text = "[" + cell + sep.join(map(_INT_TEXT.__getitem__, r)) + tail + inner + "]"
+                else:
+                    chunks: list[str] = []
+                    _write(list(r) + [0] * exceptional, inner, quote, chunks.append)
+                    text = "".join(chunks)
+                texts[id(r)] = text
+            emit(lead)
+            emit(text)
+            lead = "," + inner
+        if exceptional:
+            # Cell p of a dense row starts at character p * width.
+            width = len(zero)
+            n = len(rows) + exceptional
+            zeros = "0" + zero * (n - 1)
+            for at in range(len(rows) * width, n * width, width):
+                emit(lead)
+                emit("[" + cell)
+                emit(zeros[:at])
+                emit("-1")
+                emit(zeros[at + 1 :])
+                emit(inner + "]")
+                lead = "," + inner
+        emit(newline + "]")
 
 
 def config_to_dict(config: NCConfiguration) -> dict[str, Any]:
+    """The ``ncconfig/1`` document of ``config`` as plain dicts and lists.
+
+    Gram and restriction matrices are dense lists of lists, fresh on every
+    call, so callers may change them.
+    """
+    return _document(config, _dense)
+
+
+def _document(
+    config: NCConfiguration, matrix: Callable[[IntMatrix, int], Any]
+) -> dict[str, Any]:
+    """The document, each Gram and restriction matrix given by ``matrix(rows, exceptional)``."""
     comps = []
     for i, c in enumerate(config.components):
         entry: dict[str, Any] = {
@@ -631,14 +754,14 @@ def config_to_dict(config: NCConfiguration) -> dict[str, Any]:
         surfs.append(
             {
                 "name": s.name,
-                "gram": _dense_gram(s.lattice),
+                "gram": matrix(s.lattice.gram, s.lattice.exceptional),
                 "basis_labels": list(s.lattice.basis_labels),
                 "canonical": list(s.canonical),
                 "tau_class": list(s.tau_class),
                 "euler": s.euler,
                 "restrictions": {
-                    config.components[j].name: [list(r) for r in s.restrictions[0]],
-                    config.components[k].name: [list(r) for r in s.restrictions[1]],
+                    config.components[j].name: matrix(s.restrictions[0], 0),
+                    config.components[k].name: matrix(s.restrictions[1], 0),
                 },
                 "boundary_self": [list(s.boundary_self[0]), list(s.boundary_self[1])],
             }
@@ -745,7 +868,8 @@ def config_from_dict(data: dict[str, Any]) -> NCConfiguration:
             raise SchemaError("surface name must be a string")
         where = f"surface {sname}"
         _refuse_unknown_keys(s, _SURFACE_KEYS, where)
-        gram = _intmat(_require(s, "gram", where), where + ".gram")
+        gram, exceptional = _gram(_require(s, "gram", where), where + ".gram")
+        rank = len(gram) + exceptional
         labels_raw = s.get("basis_labels")
         if labels_raw is not None and not (
             isinstance(labels_raw, list) and all(isinstance(x, str) for x in labels_raw)
@@ -753,9 +877,10 @@ def config_from_dict(data: dict[str, Any]) -> NCConfiguration:
             raise SchemaError(f"{where}: basis_labels must be a list of strings")
         try:
             lattice = IntersectionLattice(
-                rank=len(gram),
+                rank=rank,
                 gram=gram,
-                basis_labels=tuple(labels_raw) if labels_raw else default_labels(len(gram)),
+                basis_labels=tuple(labels_raw) if labels_raw else default_labels(rank),
+                exceptional=exceptional,
             )
         except Exception as exc:
             raise SchemaError(f"{where}: invalid lattice: {exc}")
@@ -826,7 +951,8 @@ def config_from_dict(data: dict[str, Any]) -> NCConfiguration:
 
 
 def config_to_json(config: NCConfiguration) -> str:
-    return dumps(config_to_dict(config))
+    """``dumps(config_to_dict(config))``, byte for byte, without the dense lists."""
+    return dumps(_document(config, _DenseText))
 
 
 def config_from_json(text: str) -> NCConfiguration:

@@ -96,6 +96,34 @@ def test_blown_up_configuration_validates_cleanly(quintic5_blown):
     assert not any(d.is_error for d in validate(config_tilde))
 
 
+_QUINTIC_1_4_BLOWN_UP = construction.sequential_blowup(
+    *catalog.instantiate("quintic", quintic_partition(1, 4))
+)[0]
+
+
+@st.composite
+def _repeating_matrices(draw, rows, cols):
+    """``rows`` rows drawn from a few distinct ones and the zero row; some
+    repeats are the same tuple object, as after the blow-up, others equal
+    copies, as in a parsed file."""
+    row = st.tuples(*[st.integers(-3, 3)] * cols)
+    pool = draw(st.lists(row, min_size=1, max_size=4)) + [(0,) * cols]
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()), min_size=rows, max_size=rows))
+    return tuple(tuple(list(r)) if copy else r for r, copy in picks)
+
+
+@given(st.data())
+def test_restrict_on_distinct_rows_equals_the_dense_product(data):
+    """D3 of the blown-up quintic (1,4) has rank 16; its restriction from Y2
+    is replaced by a matrix with repeated and zero rows."""
+    config = _QUINTIC_1_4_BLOWN_UP
+    cols = config.components[1].h2_rank
+    m = data.draw(_repeating_matrices(16, cols))
+    v = data.draw(st.tuples(*[st.integers(-5, 5)] * cols))
+    moved = _with_surface(config, 2, restrictions=(config.surfaces[2].restrictions[0], m))
+    assert moved.restrict(2, 1, v) == mat_vec(m, v)
+
+
 # ---------------------------------------------------------------------------
 # restriction_difference_matrix
 
