@@ -35,6 +35,7 @@ whether kernel-based h2 counts may be trusted as the full second Betti number.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from typing import Any, Callable, Iterable, Sequence
 
 from ._record import Record
@@ -623,7 +624,11 @@ def _intvec(x: Any, where: str) -> Vec:
 def _introws(x: Any, where: str) -> list[list[int]]:
     if not isinstance(x, list):
         raise SchemaError(f"{where}: expected matrix, got {x!r}")
-    return [_intlist(r, where) for r in x]
+    # Every cell's type in one pass at C speed; a failure is named row by row.
+    if not ({list}.issuperset(map(type, x)) and {int}.issuperset(map(type, chain.from_iterable(x)))):
+        for r in x:
+            _intlist(r, where)
+    return x
 
 
 def _intmat(x: Any, where: str) -> IntMatrix:
