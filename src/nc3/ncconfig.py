@@ -570,9 +570,7 @@ def _write(x: Any, newline: str, quote: Callable[[str], str], emit: Callable[[st
         for key in sorted(x):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            emit(lead)
-            emit(quote(key))
-            emit(": ")
+            emit(lead + quote(key) + ": ")
             _write(x[key], inner, quote, emit)
             lead = "," + inner
         emit(newline + "}")
@@ -648,7 +646,7 @@ def _gram(x: Any, where: str) -> tuple[IntMatrix, int]:
     return tuple(tuple(r[:b]) for r in rows[:b]), len(rows) - b
 
 
-def _dense(rows: IntMatrix, exceptional: int = 0) -> list[list[int]]:
+def _dense(rows: IntMatrix, exceptional: int) -> list[list[int]]:
     """The dense rows of the Gram form ``rows (+) -I``, as lists.
 
     With ``exceptional`` 0 this is any matrix, such as a restriction
@@ -677,7 +675,7 @@ class _DenseText:
 
     __slots__ = ("rows", "exceptional")
 
-    def __init__(self, rows: IntMatrix, exceptional: int = 0):
+    def __init__(self, rows: IntMatrix, exceptional: int):
         self.rows = rows
         self.exceptional = exceptional
 
@@ -703,8 +701,7 @@ class _DenseText:
                     _write(list(r) + [0] * exceptional, inner, quote, chunks.append)
                     text = "".join(chunks)
                 texts[id(r)] = text
-            emit(lead)
-            emit(text)
+            emit(lead + text)
             lead = "," + inner
         if exceptional:
             # Cell p of a dense row starts at character p * width.
@@ -712,8 +709,7 @@ class _DenseText:
             n = len(rows) + exceptional
             zeros = "0" + zero * (n - 1)
             for at in range(len(rows) * width, n * width, width):
-                emit(lead)
-                emit("[" + cell)
+                emit(lead + "[" + cell)
                 emit(zeros[:at])
                 emit("-1")
                 emit(zeros[at + 1 :])
