@@ -237,6 +237,8 @@ class NCConfiguration(Record):
         """
         m = self.restriction(surface_index, component_index)
         distinct = tuple(dict.fromkeys(m))
+        if len(distinct) == len(m):
+            return mat_vec(m, v)
         return tuple(map(dict(zip(distinct, mat_vec(distinct, v))).__getitem__, m))
 
     def hyperplane_on_surface(self, surface_index: int) -> Vec:
