@@ -529,7 +529,8 @@ def dumps(obj: Any) -> str:
     appended to one list of fragments and joined once, as the stdlib's
     ``_iterencode`` does, and a list of plain ints is joined in one
     ``str.join``.  Values are dicts with string keys, lists, tuples,
-    strings, ints, bools and ``None``; anything else (floats included)
+    strings, ints, bools and ``None`` (and, from ``config_to_json``, its
+    private ``_DenseText`` matrices); anything else (floats included)
     raises ``TypeError``.
     """
     from json.encoder import encode_basestring_ascii
