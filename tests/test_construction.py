@@ -17,7 +17,7 @@ from nc3.construction import (
     sequential_blowup,
     transport_chern,
 )
-from nc3.exactlat import RationalMatrix, kernel_dimension, mat_vec
+from nc3.exactlat import RationalMatrix, ZeroCurveClass, kernel_dimension, mat_vec
 from tests.conftest import all_catalog_cases, quintic_partition
 
 
@@ -94,6 +94,20 @@ def test_repeated_bad_class_gets_one_diagnostic_per_curve():
         diags = check_collective_divisor(odd, replace(bad, components=classes))
         assert all(d.is_error for d in diags)
         assert [(d.clause, d.target, d.message) for d in diags] == expected
+
+
+def test_zero_curve_class_passes_the_check_but_is_refused_by_the_blowup():
+    """A zero part sums, meets and adjoins like a curve, so every clause holds;
+    only the blow-up, which needs the center's Euler number, refuses it."""
+    config, _ = catalog.instantiate("quintic", quintic_partition(5))
+    zero = CollectiveDivisor(
+        alpha=2, components=(((0,), (5,)),) * 3, tau_multiplicities=(0, 15)
+    )
+    assert check_collective_divisor(config, zero) == []
+    with pytest.raises(ZeroCurveClass):
+        sequential_blowup(config, zero)
+    with pytest.raises(ZeroCurveClass):
+        invariants.hodge(config, zero)
 
 
 def test_list_valued_curve_classes_give_the_same_invariants():
