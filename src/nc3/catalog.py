@@ -104,8 +104,9 @@ class Family(Record):
     provenance: tuple[str, ...] = ()
 
     # Built on first use and kept on the instance: every partition of the
-    # family shares them.  Not record fields, so the constructor, equality
-    # and hashing do not see them.
+    # family shares them, and records never change, so sharing is safe.  Not
+    # record fields, so the constructor, equality and hashing do not see
+    # them; ``_record.replace(family)`` is a copy without them.
     @functools.cached_property
     def surface_lattices(self) -> tuple[IntersectionLattice, ...]:
         """The lattices of ``surfaces_opposite``, in the same order."""
@@ -117,6 +118,11 @@ class Family(Record):
         return as_int_matrix(
             [[1 if i == j else 0 for j in range(self.rank)] for i in range(self.rank)]
         )
+
+    @functools.cached_property
+    def _configurations(self) -> dict[tuple[int, ...], NCConfiguration]:
+        """The configuration of each component order, filled in by :func:`instantiate`."""
+        return {}
 
 
 class PartitionSpec(Record):
@@ -361,12 +367,17 @@ def instantiate(
     partition: PartitionSpec,
     component_order: tuple[int, int, int] | None = None,
 ) -> tuple[NCConfiguration, construction.CollectiveDivisor]:
-    """Build the configuration and collective divisor for a partition.
+    """The configuration and collective divisor for a partition.
 
     ``component_order`` permutes which family component sits in which slot
     (slot 1 absorbs two rounds of blow-ups, slot 2 one, slot 3 none); the
     smoothing invariants do not depend on it, the trace does.  Parts are
     taken in the given order; sort beforehand for the canonical trace.
+
+    The configuration depends only on the family and the component order,
+    so it is built once per order and kept on the family: every partition
+    gets the same immutable object, with the values it caches.  Only the
+    divisor is built per partition.
     """
     fam = get_family(family) if isinstance(family, str) else family
     if partition.degree() != fam.total_degree:
@@ -378,10 +389,27 @@ def instantiate(
         raise PartitionError(
             f"parts of {partition.display()} do not match family rank {fam.rank}"
         )
-    order = component_order if component_order is not None else (0, 1, 2)
+    order = tuple(component_order) if component_order is not None else (0, 1, 2)
     if sorted(order) != [0, 1, 2]:
         raise PartitionError(f"component_order must be a permutation of (0,1,2), got {order}")
+    config = fam._configurations.get(order)
+    if config is None:
+        config = fam._configurations[order] = _configuration(fam, order)
 
+    surf = config.surfaces[0]
+    classes = tuple(partition.parts)
+    mults = tuple(pair(c, surf.tau_class, surf.lattice) for c in classes)
+    divisor = construction.CollectiveDivisor(
+        alpha=partition.alpha,
+        components=(classes, classes, classes),
+        tau_multiplicities=mults,
+        g_witness_present=True,
+    )
+    return config, divisor
+
+
+def _configuration(fam: Family, order: tuple[int, ...]) -> NCConfiguration:
+    """The family's components and surfaces placed in ``order``."""
     comps = []
     for slot in range(3):
         fc = fam.components[order[slot]]
@@ -420,7 +448,7 @@ def instantiate(
     notes = (f"catalog family {fam.id}",) + fam.provenance
     if order != (0, 1, 2):
         notes = notes + (f"component order {tuple(o + 1 for o in order)}",)
-    config = NCConfiguration(
+    return NCConfiguration(
         components=(comps[0], comps[1], comps[2]),
         surfaces=(surfs[0], surfs[1], surfs[2]),
         triple=TripleCurve(euler=fam.tau_euler, connected=True),
@@ -428,18 +456,6 @@ def instantiate(
         lattice_is_full=True,
         provenance_notes=notes,
     )
-
-    classes = tuple(partition.parts)
-    mults = tuple(
-        pair(c, config.surfaces[0].tau_class, config.surfaces[0].lattice) for c in classes
-    )
-    divisor = construction.CollectiveDivisor(
-        alpha=partition.alpha,
-        components=(classes, classes, classes),
-        tau_multiplicities=mults,
-        g_witness_present=True,
-    )
-    return config, divisor
 
 
 # ---------------------------------------------------------------------------

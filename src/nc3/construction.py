@@ -39,13 +39,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from . import degeneration
 from ._record import Record, replace
 from .exactlat import (
     IntersectionLattice,
     RationalMatrix,
     Vec,
-    adjunction_euler,
+    ZeroCurveClass,
     adjunction_sum,
     pair,
     vec_scale,
@@ -156,12 +155,30 @@ def check_collective_divisor(
     a surface; a class repeated over several curves still gets one (b) and
     one (d) diagnostic per curve.
     """
+    return _admissibility(config, divisor)[0]
+
+
+def _admissibility(
+    config: NCConfiguration, divisor: CollectiveDivisor
+) -> tuple[list[Diagnostic], list[dict[Vec, tuple[int, int]]], list[Vec | None]]:
+    """The one pass over the curve classes behind the check and the blow-up.
+
+    Returns the sorted diagnostics of :func:`check_collective_divisor`; per
+    surface, each distinct class's (triple-curve multiplicity, adjunction
+    sum); and per surface, the sum of its classes.  A surface whose classes
+    have the wrong length gets no numbers and no sum, only its CD(shape)
+    error.
+    """
     diags: list[Diagnostic] = []
-    normal = degeneration.collective_normal_class(config)
+    numbers: list[dict[Vec, tuple[int, int]]] = []
+    totals: list[Vec | None] = []
+    normal = config.normal_class
     for i, surf in enumerate(config.surfaces):
         classes = divisor.components[i]
-        bad_len = [c for c in classes if len(c) != surf.lattice.rank]
-        if bad_len:
+        seen: dict[Vec, tuple[int, int]] = {}
+        numbers.append(seen)
+        if any(len(c) != surf.lattice.rank for c in classes):
+            totals.append(None)
             diags.append(
                 Diagnostic.error(
                     "CD(shape)",
@@ -171,6 +188,7 @@ def check_collective_divisor(
             )
             continue
         total = vec_sum(classes, surf.lattice.rank)
+        totals.append(total)
         if total != normal.classes[i]:
             diags.append(
                 Diagnostic.error(
@@ -180,15 +198,14 @@ def check_collective_divisor(
                     f"collective normal class there is {normal.classes[i]}",
                 )
             )
-        numbers: dict[Vec, tuple[int, int]] = {}
         for l, c in enumerate(classes):
             key = tuple(c)
-            if key not in numbers:
-                numbers[key] = (
+            if key not in seen:
+                seen[key] = (
                     pair(c, surf.tau_class, surf.lattice),
                     adjunction_sum(c, surf.canonical, surf.lattice),
                 )
-            m, s = numbers[key]
+            m, s = seen[key]
             if m != divisor.tau_multiplicities[l]:
                 diags.append(
                     Diagnostic.error(
@@ -210,7 +227,7 @@ def check_collective_divisor(
                 )
     if not divisor.g_witness_present:
         diags.append(_NO_WITNESS_WARNING)
-    return sorted(diags)
+    return sorted(diags), numbers, totals
 
 
 def sequential_blowup(
@@ -218,13 +235,14 @@ def sequential_blowup(
 ) -> tuple[NCConfiguration, BlowupTrace]:
     """Blow up along a collective divisor; the result is d-semistable.
 
-    Refuses divisors that fail :func:`check_collective_divisor`.  With
-    ``alpha == 0`` (legal only when the collective normal class already
-    vanishes) the configuration is returned unchanged.  Each center's degree
-    and Euler number are computed once per distinct class on its surface, so
-    equal parts of a partition cost one pairing between them.
+    Refuses divisors that fail :func:`check_collective_divisor`, and a zero
+    curve class.  With ``alpha == 0`` (legal only when the collective normal
+    class already vanishes) the configuration is returned unchanged.  The
+    check's pass gives each distinct class's adjunction sum and each
+    surface's class sum, so the blow-up only pairs each distinct class with
+    the surface's hyperplane class.
     """
-    diags = check_collective_divisor(config, divisor)
+    diags, numbers, total_c = _admissibility(config, divisor)
     if has_errors(diags):
         raise AdmissibilityError(diags)
 
@@ -238,18 +256,20 @@ def sequential_blowup(
     s0, s1, s2 = config.surfaces
 
     # Each center's degree (against the surface's hyperplane class) and Euler
-    # number, computed once per distinct class: degree[i][l] and euler[i][l]
-    # for curve l on surface i.  They feed the trace, the component Euler
-    # numbers and the Chern transport.
+    # number, once per distinct class: degree[i][l] and euler[i][l] for curve
+    # l on surface i.  A smooth curve's Euler number is minus its adjunction
+    # sum.  They feed the trace, the component Euler numbers and the Chern
+    # transport.
     degree = []
     euler = []
     for i, surf in enumerate(config.surfaces):
-        h = config.hyperplane_on_surface(i)
-        numbers = {
-            c: (pair(c, h, surf.lattice), adjunction_euler(c, surf.canonical, surf.lattice))
-            for c in dict.fromkeys(map(tuple, c_on[i]))
-        }
-        degree_i, euler_i = zip(*(numbers[tuple(c)] for c in c_on[i]))
+        h = config.hyperplanes[i]
+        centers = {}
+        for c, (_, s) in numbers[i].items():
+            if not any(c):
+                raise ZeroCurveClass("the zero class is not a curve class")
+            centers[c] = (pair(c, h, surf.lattice), -s)
+        degree_i, euler_i = zip(*(centers[tuple(c)] for c in c_on[i]))
         degree.append(degree_i)
         euler.append(euler_i)
 
@@ -330,7 +350,6 @@ def sequential_blowup(
     # class, so its column is the center's coordinates: row r of coords[i]
     # holds coordinate r of every curve on surface i.
     coords = [tuple(zip(*c_on[i])) for i in range(3)]
-    total_c = [vec_sum(c_on[i], config.surfaces[i].lattice.rank) for i in range(3)]
 
     # D1 = Y2 ^ Y3: the C1 centers are blown up inside Y2 (adjacency slot 0);
     # E[l,1] restricts to the curve.

@@ -56,7 +56,11 @@ class TripleSumReport(Record):
 
 
 def collective_normal_class(config: NCConfiguration) -> NormalClassTriple:
-    """Per surface: first self-class + second self-class + triple curve."""
+    """Per surface: first self-class + second self-class + triple curve.
+
+    Computed on each call; ``config.normal_class`` keeps the result of the
+    first one.
+    """
     classes = []
     for surf in config.surfaces:
         n = vec_add(vec_add(surf.boundary_self[0], surf.boundary_self[1]), surf.tau_class)
@@ -69,7 +73,7 @@ def is_d_semistable(config: NCConfiguration) -> tuple[bool, NormalClassTriple]:
 
     Always returns the residual triple for diagnostics.
     """
-    residual = collective_normal_class(config)
+    residual = config.normal_class
     return residual.is_zero, residual
 
 
@@ -79,7 +83,7 @@ def triple_sum_check(config: NCConfiguration) -> TripleSumReport:
     Raises :class:`InternalConsistencyError` if the configuration is
     d-semistable but a residual (or the square sum) fails to vanish.
     """
-    normal = collective_normal_class(config)
+    normal = config.normal_class
     residuals = tuple(
         pair(n, surf.tau_class, surf.lattice)
         for n, surf in zip(normal.classes, config.surfaces)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from ._record import Record
 from .exactlat import (
@@ -54,6 +54,9 @@ from .exactlat import (
     vec_sub,
     vec_zero,
 )
+
+if TYPE_CHECKING:
+    from .degeneration import NormalClassTriple
 
 # Surface i is Y_j ^ Y_k for (j, k) = SURFACE_ADJACENCY[i] (0-based component
 # indices).  The order within each pair fixes the order of restriction
@@ -215,6 +218,22 @@ class NCConfiguration(Record):
         """Kernel dimension of the restriction-difference matrix, ranked once."""
         return kernel_dimension(restriction_difference_matrix(self))
 
+    @cached_property
+    def normal_class(self) -> NormalClassTriple:
+        """The collective normal class, computed once by
+        ``degeneration.collective_normal_class``."""
+        from . import degeneration  # degeneration imports this module
+
+        return degeneration.collective_normal_class(self)
+
+    @cached_property
+    def hyperplanes(self) -> tuple[Vec, ...]:
+        """``hyperplane_on_surface`` of each surface, restricted once."""
+        return tuple(
+            self.restrict(i, j, self.components[j].ample)
+            for i, (j, _) in enumerate(SURFACE_ADJACENCY)
+        )
+
     def adjacent(self, surface_index: int) -> tuple[int, int]:
         return SURFACE_ADJACENCY[surface_index]
 
@@ -247,8 +266,7 @@ class NCConfiguration(Record):
         Taken from the first adjacent component; validation checks that both
         sides agree.
         """
-        j, _ = SURFACE_ADJACENCY[surface_index]
-        return self.restrict(surface_index, j, self.components[j].ample)
+        return self.hyperplanes[surface_index]
 
     def boundary_class(self, component_index: int, other_index: int) -> Vec:
         """Coordinates on component i of the double surface Y_other ^ Y_i."""

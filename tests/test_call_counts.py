@@ -6,8 +6,10 @@ calls, so the counts are the same on every machine.
 
 import collections
 import functools
+import itertools
 
 from nc3 import catalog, cli, construction, degeneration, exactlat, invariants, ncconfig
+from nc3._record import replace
 from tests.conftest import all_catalog_cases, d21_all_ones_row
 
 
@@ -22,59 +24,87 @@ def count_calls(monkeypatch, counts, module, name):
     monkeypatch.setattr(module, name, counted)
 
 
-def test_hodge_checks_once_and_sums_adjunction_at_most_six_alpha(monkeypatch):
+def cold_families():
+    """A copy of every catalog family, without the values the shared one caches."""
+    return {fam_id: replace(catalog.get_family(fam_id)) for fam_id in catalog.family_ids()}
+
+
+def test_instantiate_builds_one_configuration_per_family_and_order(monkeypatch):
+    counts = collections.Counter()
+    count_calls(monkeypatch, counts, ncconfig.NCConfiguration, "__post_init__")
+    families = cold_families()
+    cases = all_catalog_cases()
+    for fam_id, spec in cases:
+        catalog.instantiate(families[fam_id], spec)
+    assert len(cases) == 63
+    assert counts["__post_init__"] == 7
+    for fam_id, spec in cases:
+        for order in itertools.permutations(range(3)):
+            catalog.instantiate(families[fam_id], spec, component_order=order)
+    assert counts["__post_init__"] == 7 * 6
+
+
+def test_hodge_checks_once_and_sums_adjunction_at_most_three_alpha(monkeypatch):
+    """One pass over the classes serves the check and the blow-up, so each
+    distinct class on each surface is summed once."""
     counts = collections.Counter()
     count_calls(monkeypatch, counts, construction, "check_collective_divisor")
-    # The check imports adjunction_sum by name; adjunction_euler reaches it
+    count_calls(monkeypatch, counts, construction, "_admissibility")
+    # The pass imports adjunction_sum by name; adjunction_euler reaches it
     # through exactlat.  Both bindings count under one key.
     count_calls(monkeypatch, counts, construction, "adjunction_sum")
     count_calls(monkeypatch, counts, exactlat, "adjunction_sum")
+    families = cold_families()
     for fam_id, spec in all_catalog_cases():
-        config, divisor = catalog.instantiate(fam_id, spec)
+        config, divisor = catalog.instantiate(families[fam_id], spec)
         counts.clear()
         invariants.hodge(config, divisor)
-        assert counts["check_collective_divisor"] == 1, (fam_id, spec)
-        assert counts["adjunction_sum"] <= 6 * divisor.alpha, (fam_id, spec, counts)
+        assert counts["_admissibility"] == 1, (fam_id, spec)
+        assert counts["check_collective_divisor"] == 0, (fam_id, spec)
+        assert counts["adjunction_sum"] <= 3 * divisor.alpha, (fam_id, spec, counts)
 
 
 def test_invariants_family_route_blows_up_once(monkeypatch, capsys):
     counts = collections.Counter()
     count_calls(monkeypatch, counts, construction, "sequential_blowup")
-    count_calls(monkeypatch, counts, construction, "check_collective_divisor")
+    count_calls(monkeypatch, counts, construction, "_admissibility")
     argv = ["invariants", "--family", "quintic", "--partition", "1,4", "--trace"]
     assert cli.main(argv) == 0
     assert "trace:" in capsys.readouterr().out
-    assert counts["sequential_blowup"] == 1
-    assert counts["check_collective_divisor"] == 1
+    assert counts == {"sequential_blowup": 1, "_admissibility": 1}
 
 
 def test_standalone_euler_closed_blows_up_once(monkeypatch):
     """Without a trace the closed form takes its centers from one blow-up,
-    which checks the divisor once."""
+    which checks the divisor in one pass."""
     counts = collections.Counter()
     count_calls(monkeypatch, counts, construction, "sequential_blowup")
-    count_calls(monkeypatch, counts, construction, "check_collective_divisor")
+    count_calls(monkeypatch, counts, construction, "_admissibility")
     config, divisor = catalog.instantiate("quintic", catalog.PartitionSpec(parts=((1,), (4,))))
     invariants.euler_closed(config, divisor)
-    assert counts == {"sequential_blowup": 1, "check_collective_divisor": 1}
+    assert counts == {"sequential_blowup": 1, "_admissibility": 1}
 
 
 def test_collective_normal_class_passes_per_hodge_and_per_invariants_call(monkeypatch, capsys):
-    """Per row, the divisor check and the triple-point sum each take one pass;
-    the Chern pairings take none."""
+    """Each configuration computes its normal class once: the check reads
+    the one of its family's shared configuration, and the triple-point sum
+    that of the blow-up.  The Chern pairings take none."""
     counts = collections.Counter()
     count_calls(monkeypatch, counts, degeneration, "collective_normal_class")
+    families = cold_families()
     cases = all_catalog_cases()
     for fam_id, spec in cases:
-        invariants.hodge(*catalog.instantiate(fam_id, spec))
+        invariants.hodge(*catalog.instantiate(families[fam_id], spec))
     assert len(cases) == 63
-    assert counts["collective_normal_class"] == 126
+    # 7 base configurations and 63 blow-ups.
+    assert counts["collective_normal_class"] == 70
     counts.clear()
+    monkeypatch.setitem(catalog.FAMILIES, "quintic", replace(catalog.get_family("quintic")))
     assert cli.main(["invariants", "--family", "quintic", "--partition", "1,4"]) == 0
     capsys.readouterr()
-    # The input's residual, the blow-up's residual, the divisor check and
-    # the triple-point sum.
-    assert counts["collective_normal_class"] == 4
+    # The input's residual and the divisor check share one pass; the
+    # blow-up's residual and the triple-point sum share the other.
+    assert counts["collective_normal_class"] == 2
 
 
 def test_hodge_checks_shapes_once_and_ranks_once(monkeypatch):
@@ -142,8 +172,10 @@ def test_d21_all_ones_hodge_pairs_and_ranks_each_distinct_value_once(monkeypatch
     count_sparse_rank_rows(monkeypatch, rows_seen)
     config, divisor = d21_all_ones_row()
     invariants.hodge(config, divisor)
-    assert counts["pair"] <= 12, counts
-    assert counts["adjunction_sum"] <= 6, counts
+    # Per surface: the class against the triple curve, its adjunction sum,
+    # and its degree against the hyperplane class.
+    assert counts["pair"] <= 9, counts
+    assert counts["adjunction_sum"] <= 3, counts
     assert len(rows_seen) == 1 and rows_seen[0] <= 24, rows_seen
 
 

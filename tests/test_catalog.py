@@ -201,6 +201,51 @@ def test_component_order_must_be_permutation():
         instantiate("quintic", quintic_partition(5), component_order=(0, 0, 2))
 
 
+ORDERS = tuple(itertools.permutations(range(3)))
+
+
+def test_shared_configuration_equals_a_cold_build_and_is_one_object_per_order():
+    """Every partition of a family and order gets one configuration, equal to
+    the one a copy of the family with nothing cached builds."""
+    for fam_id in family_ids():
+        fam = get_family(fam_id)
+        first, last = enumerate_partitions(fam)[0], enumerate_partitions(fam)[-1]
+        for order in ORDERS:
+            shared, _ = instantiate(fam, first, component_order=order)
+            cold, _ = instantiate(replace(fam), last, component_order=order)
+            assert cold == shared and cold is not shared, (fam_id, order)
+            assert instantiate(fam, last, component_order=order)[0] is shared, (fam_id, order)
+            # A list order names the same configuration as its tuple.
+            assert instantiate(fam, first, component_order=list(order))[0] is shared
+
+
+def test_hodge_does_not_depend_on_which_rows_warmed_the_shared_configuration():
+    """All 63 rows in all six component orders, on fresh families: in
+    enumeration order, in reverse, and with a cold family per row."""
+    rows = [
+        (fam_id, spec, order)
+        for fam_id in family_ids()
+        for spec in enumerate_partitions(fam_id)
+        for order in ORDERS
+    ]
+    assert len(rows) == 63 * 6
+
+    def hodge_all(rows, family):
+        return [
+            invariants.hodge(*instantiate(family(fam_id), spec, component_order=order))
+            for fam_id, spec, order in rows
+        ]
+
+    def fresh_families():
+        families = {fam_id: replace(get_family(fam_id)) for fam_id in family_ids()}
+        return families.__getitem__
+
+    forward = hodge_all(rows, fresh_families())
+    backward = hodge_all(rows[::-1], fresh_families())[::-1]
+    cold = hodge_all(rows, lambda fam_id: replace(get_family(fam_id)))
+    assert forward == backward == cold
+
+
 def test_randomized_order_invariance():
     rng = random.Random(1234)
     cases = 0
