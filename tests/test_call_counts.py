@@ -50,8 +50,9 @@ def test_hodge_checks_once_and_sums_adjunction_at_most_three_alpha(monkeypatch):
     counts = collections.Counter()
     count_calls(monkeypatch, counts, construction, "check_collective_divisor")
     count_calls(monkeypatch, counts, construction, "_admissibility")
-    # The pass imports adjunction_sum by name; adjunction_euler reaches it
-    # through exactlat.  Both bindings count under one key.
+    # The pass imports adjunction_sum by name; the exactlat binding also
+    # counts a sum reached another way, as through adjunction_euler.  Both
+    # bindings count under one key.
     count_calls(monkeypatch, counts, construction, "adjunction_sum")
     count_calls(monkeypatch, counts, exactlat, "adjunction_sum")
     families = cold_families()
