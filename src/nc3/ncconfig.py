@@ -228,7 +228,8 @@ class NCConfiguration(Record):
 
     @cached_property
     def hyperplanes(self) -> tuple[Vec, ...]:
-        """``hyperplane_on_surface`` of each surface, restricted once."""
+        """Per surface, the distinguished ample class restricted once from
+        its first adjacent component; validation checks that both sides agree."""
         return tuple(
             self.restrict(i, j, self.components[j].ample)
             for i, (j, _) in enumerate(SURFACE_ADJACENCY)
@@ -261,11 +262,8 @@ class NCConfiguration(Record):
         return tuple(map(dict(zip(distinct, mat_vec(distinct, v))).__getitem__, m))
 
     def hyperplane_on_surface(self, surface_index: int) -> Vec:
-        """Restriction of the distinguished ample class to a surface.
-
-        Taken from the first adjacent component; validation checks that both
-        sides agree.
-        """
+        """Restriction of the distinguished ample class to a surface: its
+        entry of :attr:`hyperplanes`."""
         return self.hyperplanes[surface_index]
 
     def boundary_class(self, component_index: int, other_index: int) -> Vec:
