@@ -398,7 +398,8 @@ def instantiate(
 
     surf = config.surfaces[0]
     classes = tuple(partition.parts)
-    mults = tuple(pair(c, surf.tau_class, surf.lattice) for c in classes)
+    meets = {c: pair(c, surf.tau_class, surf.lattice) for c in dict.fromkeys(classes)}
+    mults = tuple(map(meets.__getitem__, classes))
     divisor = construction.CollectiveDivisor(
         alpha=partition.alpha,
         components=(classes, classes, classes),

@@ -32,24 +32,28 @@ d-semistable by the triple point formula.  All bookkeeping is exact:
 * the declared h2 of the configuration grows by exactly 2*alpha.
 
 Order matters for the construction (the trace records it) but not for any
-of the smoothing invariants computed downstream.
+of the smoothing invariants computed downstream.  The trace keeps only the
+per-round numbers: each center's degree and Euler number, taken with the
+admissibility check from one Gram product per distinct class.  Its 3*alpha
+steps and its labels are built on first read, so a caller that needs only
+the invariants never builds them.
 """
 
 from __future__ import annotations
 
+import operator
+from functools import cached_property
 from typing import Sequence
 
-from ._record import Record, replace
+from ._record import Record
 from .exactlat import (
     IntersectionLattice,
     RationalMatrix,
     Vec,
-    ZeroCurveClass,
-    adjunction_sum,
-    pair,
+    gram_product,
+    require_curve_class,
     vec_scale,
     vec_sub,
-    vec_sum,
 )
 from .ncconfig import (
     SEVERITY_WARNING,
@@ -115,11 +119,40 @@ class BlowupStep(Record):
 
 
 class BlowupTrace(Record):
-    """Ordered log of the 3*alpha blow-up steps and the classes they create."""
+    """Ordered log of the 3*alpha blow-up steps and the classes they create.
 
-    steps: tuple[BlowupStep, ...]
-    exceptional_classes: tuple[str, ...]
-    kernel_classes: tuple[str, ...]
+    The fields are the compact data of the three rounds: per round, the
+    blown-up component's name, the name of the surface holding the centers,
+    the center label pattern, and each center's degree and Euler number.
+    The steps and the labels are built on first read and kept; ``repr`` and
+    :meth:`as_dict` show them, while equality and hashing follow the fields.
+    """
+
+    alpha: int
+    rounds: tuple[tuple[str, str, str, tuple[int, ...], tuple[int, ...]], ...]
+
+    @cached_property
+    def steps(self) -> tuple[BlowupStep, ...]:
+        return tuple(
+            BlowupStep(component, label.format(l + 1), surface, degree, euler)
+            for component, surface, label, degrees, eulers in self.rounds
+            for l, (degree, euler) in enumerate(zip(degrees, eulers))
+        )
+
+    @cached_property
+    def exceptional_classes(self) -> tuple[str, ...]:
+        # The exceptional divisor over the center c[l,k] is E[l,k].
+        return tuple(
+            label.replace("c", "E", 1).format(l + 1)
+            for _, _, label, _, _ in self.rounds
+            for l in range(self.alpha)
+        )
+
+    @cached_property
+    def kernel_classes(self) -> tuple[str, ...]:
+        return tuple(f"E[{l + 1}]" for l in range(self.alpha)) + tuple(
+            f"E'[{l + 1}]" for l in range(self.alpha)
+        )
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -127,6 +160,12 @@ class BlowupTrace(Record):
             "exceptional_classes": list(self.exceptional_classes),
             "kernel_classes": list(self.kernel_classes),
         }
+
+    def __repr__(self) -> str:
+        return (
+            f"BlowupTrace(steps={self.steps!r}, exceptional_classes="
+            f"{self.exceptional_classes!r}, kernel_classes={self.kernel_classes!r})"
+        )
 
 
 # The CD(c) finding: projectivity is attested, never computed.
@@ -160,34 +199,39 @@ def check_collective_divisor(
 
 def _admissibility(
     config: NCConfiguration, divisor: CollectiveDivisor
-) -> tuple[list[Diagnostic], list[dict[Vec, tuple[int, int]]], list[Vec | None]]:
+) -> tuple[list[Diagnostic], list[dict[Vec, tuple[int, int, int]]], list[Vec | None]]:
     """The one pass over the curve classes behind the check and the blow-up.
 
     Returns the sorted diagnostics of :func:`check_collective_divisor`; per
     surface, each distinct class's (triple-curve multiplicity, adjunction
-    sum); and per surface, the sum of its classes.  A surface whose classes
-    have the wrong length gets no numbers and no sum, only its CD(shape)
-    error.
+    sum, degree against the surface's hyperplane class); and per surface,
+    the sum of its classes.  A surface whose classes have the wrong length
+    gets no numbers and no sum, only its CD(shape) error.
+
+    Each distinct class c is multiplied by the Gram form once; the three
+    numbers are then dot products of G c with tau, with c + K and with h.
     """
     diags: list[Diagnostic] = []
-    numbers: list[dict[Vec, tuple[int, int]]] = []
+    numbers: list[dict[Vec, tuple[int, int, int]]] = []
     totals: list[Vec | None] = []
     normal = config.normal_class
+    hyperplanes = config.hyperplanes
     for i, surf in enumerate(config.surfaces):
         classes = divisor.components[i]
-        seen: dict[Vec, tuple[int, int]] = {}
+        rank = surf.lattice.rank
+        seen: dict[Vec, tuple[int, int, int]] = {}
         numbers.append(seen)
-        if any(len(c) != surf.lattice.rank for c in classes):
+        if any(len(c) != rank for c in classes):
             totals.append(None)
             diags.append(
                 Diagnostic.error(
                     "CD(shape)",
                     surf.name,
-                    f"curve classes on {surf.name} must have length {surf.lattice.rank}",
+                    f"curve classes on {surf.name} must have length {rank}",
                 )
             )
             continue
-        total = vec_sum(classes, surf.lattice.rank)
+        total = tuple(map(sum, zip(*classes))) if classes else (0,) * rank
         totals.append(total)
         if total != normal.classes[i]:
             diags.append(
@@ -198,14 +242,19 @@ def _admissibility(
                     f"collective normal class there is {normal.classes[i]}",
                 )
             )
+        # tau, K and h have the lattice's rank (the surface's and the
+        # configuration's invariants), and so has G c.
+        tau, canonical, h = surf.tau_class, surf.canonical, hyperplanes[i]
         for l, c in enumerate(classes):
             key = tuple(c)
             if key not in seen:
+                gc = gram_product(key, surf.lattice)
                 seen[key] = (
-                    pair(c, surf.tau_class, surf.lattice),
-                    adjunction_sum(c, surf.canonical, surf.lattice),
+                    sum(map(operator.mul, gc, tau)),
+                    sum(map(operator.mul, gc, key)) + sum(map(operator.mul, gc, canonical)),
+                    sum(map(operator.mul, gc, h)),
                 )
-            m, s = seen[key]
+            m, s, _ = seen[key]
             if m != divisor.tau_multiplicities[l]:
                 diags.append(
                     Diagnostic.error(
@@ -238,16 +287,17 @@ def sequential_blowup(
     Refuses divisors that fail :func:`check_collective_divisor`, and a zero
     curve class.  With ``alpha == 0`` (legal only when the collective normal
     class already vanishes) the configuration is returned unchanged.  The
-    check's pass gives each distinct class's adjunction sum and each
-    surface's class sum, so the blow-up only pairs each distinct class with
-    the surface's hyperplane class.
+    check's pass gives each distinct class's adjunction sum and degree and
+    each surface's class sum, so the blow-up pairs nothing itself.  The
+    trace holds the per-round numbers; its steps and labels are built when
+    first read.
     """
     diags, numbers, total_c = _admissibility(config, divisor)
     if has_errors(diags):
         raise AdmissibilityError(diags)
 
     if divisor.alpha == 0:
-        return config, BlowupTrace(steps=(), exceptional_classes=(), kernel_classes=())
+        return config, BlowupTrace(alpha=0, rounds=())
 
     alpha = divisor.alpha
     gamma = divisor.gamma
@@ -255,49 +305,37 @@ def sequential_blowup(
     comp0, comp1, comp2 = config.components
     s0, s1, s2 = config.surfaces
 
-    # Each center's degree (against the surface's hyperplane class) and Euler
-    # number, once per distinct class: degree[i][l] and euler[i][l] for curve
-    # l on surface i.  A smooth curve's Euler number is minus its adjunction
-    # sum.  They feed the trace, the component Euler numbers and the Chern
-    # transport.
+    # Each center's degree and Euler number from the pass, read once per
+    # curve: degree[i][l] and euler[i][l] for curve l on surface i.  A
+    # smooth curve's Euler number is minus its adjunction sum.  They feed
+    # the trace, the component Euler numbers and the Chern transport.
     degree = []
     euler = []
-    for i, surf in enumerate(config.surfaces):
-        h = config.hyperplanes[i]
-        centers = {}
-        for c, (_, s) in numbers[i].items():
-            if not any(c):
-                raise ZeroCurveClass("the zero class is not a curve class")
-            centers[c] = (pair(c, h, surf.lattice), -s)
+    for i in range(3):
+        for c in numbers[i]:
+            require_curve_class(c)
+        centers = {c: (d, -s) for c, (_, s, d) in numbers[i].items()}
         degree_i, euler_i = zip(*(centers[tuple(c)] for c in c_on[i]))
         degree.append(degree_i)
         euler.append(euler_i)
 
     # --- trace ------------------------------------------------------------
-    # (blown-up component, surface holding the centers, center label)
-    rounds = ((comp0, 1, "c[{},2]"), (comp1, 0, "c[{},1]"), (comp0, 2, "c'[{},3]"))
-    steps = tuple(
-        BlowupStep(
-            component=comp.name,
-            center=label.format(l + 1),
-            surface=config.surfaces[i].name,
-            degree=degree[i][l],
-            euler=euler[i][l],
-        )
-        for comp, i, label in rounds
-        for l in range(alpha)
+    # One round per blow-up stage: the blown-up component, the surface
+    # holding the centers and the center label; the steps are built when read.
+    trace = BlowupTrace(
+        alpha=alpha,
+        rounds=tuple(
+            (comp.name, config.surfaces[i].name, label, degree[i], euler[i])
+            for comp, i, label in (
+                (comp0, 1, "c[{},2]"),
+                (comp1, 0, "c[{},1]"),
+                (comp0, 2, "c'[{},3]"),
+            )
+        ),
     )
     labels_e2 = tuple(f"E[{l + 1},2]" for l in range(alpha))
     labels_e1 = tuple(f"E[{l + 1},1]" for l in range(alpha))
     labels_e3 = tuple(f"E'[{l + 1},3]" for l in range(alpha))
-    kernel_labels = tuple(f"E[{l + 1}]" for l in range(alpha)) + tuple(
-        f"E'[{l + 1}]" for l in range(alpha)
-    )
-    trace = BlowupTrace(
-        steps=steps,
-        exceptional_classes=labels_e2 + labels_e1 + labels_e3,
-        kernel_classes=kernel_labels,
-    )
 
     # --- components --------------------------------------------------------
     chern0 = comp0.chern_numbers
@@ -353,8 +391,12 @@ def sequential_blowup(
 
     # D1 = Y2 ^ Y3: the C1 centers are blown up inside Y2 (adjacency slot 0);
     # E[l,1] restricts to the curve.
-    new_s0 = replace(
-        s0,
+    new_s0 = SurfaceGeometry(
+        name=s0.name,
+        lattice=s0.lattice,
+        canonical=s0.canonical,
+        tau_class=s0.tau_class,
+        euler=s0.euler,
         restrictions=(
             tuple(r + c for r, c in zip(s0.restrictions[0], coords[0])),
             s0.restrictions[1],
@@ -363,8 +405,12 @@ def sequential_blowup(
     )
     # D2 = Y3 ^ Y1: the C2 centers are blown up inside Y1 (adjacency slot 1);
     # E[l,2] restricts to the curve, E'[l,3] to zero.
-    new_s1 = replace(
-        s1,
+    new_s1 = SurfaceGeometry(
+        name=s1.name,
+        lattice=s1.lattice,
+        canonical=s1.canonical,
+        tau_class=s1.tau_class,
+        euler=s1.euler,
         restrictions=(
             s1.restrictions[0],
             tuple(r + c + zeros for r, c in zip(s1.restrictions[1], coords[1])),

@@ -111,13 +111,13 @@ def euler_closed(
     Adds the centers' Euler numbers (adjunction on each surface) and
     subtracts twice the number of triple-curve points to the triple-point
     sum of the original configuration.  The centers' Euler numbers are read
-    from the steps of ``trace``, the trace of the blow-up along ``divisor``;
-    without it the configuration is blown up along ``divisor`` here, which
-    refuses an inadmissible divisor.
+    from the rounds of ``trace``, the trace of the blow-up along ``divisor``,
+    without building its steps; without it the configuration is blown up
+    along ``divisor`` here, which refuses an inadmissible divisor.
     """
     if trace is None:
         trace = construction.sequential_blowup(config, divisor)[1]
-    centers = sum(step.euler for step in trace.steps)
+    centers = sum(sum(eulers) for *_, eulers in trace.rounds)
     return (
         sum(c.euler for c in config.components)
         - 2 * sum(s.euler for s in config.surfaces)

@@ -44,16 +44,24 @@ def test_instantiate_builds_one_configuration_per_family_and_order(monkeypatch):
     assert counts["__post_init__"] == 7 * 6
 
 
-def test_hodge_checks_once_and_sums_adjunction_at_most_three_alpha(monkeypatch):
-    """One pass over the classes serves the check and the blow-up, so each
-    distinct class on each surface is summed once."""
+def distinct_classes(divisor):
+    """The number of distinct curve classes, summed over the three surfaces."""
+    return sum(len(set(map(tuple, classes))) for classes in divisor.components)
+
+
+def test_hodge_checks_once_and_takes_one_gram_product_per_distinct_class(monkeypatch):
+    """One pass over the classes serves the check and the blow-up: each
+    distinct class on each surface is multiplied by the Gram form once, and
+    its multiplicity, adjunction sum and degree are dot products with it."""
     counts = collections.Counter()
     count_calls(monkeypatch, counts, construction, "check_collective_divisor")
     count_calls(monkeypatch, counts, construction, "_admissibility")
-    # The pass imports adjunction_sum by name; the exactlat binding also
-    # counts a sum reached another way, as through adjunction_euler.  Both
-    # bindings count under one key.
-    count_calls(monkeypatch, counts, construction, "adjunction_sum")
+    # The pass imports gram_product by name; the exactlat binding also
+    # counts a product reached another way.  Both bindings count under one
+    # key.  A pairing or an adjunction sum reached through exactlat counts too.
+    count_calls(monkeypatch, counts, construction, "gram_product")
+    count_calls(monkeypatch, counts, exactlat, "gram_product")
+    count_calls(monkeypatch, counts, exactlat, "pair")
     count_calls(monkeypatch, counts, exactlat, "adjunction_sum")
     families = cold_families()
     for fam_id, spec in all_catalog_cases():
@@ -62,7 +70,39 @@ def test_hodge_checks_once_and_sums_adjunction_at_most_three_alpha(monkeypatch):
         invariants.hodge(config, divisor)
         assert counts["_admissibility"] == 1, (fam_id, spec)
         assert counts["check_collective_divisor"] == 0, (fam_id, spec)
-        assert counts["adjunction_sum"] <= 3 * divisor.alpha, (fam_id, spec, counts)
+        assert counts["gram_product"] <= distinct_classes(divisor), (fam_id, spec, counts)
+        assert counts["pair"] == counts["adjunction_sum"] == 0, (fam_id, spec, counts)
+
+
+def test_hodge_builds_no_blowup_step(monkeypatch):
+    """The trace keeps per-round numbers; its 3*alpha steps are built only
+    when something reads them, and ``hodge`` does not."""
+    counts = collections.Counter()
+    count_calls(monkeypatch, counts, construction, "BlowupStep")
+    for fam_id, spec in all_catalog_cases():
+        config, divisor = catalog.instantiate(fam_id, spec)
+        blowup = construction.sequential_blowup(config, divisor)
+        invariants.hodge(config, divisor)
+        invariants.hodge(config, divisor, blowup)
+        assert counts["BlowupStep"] == 0, (fam_id, spec)
+        assert len(blowup[1].steps) == 3 * divisor.alpha
+        assert counts["BlowupStep"] == 3 * divisor.alpha, (fam_id, spec)
+        blowup[1].as_dict()
+        assert counts["BlowupStep"] == 3 * divisor.alpha, (fam_id, spec)
+        counts.clear()
+
+
+def test_instantiate_pairs_each_distinct_part_once(monkeypatch):
+    counts = collections.Counter()
+    count_calls(monkeypatch, counts, catalog, "pair")
+    for fam_id, spec in all_catalog_cases():
+        counts.clear()
+        _, divisor = catalog.instantiate(fam_id, spec)
+        assert counts["pair"] == len(set(spec.parts)), (fam_id, spec)
+        assert len(divisor.tau_multiplicities) == len(spec.parts)
+    counts.clear()
+    d21_all_ones_row()
+    assert counts["pair"] == 1
 
 
 def test_invariants_family_route_blows_up_once(monkeypatch, capsys):
@@ -163,20 +203,23 @@ def count_sparse_rank_rows(monkeypatch, rows_seen):
 
 
 def test_d21_all_ones_hodge_pairs_and_ranks_each_distinct_value_once(monkeypatch):
-    """The 21 centers on a surface share one class, and the 297 rows of the
+    """The 21 parts are one class, and the 297 rows of the
     restriction-difference matrix hold 24 distinct ones."""
     counts = collections.Counter()
-    for module in (construction, exactlat):
+    for module in (catalog, degeneration, exactlat):
         count_calls(monkeypatch, counts, module, "pair")
-        count_calls(monkeypatch, counts, module, "adjunction_sum")
+    for module in (construction, exactlat):
+        count_calls(monkeypatch, counts, module, "gram_product")
+    count_calls(monkeypatch, counts, exactlat, "adjunction_sum")
     rows_seen = []
     count_sparse_rank_rows(monkeypatch, rows_seen)
     config, divisor = d21_all_ones_row()
     invariants.hodge(config, divisor)
-    # Per surface: the class against the triple curve, its adjunction sum,
-    # and its degree against the hyperplane class.
-    assert counts["pair"] <= 9, counts
-    assert counts["adjunction_sum"] <= 3, counts
+    # instantiate pairs the one distinct part with the triple curve; the
+    # blow-up's pass takes one Gram product of it per surface.
+    assert counts["pair"] <= 1, counts
+    assert counts["gram_product"] <= 3, counts
+    assert counts["adjunction_sum"] == 0, counts
     assert len(rows_seen) == 1 and rows_seen[0] <= 24, rows_seen
 
 

@@ -10,6 +10,8 @@ from nc3.construction import (
     AdmissibilityError,
     AmpleMarginError,
     AmpleMarginProblem,
+    BlowupStep,
+    BlowupTrace,
     CollectiveDivisor,
     ample_margin,
     check_collective_divisor,
@@ -228,13 +230,26 @@ def _dense_pair(u, gram, v):
     return sum(u[i] * gram[i][j] * v[j] for i in range(len(u)) for j in range(len(v)))
 
 
+def _dense_center_numbers(config, divisor, k, l):
+    """(c.h, -c.(c + K)) of curve l on surface k, as dense double sums.
+
+    h is the first adjacent component's ample class pushed through its
+    restriction matrix, also summed densely.
+    """
+    surf = config.surfaces[k]
+    c = divisor.components[k][l]
+    ample = config.components[ncconfig.SURFACE_ADJACENCY[k][0]].ample
+    h = [sum(r[a] * ample[a] for a in range(len(ample))) for r in surf.restrictions[0]]
+    c_plus_k = [x + y for x, y in zip(c, surf.canonical)]
+    return _dense_pair(c, surf.lattice.gram, h), -_dense_pair(c, surf.lattice.gram, c_plus_k)
+
+
 @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
 def test_trace_numbers_against_dense_double_sum(order):
     """Each step's degree is c.h and its Euler number -c.(c + K), as dense sums.
 
-    h is the first adjacent component's ample class pushed through its
-    restriction matrix, also summed densely; the steps run over the centers
-    on D2, then D1, then D3, blowing up components 1, 2 and 1.
+    The steps run over the centers on D2, then D1, then D3, blowing up
+    components 1, 2 and 1.
     """
     for fam_id, spec in all_catalog_cases():
         config, divisor = catalog.instantiate(fam_id, spec, order)
@@ -248,13 +263,77 @@ def test_trace_numbers_against_dense_double_sum(order):
             match = re.fullmatch(r"c'?\[(\d+),(\d)\]", step.center)
             l, k = int(match[1]) - 1, int(match[2]) - 1
             assert (l, f"D{k + 1}") == (n % alpha, step.surface)
-            surf = config.surfaces[k]
-            c = divisor.components[k][l]
-            ample = config.components[ncconfig.SURFACE_ADJACENCY[k][0]].ample
-            h = [sum(r[a] * ample[a] for a in range(len(ample))) for r in surf.restrictions[0]]
-            c_plus_k = [x + y for x, y in zip(c, surf.canonical)]
-            assert step.degree == _dense_pair(c, surf.lattice.gram, h), (fam_id, spec, step)
-            assert step.euler == -_dense_pair(c, surf.lattice.gram, c_plus_k), (fam_id, spec, step)
+            degree, euler = _dense_center_numbers(config, divisor, k, l)
+            assert step.degree == degree, (fam_id, spec, step)
+            assert step.euler == euler, (fam_id, spec, step)
+
+
+# The three rounds: (slot of the blown-up component, surface index of the
+# centers, center label with {} for the curve number, exceptional label).
+ROUNDS = ((0, 1, "c[{},2]", "E[{},2]"), (1, 0, "c[{},1]", "E[{},1]"), (0, 2, "c'[{},3]", "E'[{},3]"))
+
+
+def _eager_trace(config, divisor):
+    """The trace written out in full from the dense oracle, and the
+    per-round fields a trace with the same steps holds."""
+    alpha = divisor.alpha
+    steps, rounds = [], []
+    for slot, k, center, _ in ROUNDS:
+        numbers = [_dense_center_numbers(config, divisor, k, l) for l in range(alpha)]
+        comp = config.components[slot].name
+        steps += [
+            BlowupStep(component=comp, center=center.format(l + 1), surface=f"D{k + 1}", degree=d, euler=e)
+            for l, (d, e) in enumerate(numbers)
+        ]
+        rounds.append((comp, f"D{k + 1}", center, *map(tuple, zip(*numbers))))
+    exceptional = tuple(label.format(l + 1) for *_, label in ROUNDS for l in range(alpha))
+    kernel = tuple(f"E[{l + 1}]" for l in range(alpha)) + tuple(f"E'[{l + 1}]" for l in range(alpha))
+    fields = BlowupTrace(alpha=alpha, rounds=tuple(rounds))
+    return tuple(steps), exceptional, kernel, fields
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_trace_built_on_read_equals_the_eager_trace(order):
+    """The trace prints and compares as the fully built oracle trace; the
+    closed Euler form read from its rounds is the sum over its steps."""
+    for fam_id, spec in all_catalog_cases():
+        config, divisor = catalog.instantiate(fam_id, spec, order)
+        _, trace = sequential_blowup(config, divisor)
+        steps, exceptional, kernel, fields = _eager_trace(config, divisor)
+        assert repr(trace) == (
+            f"BlowupTrace(steps={steps!r}, exceptional_classes={exceptional!r}, "
+            f"kernel_classes={kernel!r})"
+        ), (fam_id, spec)
+        assert trace.as_dict() == {
+            "steps": [s.as_dict() for s in steps],
+            "exceptional_classes": list(exceptional),
+            "kernel_classes": list(kernel),
+        }, (fam_id, spec)
+        assert trace == fields and hash(trace) == hash(fields), (fam_id, spec)
+        assert (fields.steps, fields.exceptional_classes, fields.kernel_classes) == (
+            steps,
+            exceptional,
+            kernel,
+        )
+        assert replace(trace) == trace
+        without_centers = (
+            sum(c.euler for c in config.components)
+            - 2 * sum(s.euler for s in config.surfaces)
+            + 3 * config.triple.euler
+            - 2 * divisor.gamma
+        )
+        assert invariants.euler_closed(config, divisor, trace) == without_centers + sum(
+            step.euler for step in trace.steps
+        ), (fam_id, spec)
+
+
+def test_alpha_zero_trace_is_empty(quintic5_blown):
+    config_tilde, _ = quintic5_blown
+    empty = CollectiveDivisor(alpha=0, components=((), (), ()), tau_multiplicities=())
+    _, trace = sequential_blowup(config_tilde, empty)
+    assert trace == BlowupTrace(alpha=0, rounds=())
+    assert repr(trace) == "BlowupTrace(steps=(), exceptional_classes=(), kernel_classes=())"
+    assert trace.as_dict() == {"steps": [], "exceptional_classes": [], "kernel_classes": []}
 
 
 def test_euler_identity_smoothing_equals_closed_everywhere():

@@ -15,10 +15,12 @@ from nc3.exactlat import (
     adjunction_euler,
     adjunction_sum,
     default_labels,
+    gram_product,
     kernel_dimension,
     make_lattice,
     matrix_rank,
     pair,
+    require_curve_class,
     vec_add,
 )
 
@@ -158,6 +160,33 @@ def test_block_form_against_dense_double_sum(case):
     assert from_dense == lat
     assert hash(from_dense) == hash(lat)
     assert sum(map(len, lat.gram)) <= len(base) ** 2
+
+
+@given(block_lattices())
+def test_gram_product_against_dense_matrix(case):
+    """G c is the dense matrix times c, and its dot product with u is u.c."""
+    base, e, dense, (u, c, _) = case
+    n = len(dense)
+    lat = IntersectionLattice(
+        rank=n,
+        gram=tuple(map(tuple, base)),
+        basis_labels=default_labels(n),
+        exceptional=e,
+    )
+    gc = gram_product(c, lat)
+    assert gc == tuple(sum(dense[i][j] * c[j] for j in range(n)) for i in range(n))
+    assert sum(a * b for a, b in zip(u, gc)) == pair(u, c, lat)
+    assert gram_product(list(c), lat) == gc
+    with pytest.raises(DimensionMismatch):
+        gram_product(c + (0,), lat)
+
+
+def test_require_curve_class_refuses_only_the_zero_class():
+    for zero in ((0,), (0, 0, 0), [0, 0]):
+        with pytest.raises(ZeroCurveClass, match="^the zero class is not a curve class$"):
+            require_curve_class(zero)
+    for c in ((1,), (0, -1), [0, 0, 2]):
+        require_curve_class(c)
 
 
 def test_block_form_moves_trailing_minus_one_rows_into_the_count():

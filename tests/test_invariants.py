@@ -1,10 +1,13 @@
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nc3 import catalog, construction, invariants, ncconfig
 from nc3._record import replace
+from nc3.cli import main
 from nc3.invariants import (
     NotDSemistable,
     PathDisagreement,
@@ -238,6 +241,59 @@ def test_hodge_degree_21_all_ones_row():
     tags = dict(inv.method_tags)
     assert set(tags["h11"]) == {"closed-form", "kernel"}
     assert set(tags["euler"]) == {"closed-form", "triple-point-sum"}
+
+
+# Shifts of the triple curve's Euler number.  Every shipped and synthetic
+# family has e(T) = 0, so only a shifted copy sees the 3 e(T) term.
+TAU_EULER_SHIFTS = (-2, 2, 4)
+
+
+@pytest.mark.parametrize("degree", [9, 15])
+def test_triple_curve_euler_shift_moves_only_e_and_h12(degree):
+    """Both Euler routes carry 3 e(T): e moves by exactly 3 delta, h11 stays
+    and h12 moves by -3 delta / 2, on every row of the family."""
+    fam = rank_one_family(degree)
+    shifted = {delta: replace(fam, tau_euler=delta) for delta in TAU_EULER_SHIFTS}
+    for spec in catalog.enumerate_partitions(fam):
+        base = hodge(*catalog.instantiate(fam, spec))
+        for delta, fam_delta in shifted.items():
+            inv = hodge(*catalog.instantiate(fam_delta, spec))
+            assert inv.euler == base.euler + 3 * delta, (degree, spec, delta)
+            assert inv.h11 == base.h11, (degree, spec, delta)
+            assert 2 * (inv.h12 - base.h12) == -3 * delta, (degree, spec, delta)
+            assert inv.method_tags == base.method_tags
+
+
+def test_triple_curve_euler_shift_through_a_blown_up_file(tmp_path, capsys):
+    """The file route reads e(T) from the file.  A triple curve of Euler
+    number 4 is no smooth connected curve, so validation refuses that shift."""
+    config, divisor = catalog.instantiate("quintic", quintic_partition(1, 4))
+    data = json.loads(ncconfig.config_to_json(construction.sequential_blowup(config, divisor)[0]))
+    path = tmp_path / "blown_up.json"
+    argv = ["invariants", "--config", str(path), "--format", "json"]
+
+    def invariants_of(tau_euler):
+        data["triple"]["euler"] = tau_euler
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code = main(argv)
+        return code, json.loads(capsys.readouterr().out)
+
+    code, base = invariants_of(0)
+    assert code == 0 and (base["invariants"]["euler"], base["invariants"]["h12"]) == (-144, 75)
+    for delta in TAU_EULER_SHIFTS:
+        code, out = invariants_of(delta)
+        if delta > 2:
+            assert code == 1 and "invariants" not in out
+            assert "triple curve Euler number 4" in json.dumps(out["diagnostics"])
+            continue
+        inv = out["invariants"]
+        assert code == 0, delta
+        assert inv["euler"] == base["invariants"]["euler"] + 3 * delta
+        assert inv["h11"] == base["invariants"]["h11"] == 3
+        assert 2 * (inv["h12"] - base["invariants"]["h12"]) == -3 * delta
+        assert {k: v for k, v in inv.items() if k not in ("euler", "h12")} == {
+            k: v for k, v in base["invariants"].items() if k not in ("euler", "h12")
+        }
 
 
 def test_hodge_closed_form_only_when_lattice_partial(quintic5):

@@ -5,13 +5,16 @@ the output of the stdlib encoder (``json.dumps(payload, indent=2,
 sort_keys=True)``) before nc3 had its own writer; those of ``invariants
 --family`` before that route stopped blowing up a second time for its
 trace; those of ``invariants --config`` while the CLI still assembled the
-file route's invariants itself.  Any change to a payload's bytes (layout, key order, escaping, a
-number) changes its digest.  A deliberate format change must update the
+file route's invariants itself; that of the blow-up traces' ``repr``
+while every trace still built its steps and labels with the blow-up.  Any
+change to a payload's bytes (layout, key order, escaping, a number) changes
+its digest.  A deliberate format change must update the
 digests in the same change and say so.
 """
 
 import copy
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -19,7 +22,7 @@ import pytest
 from nc3 import catalog, construction, ncconfig
 from nc3._record import replace
 from nc3.cli import main
-from tests.conftest import d21_all_ones_row
+from tests.conftest import all_catalog_cases, d21_all_ones_row
 
 # (family id, digest of `catalog export --family <id>`,
 #  digest of `table --family <id> --format json`)
@@ -81,6 +84,10 @@ BLOWUP_EXPORT_DIGESTS = [
     ("quintic", ((1,), (1,), (3,)), None, "447909d01d4455d9ce23b73471d7a671b23cb437217872eebfa71e3e6dd0ae4a"),
     ("p2xp2", ((1, 0), (2, 3)), (2, 0, 1), "d0fac7e576c9499298f7e1bab174e431b2b45a3eea8116a17c849f4a3478013a"),
 ]
+
+# `repr` of the blow-up trace of every catalog row in every component order,
+# one per line, rows in catalog order and orders in permutation order.
+TRACE_REPRS_DIGEST = "e9ff3c572e117b720963639852fe735e70cdabdc44ae106b0c9933b85eedcff6"
 
 
 def stdout_digest(capsys, *argv):
@@ -329,3 +336,12 @@ def test_unknown_family_refusal(capsys, argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", UNKNOWN_FAMILY_LINE + "\n")
+
+
+def test_trace_reprs_bytes():
+    digest = hashlib.sha256()
+    for fam_id, spec in all_catalog_cases():
+        for order in itertools.permutations(range(3)):
+            _, trace = construction.sequential_blowup(*catalog.instantiate(fam_id, spec, order))
+            digest.update(f"{trace!r}\n".encode("utf-8"))
+    assert digest.hexdigest() == TRACE_REPRS_DIGEST
