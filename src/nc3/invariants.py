@@ -117,7 +117,8 @@ def euler_closed(
     """
     if trace is None:
         trace = construction.sequential_blowup(config, divisor)[1]
-    centers = sum(sum(eulers) for *_, eulers in trace.rounds)
+    # A round's last entry holds its centers' Euler numbers.
+    centers = sum(sum(r[-1]) for r in trace.rounds)
     return (
         sum(c.euler for c in config.components)
         - 2 * sum(s.euler for s in config.surfaces)
