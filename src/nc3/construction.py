@@ -26,9 +26,11 @@ d-semistable by the triple point formula.  All bookkeeping is exact:
   exceptional points over the center on the third surface, zero elsewhere;
 * each blown-up restriction matrix is written once in final form: its old
   rows, each extended by the new columns' entries, then on the third surface
-  one row per exceptional point.  The first two surfaces keep their lattice,
-  canonical and triple-curve classes and Euler number; only their
-  restrictions and self classes change;
+  one row per exceptional point.  The points over one curve share one row
+  tuple, repeated at C speed, and the points' basis labels are formatted
+  once per process, so no Python step of the blow-up runs per point.  The
+  first two surfaces keep their lattice, canonical and triple-curve classes
+  and Euler number; only their restrictions and self classes change;
 * the declared h2 of the configuration grows by exactly 2*alpha.
 
 Order matters for the construction (the trace records it) but not for any
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Sequence
 
 from ._record import Record
@@ -52,7 +55,6 @@ from .exactlat import (
     Vec,
     gram_product,
     require_curve_class,
-    vec_scale,
     vec_sub,
 )
 from .ncconfig import (
@@ -418,15 +420,16 @@ def sequential_blowup(
         boundary_self=(s1.boundary_self[0], vec_sub(s1.boundary_self[1], total_c[1])),
     )
     # D3 = Y1 ^ Y2: blown up at the gamma triple-curve points, one new row
-    # each.  curve_of[p] is the curve whose centers pass through point p, and
-    # unit[l] is the l-th unit vector of length alpha.
-    curve_of = [l for l, m in enumerate(divisor.tau_multiplicities) for _ in range(m)]
+    # each, curve by curve: the first m_1 points lie over curve 1, and so on.
+    # unit[l] and minus[l] are plus and minus the l-th unit vector of length
+    # alpha.
+    points = divisor.tau_multiplicities
     unit = [zeros[:l] + (1,) + zeros[l + 1 :] for l in range(alpha)]
-    eps_labels = tuple(f"eps[{p + 1}]" for p in range(gamma))
+    minus = [zeros[:l] + (-1,) + zeros[l + 1 :] for l in range(alpha)]
     new_lattice = IntersectionLattice(
         rank=s2.lattice.rank + gamma,
         gram=s2.lattice.gram,
-        basis_labels=s2.lattice.basis_labels + eps_labels,
+        basis_labels=s2.lattice.basis_labels + _point_labels(gamma),
         exceptional=s2.lattice.exceptional + gamma,
     )
     eps_all_pos = (1,) * gamma
@@ -435,14 +438,17 @@ def sequential_blowup(
     # Restriction from component 0: pullbacks keep their coordinates (zero on
     # the exceptional points); E[l,2] restricts to the points over curve l;
     # E'[l,3] restricts to the proper transform of the l-th C3 curve, its
-    # class minus those points.  The points over one curve share one row tuple.
-    over0 = [(0,) * comp0.h2_rank + unit[l] + vec_scale(-1, unit[l]) for l in range(alpha)]
+    # class minus those points.  The points over one curve share one row
+    # tuple, repeated at C speed.
+    over0 = [(0,) * comp0.h2_rank + unit[l] + minus[l] for l in range(alpha)]
     new_r20 = tuple(r + zeros + c for r, c in zip(s2.restrictions[0], coords[2])) + tuple(
-        over0[l] for l in curve_of
+        chain.from_iterable(map(repeat, over0, points))
     )
     # Restriction from component 1: E[l,1] restricts to the points over curve l.
     over1 = [(0,) * comp1.h2_rank + unit[l] for l in range(alpha)]
-    new_r21 = tuple(r + zeros for r in s2.restrictions[1]) + tuple(over1[l] for l in curve_of)
+    new_r21 = tuple(r + zeros for r in s2.restrictions[1]) + tuple(
+        chain.from_iterable(map(repeat, over1, points))
+    )
     new_s2 = SurfaceGeometry(
         name=s2.name,
         lattice=new_lattice,
@@ -470,6 +476,22 @@ def sequential_blowup(
         ),
     )
     return new_config, trace
+
+
+# The basis labels eps[1], eps[2], ... of the exceptional points on the third
+# surface, formatted once per process and grown on demand.  They depend on
+# the number of points alone.
+_POINT_LABELS: tuple[str, ...] = ()
+
+
+def _point_labels(gamma: int) -> tuple[str, ...]:
+    """The labels ``eps[1]`` to ``eps[gamma]`` of the blown-up third surface's points."""
+    global _POINT_LABELS
+    labels = _POINT_LABELS
+    if len(labels) < gamma:
+        labels += tuple(f"eps[{p + 1}]" for p in range(len(labels), gamma))
+        _POINT_LABELS = labels
+    return labels[:gamma]
 
 
 def transport_chern(n: tuple[int, int, int], degree: int) -> tuple[int, int, int]:

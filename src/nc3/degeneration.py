@@ -36,7 +36,7 @@ class NormalClassTriple(Record):
 
     @property
     def is_zero(self) -> bool:
-        return all(all(x == 0 for x in c) for c in self.classes)
+        return not any(map(any, self.classes))
 
     def as_lists(self) -> list[list[int]]:
         return [list(c) for c in self.classes]

@@ -15,7 +15,9 @@ No floating point is used anywhere in this package, and all arithmetic goes
 through Python integers, so the contract is unbounded precision.  Rank runs
 on the distinct nonzero rows of a matrix: a repeated row or a zero row adds
 nothing to the row space, and a blown-up surface repeats one restriction row
-for every point over a curve.  It is computed by sparse integer elimination:
+for every point over a curve.  Runs of equal consecutive rows collapse before
+any row is hashed, so those repeats cost no Python step each.  The rank is
+computed by sparse integer elimination:
 rows are kept as ``{col: value}`` dicts, each step pivots on the shortest row
 and updates only the rows that meet the pivot column, and every updated row
 is divided by the gcd of its entries (its content) so the numbers stay
@@ -29,6 +31,8 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from ._record import Record
@@ -264,9 +268,8 @@ class RationalMatrix(Record):
     def __post_init__(self) -> None:
         if len(self.entries) != self.rows:
             raise DimensionMismatch("row count does not match entries")
-        for r in self.entries:
-            if len(r) != self.cols:
-                raise DimensionMismatch("column count does not match entries")
+        if not {self.cols}.issuperset(map(len, self.entries)):
+            raise DimensionMismatch("column count does not match entries")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int | Fraction]]) -> "RationalMatrix":
@@ -325,12 +328,15 @@ def matrix_rank(m: RationalMatrix) -> int:
 
     Only the distinct nonzero rows are ranked: repeats are dropped first,
     keeping the first of each in order, then zero rows.  Neither changes the
-    row space, so the rank is that of the whole matrix.  Integer rows go to
-    the elimination as they are.  A row that holds a ``Fraction`` is scaled
-    once by the lcm of its denominators.
+    row space, so the rank is that of the whole matrix.  A run of equal
+    consecutive rows collapses to its first row before any row is hashed;
+    the run of one shared row tuple (a blown-up surface's points over one
+    curve) compares on identity, at C speed.  Integer rows go to the
+    elimination as they are.  A row that holds a ``Fraction`` is scaled once
+    by the lcm of its denominators.
     """
     rows: list[Sequence[int]] = []
-    for r in dict.fromkeys(map(tuple, m.entries)):
+    for r in dict.fromkeys(map(tuple, map(itemgetter(0), groupby(m.entries)))):
         if not any(r):
             continue
         if not {int}.issuperset(map(type, r)):

@@ -35,7 +35,8 @@ whether kernel-based h2 counts may be trusted as the full second Betti number.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
+from itertools import chain, groupby, repeat
+from operator import itemgetter, neg
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from ._record import Record
@@ -253,13 +254,17 @@ class NCConfiguration(Record):
 
         A blown-up surface repeats one restriction row for every point over
         a curve, in a file as equal rows and after the blow-up as one shared
-        row.
+        row.  Runs of equal consecutive rows collapse first, so only a run's
+        first row is hashed, and each run's image is repeated at C speed.
         """
         m = self.restriction(surface_index, component_index)
-        distinct = tuple(dict.fromkeys(m))
+        heads = tuple(map(itemgetter(0), groupby(m)))
+        distinct = tuple(dict.fromkeys(heads))
         if len(distinct) == len(m):
             return mat_vec(m, v)
-        return tuple(map(dict(zip(distinct, mat_vec(distinct, v))).__getitem__, m))
+        image = dict(zip(distinct, mat_vec(distinct, v)))
+        lengths = map(len, map(list, map(itemgetter(1), groupby(m))))
+        return tuple(chain.from_iterable(map(repeat, map(image.__getitem__, heads), lengths)))
 
     def hyperplane_on_surface(self, surface_index: int) -> Vec:
         """Restriction of the distinguished ample class to a surface: its
@@ -451,7 +456,9 @@ def restriction_difference_matrix(config: NCConfiguration) -> RationalMatrix:
     (rows grouped by surface).  Row block i carries + the restriction from
     the first adjacent component and - the restriction from the second.
     Equal restriction rows (a blown-up surface has one per point over a
-    curve) give one row tuple, built once and repeated.
+    curve) give one row tuple, built once and repeated.  A run of equal
+    consecutive row pairs is handled in one step: its pairs compare on
+    identity when they share row tuples, and its row is repeated at C speed.
     """
     col_offsets = [0]
     for comp in config.components:
@@ -462,16 +469,17 @@ def restriction_difference_matrix(config: NCConfiguration) -> RationalMatrix:
     for i in range(3):
         j, k = SURFACE_ADJACENCY[i]
         built: dict[tuple[Vec, Vec], tuple[int, ...]] = {}
-        for r_plus, r_minus in zip(config.restriction(i, j), config.restriction(i, k)):
+        pairs = zip(config.restriction(i, j), config.restriction(i, k))
+        for (r_plus, r_minus), run in groupby(pairs):
             key = (tuple(r_plus), tuple(r_minus))
             row = built.get(key)
             if row is None:
                 # j != k, so the two column blocks of a row do not overlap.
                 cells = [0] * total_cols
                 cells[col_offsets[j] : col_offsets[j + 1]] = r_plus
-                cells[col_offsets[k] : col_offsets[k + 1]] = [-x for x in r_minus]
+                cells[col_offsets[k] : col_offsets[k + 1]] = map(neg, r_minus)
                 row = built[key] = tuple(cells)
-            rows.append(row)
+            rows.extend(repeat(row, len(list(run))))
     return RationalMatrix(rows=len(rows), cols=total_cols, entries=tuple(rows))
 
 
