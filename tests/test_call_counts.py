@@ -7,10 +7,13 @@ calls, so the counts are the same on every machine.
 import collections
 import functools
 import itertools
+import os
+import pathlib
+import sys
 
 from nc3 import catalog, cli, construction, degeneration, exactlat, invariants, ncconfig
 from nc3._record import replace
-from tests.conftest import all_catalog_cases, d21_all_ones_row
+from tests.conftest import all_catalog_cases, d21_all_ones_row, quintic_partition, rank_one_family
 
 
 def count_calls(monkeypatch, counts, module, name):
@@ -241,3 +244,44 @@ def test_rank_never_sees_more_rows_than_the_distinct_nonzero_ones(monkeypatch):
         invariants.hodge(config, divisor)
         assert len(distinct) == len(rows_seen) == 1, (fam_id, spec)
         assert rows_seen[0] <= distinct[0], (fam_id, spec, rows_seen, distinct)
+
+
+def nc3_trace_events(config, divisor):
+    """The ``sys.settrace`` events of one ``hodge`` call in nc3's own frames."""
+    root = pathlib.Path(invariants.__file__).parent
+    prefix = str(root) + os.sep
+    events = 0
+
+    def local(frame, event, arg):
+        nonlocal events
+        events += 1
+        return local
+
+    def on_call(frame, event, arg):
+        if frame.f_code.co_filename.startswith(prefix):
+            return local(frame, event, arg)
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        invariants.hodge(config, divisor)
+    finally:
+        sys.settrace(previous)
+    return events
+
+
+def test_hodge_takes_no_python_step_per_triple_curve_point():
+    """Both rows have alpha = 15; gamma is 150 and 294.  The 144 extra
+    points of D3 must cost fewer than 144 traced events: none of the
+    blow-up, the normal-class check, the matrix or the rank takes a Python
+    step per point."""
+    rows = [
+        catalog.instantiate(rank_one_family(degree), quintic_partition(*parts))
+        for degree, parts in ((15, (1,) * 15), (21, (1,) * 14 + (7,)))
+    ]
+    assert [(d.alpha, d.gamma) for _, d in rows] == [(15, 150), (15, 294)]
+    for config, divisor in rows:
+        invariants.hodge(config, divisor)  # warm: shared configurations and labels
+    small, large = (nc3_trace_events(config, divisor) for config, divisor in rows)
+    assert large - small < 144, (small, large)
