@@ -461,6 +461,43 @@ def test_integer_literal_past_the_digit_limit_exits_2(tmp_path, capsys, command)
     assert json.loads(line)["error"].startswith(f"schema error in {path}: invalid JSON: ")
 
 
+@pytest.mark.parametrize("command", ["check", "invariants"])
+def test_products_past_the_digit_limit_are_reported_and_the_limit_returns(tmp_path, capsys, command):
+    """Entries within the 4,300-digit limit are read, but their products can
+    pass it.  With a 2,501-digit ample class on Y1 and 2,501-digit Y1
+    restriction entries, ample matching fails with values of about 5,000
+    digits: the command reports it and exits 1.  The limit is back in force
+    afterwards: a 4,301-digit literal read next is still a schema error."""
+    rc, out, _ = run(capsys, "catalog", "export", "--family", "quintic")
+    data = json.loads(out)
+    big = 10**2500 + 7
+    [y1] = [c for c in data["components"] if c["name"] == "Y1"]
+    y1["ample"] = [big] * len(y1["ample"])
+    for surface in data["surfaces"]:
+        if "Y1" in surface["restrictions"]:
+            surface["restrictions"]["Y1"] = [[big] * len(r) for r in surface["restrictions"]["Y1"]]
+    path = tmp_path / "big-entries.json"
+    path.write_text(json.dumps(data))
+    limit = sys.get_int_max_str_digits()
+
+    rc, out, err = run(capsys, command, "--config", str(path))
+    assert rc == 1
+    errors = [d for d in json.loads(out)["diagnostics"] if d["severity"] == "error"]
+    assert {d["clause"] for d in errors} == {"C3.1(3)"}
+    assert str(big * big) in errors[0]["message"]
+    assert len(err.splitlines()) == (command == "invariants")
+    assert sys.get_int_max_str_digits() == limit
+
+    text = json.dumps(data)
+    huge = tmp_path / "huge-literal.json"
+    huge.write_text(text.replace('"euler": -6', '"euler": -' + "9" * 4301, 1))
+    assert huge.read_text() != text
+    rc, out, err = run(capsys, command, "--config", str(huge))
+    assert (rc, out) == (2, "")
+    [line] = err.splitlines()
+    assert json.loads(line)["error"].startswith(f"schema error in {huge}: invalid JSON: ")
+
+
 def test_parse_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["invariants", "--format", "yaml", "--family", "quintic"])
