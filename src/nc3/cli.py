@@ -118,6 +118,13 @@ def _load_config_file(path: str) -> tuple[ncconfig.NCConfiguration, dict[str, An
         config = ncconfig.config_from_json(raw.decode("utf-8"))
     except (ncconfig.SchemaError, UnicodeDecodeError) as exc:
         raise CliError(f"schema error in {path}: {exc}", EXIT_PARSE)
+    # The file was read under Python's integer digit limit, so a longer
+    # literal is a schema error and every entry has at most that many
+    # digits.  Products of entries can have more, and diagnostics and
+    # payloads print them: from here on any integer prints.  ``main``
+    # restores the limit.  (Python before 3.10.7 has no limit.)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     return config, {"path": path, "sha256": digest}
 
 
@@ -504,6 +511,8 @@ LIBRARY_ERRORS = (
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # 0 when there is no limit to restore: none is set, or Python has none.
+    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     try:
         code = _run(args)
         sys.stdout.flush()
@@ -513,6 +522,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # ``signal`` docs).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FAIL
+    finally:
+        if digit_limit:
+            sys.set_int_max_str_digits(digit_limit)
     return code
 
 
