@@ -432,9 +432,77 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 # entry point
 
 
+def _source_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--family", help="catalog family id")
+    p.add_argument("--config", help="path to an ncconfig/1 JSON file")
+    p.add_argument("--partition", help="e.g. 5 or 1,4 or (1,0),(2,3)")
+    p.add_argument(
+        "--order",
+        help="ordering of the partition parts for the blow-up trace",
+    )
+    p.add_argument("--out", help="write the payload to a file")
+
+
+def _check_arguments(p: argparse.ArgumentParser) -> None:
+    _source_arguments(p)
+    p.add_argument(
+        "--after-blowup",
+        action="store_true",
+        help="materialize the blown-up configuration before checking",
+    )
+    p.set_defaults(fn=cmd_check)
+
+
+def _invariants_arguments(p: argparse.ArgumentParser) -> None:
+    _source_arguments(p)
+    p.add_argument("--trace", action="store_true", help="include the blow-up trace")
+    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p.set_defaults(fn=cmd_invariants)
+
+
+def _table_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--family", required=True)
+    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p.add_argument("--out")
+    p.set_defaults(fn=cmd_table)
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--family", default="all", help="family id or 'all'")
+    p.set_defaults(fn=cmd_verify)
+
+
+def _catalog_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("action", choices=("list", "export"))
+    p.add_argument("--family")
+    p.add_argument(
+        "--expected",
+        action="store_true",
+        help="export the reference table as CSV instead of the configuration",
+    )
+    p.add_argument("--out")
+    p.set_defaults(fn=cmd_catalog)
+
+
+# Each subcommand's help line and the function that adds its arguments, in
+# the order ``nc3 --help`` lists them.
+SUBCOMMANDS = {
+    "check": ("validate and report d-semistability", _check_arguments),
+    "invariants": ("smoothing invariants for one partition", _invariants_arguments),
+    "table": ("invariants for every partition of a family", _table_arguments),
+    "verify": ("diff computed tables against the reference", _verify_arguments),
+    "catalog": ("list or export built-in families", _catalog_arguments),
+}
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The ``nc3`` argument parser, built once per process."""
+def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
+    """The ``nc3`` argument parser, built once per process and subcommand.
+
+    Every subcommand is listed with its help line, but only the parser of
+    ``subcommand`` is built: a call parses one subcommand's arguments.  With
+    ``None`` every subcommand gets its parser.
+    """
     parser = _JsonErrorParser(
         prog="nc3",
         description=(
@@ -442,57 +510,23 @@ def build_parser() -> argparse.ArgumentParser:
             "Calabi-Yau threefolds"
         ),
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_source(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--family", help="catalog family id")
-        p.add_argument("--config", help="path to an ncconfig/1 JSON file")
-        p.add_argument("--partition", help="e.g. 5 or 1,4 or (1,0),(2,3)")
-        p.add_argument(
-            "--order",
-            help="ordering of the partition parts for the blow-up trace",
-        )
-        p.add_argument("--out", help="write the payload to a file")
-
-    p_check = sub.add_parser("check", help="validate and report d-semistability")
-    add_source(p_check)
-    p_check.add_argument(
-        "--after-blowup",
-        action="store_true",
-        help="materialize the blown-up configuration before checking",
+    sub = parser.add_subparsers(
+        dest="subcommand", required=True, parser_class=_subcommand_parser
     )
-    p_check.set_defaults(fn=cmd_check)
-
-    p_inv = sub.add_parser("invariants", help="smoothing invariants for one partition")
-    add_source(p_inv)
-    p_inv.add_argument("--trace", action="store_true", help="include the blow-up trace")
-    p_inv.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text"
-    )
-    p_inv.set_defaults(fn=cmd_invariants)
-
-    p_table = sub.add_parser("table", help="invariants for every partition of a family")
-    p_table.add_argument("--family", required=True)
-    p_table.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_table.add_argument("--out")
-    p_table.set_defaults(fn=cmd_table)
-
-    p_verify = sub.add_parser("verify", help="diff computed tables against the reference")
-    p_verify.add_argument("--family", default="all", help="family id or 'all'")
-    p_verify.set_defaults(fn=cmd_verify)
-
-    p_cat = sub.add_parser("catalog", help="list or export built-in families")
-    p_cat.add_argument("action", choices=("list", "export"))
-    p_cat.add_argument("--family")
-    p_cat.add_argument(
-        "--expected",
-        action="store_true",
-        help="export the reference table as CSV instead of the configuration",
-    )
-    p_cat.add_argument("--out")
-    p_cat.set_defaults(fn=cmd_catalog)
-
+    for name, (help_line, add_arguments) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line, parsed=subcommand in (None, name))
+        if p is not None:
+            add_arguments(p)
     return parser
+
+
+def _subcommand_parser(*, parsed: bool, **kwargs: Any) -> _JsonErrorParser | None:
+    """A subcommand's parser, or ``None`` for one that is listed but not parsed.
+
+    Each ``ArgumentParser`` costs about half a millisecond to build, most of
+    it looking up the translations of its messages.
+    """
+    return _JsonErrorParser(**kwargs) if parsed else None
 
 
 # The library's errors that main() reports as one JSON line on stderr, with
@@ -510,7 +544,10 @@ LIBRARY_ERRORS = (
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    name = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    args = build_parser(name).parse_args(argv)
     # 0 when there is no limit to restore: none is set, or Python has none.
     digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     try:

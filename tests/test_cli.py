@@ -484,7 +484,9 @@ def test_products_past_the_digit_limit_are_reported_and_the_limit_returns(tmp_pa
     assert rc == 1
     errors = [d for d in json.loads(out)["diagnostics"] if d["severity"] == "error"]
     assert {d["clause"] for d in errors} == {"C3.1(3)"}
-    assert str(big * big) in errors[0]["message"]
+    # big**2 = 10**5000 + 14 * 10**2500 + 49, written out without str(), which
+    # the limit refuses here.
+    assert "1" + "0" * 2498 + "14" + "0" * 2498 + "49" in errors[0]["message"]
     assert len(err.splitlines()) == (command == "invariants")
     assert sys.get_int_max_str_digits() == limit
 
@@ -726,6 +728,46 @@ def test_help_goes_to_stdout(capsys):
     captured = capsys.readouterr()
     assert (exc.value.code, captured.err) == (0, "")
     assert captured.out.startswith("usage: nc3 table")
+
+
+# (argv, exit code, SHA-256 of stdout, stderr), taken at an 80-column width
+# while every call still built the parsers of all five subcommands.
+ARGUMENT_PARSER_OUTPUTS = [
+    ((), 2, "", '{"error": "the following arguments are required: subcommand"}\n'),
+    (("--help",), 0, "9d201ad7aa24914d7fbab5db781ee33ba0cf1f2e7e56a8f6888113455c7b6bdd", ""),
+    (("check", "--help"), 0, "7c73a5664c36e31f91a56c36527a4074fcf30d8c5db3e602b02ce23547184a9d", ""),
+    (("invariants", "--help"), 0, "ce05bff50b740b31ba1bd8e1faa1ea35d5f82c597babc5bb99915e543c2024f6", ""),
+    (("table", "--help"), 0, "e267bcd311d2ece9369d0286133d60977246bf29b1255b4afd9e2b945171cc9d", ""),
+    (("verify", "--help"), 0, "ff0736a46e5f7a8ceff4cf97bd5b0e7a46f526a8990f3f8c5d7bd24c7a0a4f98", ""),
+    (("catalog", "--help"), 0, "398f28ae83ae8c062195fe85b1a9caeda5308c8f512f256a749bc7c8b2ec703d", ""),
+    (
+        ("bogus",),
+        2,
+        "",
+        '{"error": "argument subcommand: invalid choice: \'bogus\' (choose from '
+        "'check', 'invariants', 'table', 'verify', 'catalog')\"}\n",
+    ),
+    (("verify", "--bogus"), 2, "", '{"error": "unrecognized arguments: --bogus"}\n'),
+    (("table",), 2, "", '{"error": "the following arguments are required: --family"}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout_digest, stderr", ARGUMENT_PARSER_OUTPUTS)
+def test_parser_of_one_subcommand_prints_what_all_five_printed(
+    monkeypatch, capsys, argv, code, stdout_digest, stderr
+):
+    """A call builds only the parser of the subcommand it names, and the top
+    level still lists all five with their help lines: help, usage and
+    argument errors are byte-identical to those of the parser with every
+    subcommand built."""
+    import hashlib
+
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    digest = hashlib.sha256(captured.out.encode()).hexdigest() if captured.out else ""
+    assert (exc.value.code, digest, captured.err) == (code, stdout_digest, stderr)
 
 
 @pytest.mark.parametrize(
