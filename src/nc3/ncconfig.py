@@ -30,6 +30,11 @@ Surface lattices may be proper sublattices of the full Picard lattice (for
 the catalog: the span of ambient hyperplane restrictions).  Every formula in
 this package is valid on the tracked sublattice; ``lattice_is_full`` records
 whether kernel-based h2 counts may be trusted as the full second Betti number.
+
+The ``ncconfig/1`` JSON reader and writer live in ``nc3.configfile``, which
+only a command that reads or writes a file or a payload loads.  This module
+forwards their names (``config_to_json``, ``config_from_json``, ``dumps``
+and the rest) on first use.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain, groupby, repeat
 from operator import itemgetter, neg
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ._record import Record
 from .exactlat import (
@@ -47,8 +52,6 @@ from .exactlat import (
     RationalMatrix,
     Vec,
     adjunction_sum,
-    base_rank,
-    default_labels,
     kernel_dimension,
     mat_vec,
     vec_add,
@@ -541,455 +544,31 @@ def component_restriction_classes(config: NCConfiguration) -> tuple[Vec, Vec]:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (schema "ncconfig/1"); integers only
+# The file format lives in ``configfile``; these names are forwarded to it.
 
-
-def dumps(obj: Any) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
-
-    This is the one layout of every file and payload nc3 writes: 2-space
-    indent, sorted keys, ASCII escapes, one scalar per line.  The stdlib
-    encoder falls back to pure Python when given an indent; here the text is
-    appended to one list of fragments and joined once, as the stdlib's
-    ``_iterencode`` does, and a list of plain ints is joined in one
-    ``str.join``.  Values are dicts with string keys, lists, tuples,
-    strings, ints, bools and ``None`` (and, from ``config_to_json``, its
-    private ``_DenseText`` matrices); anything else (floats included)
-    raises ``TypeError``.
-    """
-    from json.encoder import encode_basestring_ascii
-
-    out: list[str] = []
-    _write(obj, "\n", encode_basestring_ascii, out.append)
-    return "".join(out)
-
-
-class _IntText(dict):
-    """The text of small ints, looked up; any other int is formatted, not kept."""
-
-    def __missing__(self, key: int) -> str:
-        return int.__repr__(key)
-
-
-# Gram rows and restriction matrices are mostly 0 and +-1.  Only exact ints
-# reach the table: ``True == 1`` would find the text of 1.
-_INT_TEXT = _IntText((k, int.__repr__(k)) for k in range(-16, 17))
-
-
-def _write(x: Any, newline: str, quote: Callable[[str], str], emit: Callable[[str], Any]) -> None:
-    """Append the text of ``x`` to ``emit``; ``newline`` ends the line before its closing bracket."""
-    if isinstance(x, str):
-        emit(quote(x))
-    elif x is None:
-        emit("null")
-    elif x is True:
-        emit("true")
-    elif x is False:
-        emit("false")
-    elif isinstance(x, int):
-        emit(int.__repr__(x))
-    elif isinstance(x, dict):
-        if not x:
-            emit("{}")
-            return
-        inner = newline + "  "
-        lead = "{" + inner
-        for key in sorted(x):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            emit(lead + quote(key) + ": ")
-            _write(x[key], inner, quote, emit)
-            lead = "," + inner
-        emit(newline + "}")
-    elif isinstance(x, (list, tuple)):
-        if not x:
-            emit("[]")
-            return
-        inner = newline + "  "
-        if {int}.issuperset(map(type, x)):
-            emit("[" + inner + ("," + inner).join(map(_INT_TEXT.__getitem__, x)) + newline + "]")
-            return
-        lead = "[" + inner
-        for v in x:
-            emit(lead)
-            _write(v, inner, quote, emit)
-            lead = "," + inner
-        emit(newline + "]")
-    elif isinstance(x, _DenseText):
-        x.write(newline, quote, emit)
-    else:
-        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-
-
-def _require(obj: dict[str, Any], key: str, where: str) -> Any:
-    if key not in obj:
-        raise SchemaError(f"{where}: missing key {key!r}")
-    return obj[key]
-
-
-def _intval(x: Any, where: str) -> int:
-    if type(x) is not int:
-        raise SchemaError(f"{where}: expected integer, got {x!r}")
-    return x
-
-
-def _intlist(x: Any, where: str) -> list[int]:
-    if not isinstance(x, list):
-        raise SchemaError(f"{where}: expected list of integers, got {x!r}")
-    if not {int}.issuperset(map(type, x)):
-        for v in x:
-            _intval(v, where)
-    return x
-
-
-def _intvec(x: Any, where: str) -> Vec:
-    return tuple(_intlist(x, where))
-
-
-def _introws(x: Any, where: str) -> list[list[int]]:
-    if not isinstance(x, list):
-        raise SchemaError(f"{where}: expected matrix, got {x!r}")
-    # Every cell's type in one pass at C speed; a failure is named row by row.
-    if not ({list}.issuperset(map(type, x)) and {int}.issuperset(map(type, chain.from_iterable(x)))):
-        for r in x:
-            _intlist(r, where)
-    return x
-
-
-def _intmat(x: Any, where: str) -> IntMatrix:
-    return tuple(map(tuple, _introws(x, where)))
-
-
-def _gram(x: Any, where: str) -> tuple[IntMatrix, int]:
-    """A dense Gram matrix as its base block and the count of its trailing -I rows.
-
-    Every cell is type-checked, but only the base block is copied into
-    tuples: a blown-up surface's -I rows are found on the parsed lists.
-    """
-    rows = _introws(x, where)
-    b = base_rank(rows)
-    if b == len(rows):
-        return tuple(map(tuple, rows)), 0
-    return tuple(tuple(r[:b]) for r in rows[:b]), len(rows) - b
-
-
-def _dense(rows: IntMatrix, exceptional: int) -> list[list[int]]:
-    """The dense rows of the Gram form ``rows (+) -I``, as lists.
-
-    With ``exceptional`` 0 this is any matrix, such as a restriction
-    matrix.  ``config_to_dict`` writes its matrices with it, and
-    ``config_to_json`` writes the same text through ``_DenseText``.
-    """
-    n = len(rows) + exceptional
-    tail = [0] * exceptional
-    out = [list(r) + tail for r in rows]
-    for p in range(len(rows), n):
-        row = [0] * n
-        row[p] = -1
-        out.append(row)
-    return out
-
-
-class _DenseText:
-    """``config_to_json``'s stand-in for ``_dense(rows, exceptional)``: the writer
-    emits the text of those lists without building them.
-
-    Each row's zero tail is one repeated string, and each ``-I`` row is cut
-    out of one all-zeros row text around its ``-1``.  A row object that the
-    matrix repeats (the blow-up shares one restriction row per curve) is
-    written once.  Rows that are not all exact ints go through ``_write``.
-    """
-
-    __slots__ = ("rows", "exceptional")
-
-    def __init__(self, rows: IntMatrix, exceptional: int):
-        self.rows = rows
-        self.exceptional = exceptional
-
-    def write(self, newline: str, quote: Callable[[str], str], emit: Callable[[str], Any]) -> None:
-        rows, exceptional = self.rows, self.exceptional
-        if not rows and not exceptional:
-            emit("[]")
-            return
-        inner = newline + "  "
-        cell = inner + "  "
-        sep = "," + cell
-        zero = sep + "0"
-        tail = zero * exceptional
-        texts: dict[int, str] = {}
-        lead = "[" + inner
-        for r in rows:
-            text = texts.get(id(r))
-            if text is None:
-                if r and {int}.issuperset(map(type, r)):
-                    text = "[" + cell + sep.join(map(_INT_TEXT.__getitem__, r)) + tail + inner + "]"
-                else:
-                    chunks: list[str] = []
-                    _write(list(r) + [0] * exceptional, inner, quote, chunks.append)
-                    text = "".join(chunks)
-                texts[id(r)] = text
-            emit(lead + text)
-            lead = "," + inner
-        if exceptional:
-            # Cell p of a dense row starts at character p * width.
-            width = len(zero)
-            n = len(rows) + exceptional
-            zeros = "0" + zero * (n - 1)
-            for at in range(len(rows) * width, n * width, width):
-                emit(lead + "[" + cell)
-                emit(zeros[:at])
-                emit("-1")
-                emit(zeros[at + 1 :])
-                emit(inner + "]")
-                lead = "," + inner
-        emit(newline + "]")
-
-
-def config_to_dict(config: NCConfiguration) -> dict[str, Any]:
-    """The ``ncconfig/1`` document of ``config`` as plain dicts and lists.
-
-    Gram and restriction matrices are dense lists of lists, fresh on every
-    call, so callers may change them.
-    """
-    return _document(config, _dense)
-
-
-def _document(
-    config: NCConfiguration, matrix: Callable[[IntMatrix, int], Any]
-) -> dict[str, Any]:
-    """The document, each Gram and restriction matrix given by ``matrix(rows, exceptional)``."""
-    comps = []
-    for i, c in enumerate(config.components):
-        entry: dict[str, Any] = {
-            "name": c.name,
-            "euler": c.euler,
-            "h2_rank": c.h2_rank,
-            "class_labels": list(c.class_labels),
-            "ample": list(c.ample),
-        }
-        if c.boundary is not None:
-            entry["boundary"] = {
-                config.components[o].name: list(b)
-                for o, b in zip(OTHER_COMPONENTS[i], c.boundary)
-            }
-        if c.chern_numbers is not None:
-            entry["chern_numbers"] = list(c.chern_numbers)
-        comps.append(entry)
-
-    surfs = []
-    for i, s in enumerate(config.surfaces):
-        j, k = SURFACE_ADJACENCY[i]
-        surfs.append(
-            {
-                "name": s.name,
-                "gram": matrix(s.lattice.gram, s.lattice.exceptional),
-                "basis_labels": list(s.lattice.basis_labels),
-                "canonical": list(s.canonical),
-                "tau_class": list(s.tau_class),
-                "euler": s.euler,
-                "restrictions": {
-                    config.components[j].name: matrix(s.restrictions[0], 0),
-                    config.components[k].name: matrix(s.restrictions[1], 0),
-                },
-                "boundary_self": [list(s.boundary_self[0]), list(s.boundary_self[1])],
-            }
-        )
-
-    out: dict[str, Any] = {
-        "schema": SCHEMA_ID,
-        "components": comps,
-        "surfaces": surfs,
-        "triple": {"euler": config.triple.euler, "connected": config.triple.connected},
-        "lattice_is_full": config.lattice_is_full,
+_FILE_NAMES = frozenset(
+    {
+        "dumps",
+        "config_to_dict",
+        "config_from_dict",
+        "config_to_json",
+        "config_from_json",
+        "_dense",
+        "_DenseText",
+        "_CONFIG_KEYS",
+        "_COMPONENT_KEYS",
+        "_SURFACE_KEYS",
+        "_TRIPLE_KEYS",
     }
-    if config.h2_total is not None:
-        out["h2_total"] = config.h2_total
-    if config.provenance_notes:
-        out["notes"] = list(config.provenance_notes)
-    return out
+)
 
 
-# The keys each object of an ncconfig/1 file may hold: the ``properties`` of
-# that object in schemas/ncconfig.schema.json, which admits no others.
-_CONFIG_KEYS = {"schema", "components", "surfaces", "triple", "h2_total", "lattice_is_full", "notes"}
-_COMPONENT_KEYS = {"name", "euler", "h2_rank", "class_labels", "ample", "boundary", "chern_numbers"}
-_SURFACE_KEYS = {
-    "name", "gram", "basis_labels", "canonical", "tau_class", "euler", "restrictions", "boundary_self"
-}
-_TRIPLE_KEYS = {"euler", "connected"}
+def __getattr__(name: str) -> Any:
+    # Every other name is refused without loading the module: the import
+    # system asks a module for ``__path__`` on every ``from ... import``.
+    if name not in _FILE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import configfile
 
-
-def _refuse_unknown_keys(obj: dict[str, Any], keys: set[str], where: str) -> None:
-    unknown = sorted(obj.keys() - keys)
-    if unknown:
-        raise SchemaError(f"{where}: unknown key {unknown[0]!r}")
-
-
-def config_from_dict(data: dict[str, Any]) -> NCConfiguration:
-    if not isinstance(data, dict):
-        raise SchemaError("configuration must be a JSON object")
-    if data.get("schema") != SCHEMA_ID:
-        raise SchemaError(f"unsupported schema {data.get('schema')!r}, expected {SCHEMA_ID!r}")
-    _refuse_unknown_keys(data, _CONFIG_KEYS, "configuration")
-
-    raw_comps = _require(data, "components", "configuration")
-    raw_surfs = _require(data, "surfaces", "configuration")
-    for key, raw in (("components", raw_comps), ("surfaces", raw_surfs)):
-        if not (
-            isinstance(raw, list) and len(raw) == 3 and all(isinstance(x, dict) for x in raw)
-        ):
-            raise SchemaError(f"{key} must be a list of exactly three objects")
-
-    names: list[str] = []
-    for c in raw_comps:
-        n = _require(c, "name", "component")
-        if not isinstance(n, str):
-            raise SchemaError("component name must be a string")
-        names.append(n)
-
-    component_fields: list[dict[str, Any]] = []
-    for i, c in enumerate(raw_comps):
-        where = f"component {names[i]}"
-        _refuse_unknown_keys(c, _COMPONENT_KEYS, where)
-        rank = _intval(_require(c, "h2_rank", where), where + ".h2_rank")
-        labels = _require(c, "class_labels", where)
-        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-            raise SchemaError(f"{where}: class_labels must be a list of strings")
-        # The default is sized from the labels: a rank that disagrees with
-        # them is a schema error, not an allocation of that size.
-        ample = (
-            _intvec(c["ample"], where + ".ample") if "ample" in c else (1,) * len(labels)
-        )
-        boundary = None
-        if "boundary" in c:
-            raw_b = c["boundary"]
-            if not isinstance(raw_b, dict):
-                raise SchemaError(f"{where}: boundary must map component names to vectors")
-            try:
-                boundary = tuple(
-                    _intvec(raw_b[names[o]], where + ".boundary") for o in OTHER_COMPONENTS[i]
-                )
-            except KeyError as exc:
-                raise SchemaError(f"{where}: boundary missing entry for {exc.args[0]!r}")
-        chern = None
-        if "chern_numbers" in c:
-            cn = _intvec(c["chern_numbers"], where + ".chern_numbers")
-            if len(cn) != 3:
-                raise SchemaError(f"{where}: chern_numbers must have three entries")
-            chern = (cn[0], cn[1], cn[2])
-        component_fields.append(
-            dict(
-                name=names[i],
-                euler=_intval(_require(c, "euler", where), where + ".euler"),
-                h2_rank=rank,
-                class_labels=tuple(labels),
-                ample=ample,
-                boundary=boundary,
-                chern_numbers=chern,
-            )
-        )
-
-    surface_fields: list[dict[str, Any]] = []
-    for i, s in enumerate(raw_surfs):
-        sname = _require(s, "name", "surface")
-        if not isinstance(sname, str):
-            raise SchemaError("surface name must be a string")
-        where = f"surface {sname}"
-        _refuse_unknown_keys(s, _SURFACE_KEYS, where)
-        gram, exceptional = _gram(_require(s, "gram", where), where + ".gram")
-        rank = len(gram) + exceptional
-        labels_raw = s.get("basis_labels")
-        if labels_raw is not None and not (
-            isinstance(labels_raw, list) and all(isinstance(x, str) for x in labels_raw)
-        ):
-            raise SchemaError(f"{where}: basis_labels must be a list of strings")
-        try:
-            lattice = IntersectionLattice(
-                rank=rank,
-                gram=gram,
-                basis_labels=tuple(labels_raw) if labels_raw else default_labels(rank),
-                exceptional=exceptional,
-            )
-        except Exception as exc:
-            raise SchemaError(f"{where}: invalid lattice: {exc}")
-        raw_restr = _require(s, "restrictions", where)
-        if not isinstance(raw_restr, dict):
-            raise SchemaError(f"{where}: restrictions must map component names to matrices")
-        j, k = SURFACE_ADJACENCY[i]
-        try:
-            restrictions = (
-                _intmat(raw_restr[names[j]], where + ".restrictions"),
-                _intmat(raw_restr[names[k]], where + ".restrictions"),
-            )
-        except KeyError as exc:
-            raise SchemaError(
-                f"{where}: restrictions must include adjacent component {exc.args[0]!r}"
-            )
-        raw_bs = _require(s, "boundary_self", where)
-        if not isinstance(raw_bs, list) or len(raw_bs) != 2:
-            raise SchemaError(f"{where}: boundary_self must be a pair of vectors")
-        surface_fields.append(
-            dict(
-                name=sname,
-                lattice=lattice,
-                canonical=_intvec(_require(s, "canonical", where), where + ".canonical"),
-                tau_class=_intvec(_require(s, "tau_class", where), where + ".tau_class"),
-                euler=_intval(_require(s, "euler", where), where + ".euler"),
-                restrictions=restrictions,
-                boundary_self=(
-                    _intvec(raw_bs[0], where + ".boundary_self"),
-                    _intvec(raw_bs[1], where + ".boundary_self"),
-                ),
-            )
-        )
-
-    raw_triple = _require(data, "triple", "configuration")
-    if not isinstance(raw_triple, dict):
-        raise SchemaError("triple must be a JSON object")
-    _refuse_unknown_keys(raw_triple, _TRIPLE_KEYS, "triple")
-    connected = _require(raw_triple, "connected", "triple")
-    if not isinstance(connected, bool):
-        raise SchemaError("triple.connected must be a boolean")
-    triple_euler = _intval(_require(raw_triple, "euler", "triple"), "triple.euler")
-
-    h2_total = None
-    if "h2_total" in data:
-        h2_total = _intval(data["h2_total"], "h2_total")
-        if h2_total < 0:
-            raise SchemaError("h2_total must be non-negative")
-    lattice_is_full = data.get("lattice_is_full", False)
-    if not isinstance(lattice_is_full, bool):
-        raise SchemaError("lattice_is_full must be a boolean")
-    notes = data.get("notes", [])
-    if not isinstance(notes, list) or not all(isinstance(x, str) for x in notes):
-        raise SchemaError("notes must be a list of strings")
-
-    # Every record invariant a file breaks is a schema error.
-    try:
-        return NCConfiguration(
-            components=tuple(ComponentGeometry(**f) for f in component_fields),
-            surfaces=tuple(SurfaceGeometry(**f) for f in surface_fields),
-            triple=TripleCurve(euler=triple_euler, connected=connected),
-            h2_total=h2_total,
-            lattice_is_full=lattice_is_full,
-            provenance_notes=tuple(notes),
-        )
-    except ConfigError as exc:
-        raise SchemaError(str(exc))
-
-
-def config_to_json(config: NCConfiguration) -> str:
-    """``dumps(config_to_dict(config))``, byte for byte, without the dense lists."""
-    return dumps(_document(config, _DenseText))
-
-
-def config_from_json(text: str) -> NCConfiguration:
-    import json
-
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        # ValueError: JSONDecodeError, or an integer literal past Python's
-        # digit limit; RecursionError: nesting past the parser's limit
-        raise SchemaError(f"invalid JSON: {exc}")
-    return config_from_dict(data)
+    value = globals()[name] = getattr(configfile, name)
+    return value
