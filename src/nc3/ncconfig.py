@@ -266,6 +266,8 @@ class NCConfiguration(Record):
         if len(distinct) == len(m):
             return mat_vec(m, v)
         image = dict(zip(distinct, mat_vec(distinct, v)))
+        # Each run's length: the maps pull one group at a time, so each is
+        # read whole before groupby moves past it.
         lengths = map(len, map(list, map(itemgetter(1), groupby(m))))
         return tuple(chain.from_iterable(map(repeat, map(image.__getitem__, heads), lengths)))
 

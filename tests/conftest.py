@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from nc3 import catalog, construction
@@ -60,3 +62,45 @@ def rank_one_d21_family() -> catalog.Family:
 def d21_all_ones_row():
     """(config, divisor) of the degree-21 all-ones row."""
     return catalog.instantiate(rank_one_d21_family(), quintic_partition(*(1,) * 21))
+
+
+def fraction_rank(rows):
+    """Plain Fraction Gaussian elimination, independent of the integer path."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    n_rows = len(m)
+    n_cols = len(m[0]) if m else 0
+    for col in range(n_cols):
+        piv = next((i for i in range(rank, n_rows) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for i in range(n_rows):
+            if i != rank and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def dense_restriction_difference(config):
+    """Cell by cell: row (i, r), column (c, q) holds +R_ij[r][q] if c is the
+    first component adjacent to surface i, -R_ik[r][q] if c is the second, and
+    zero otherwise."""
+    rows = []
+    for i, surf in enumerate(config.surfaces):
+        j, k = config.adjacent(i)
+        for r in range(surf.lattice.rank):
+            row = []
+            for c, comp in enumerate(config.components):
+                for q in range(comp.h2_rank):
+                    if c == j:
+                        row.append(config.restriction(i, j)[r][q])
+                    elif c == k:
+                        row.append(-config.restriction(i, k)[r][q])
+                    else:
+                        row.append(0)
+            rows.append(tuple(row))
+    return tuple(rows)

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +22,7 @@ from nc3.exactlat import (
     require_curve_class,
     vec_add,
 )
+from tests.conftest import fraction_rank
 
 PLANE = make_lattice([[1]], ["h"])
 CUBIC_SURFACE = make_lattice([[3]], ["h"])
@@ -232,27 +232,6 @@ def test_kernel_quintic_difference_matrix():
     assert kernel_dimension(m) == 1
 
 
-def _oracle_rank(rows):
-    """Plain Fraction Gaussian elimination, independent of the integer path."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    for col in range(n_cols):
-        piv = next((i for i in range(rank, n_rows) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(n_rows):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(1, 8),
@@ -274,7 +253,7 @@ def test_rank_nullity_against_oracle(n_rows, n_cols, data):
         )
     )
     m = RationalMatrix.from_rows(entries)
-    rank = _oracle_rank(entries)
+    rank = fraction_rank(entries)
     assert kernel_dimension(m) == n_cols - rank
     assert kernel_dimension(m) + matrix_rank(m) == n_cols
 
@@ -294,7 +273,7 @@ def test_rank_is_unchanged_by_repeats_zero_rows_order_and_row_types(n_rows, n_co
             max_size=n_rows,
         )
     )
-    rank = _oracle_rank(rows)
+    rank = fraction_rank(rows)
     edited = [list(r) for r in rows]
     for _ in range(data.draw(st.integers(0, 6))):
         edited.append(list(data.draw(st.sampled_from(rows))))
@@ -336,7 +315,7 @@ def test_sparse_integer_rank_against_oracle(n_rows, n_cols, zero_rows):
     for density in (0.05, 0.1, 0.2, 0.3):
         for _ in range(8):
             rows = _sparse_integer_rows(rnd, n_rows, n_cols, density, zero_rows)
-            rank = _oracle_rank(rows)
+            rank = fraction_rank(rows)
             m = RationalMatrix.from_rows(rows)
             assert matrix_rank(m) == rank
             assert kernel_dimension(m) == n_cols - rank

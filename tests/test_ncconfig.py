@@ -20,7 +20,13 @@ from nc3.ncconfig import (
     restriction_difference_matrix,
     validate,
 )
-from tests.conftest import all_catalog_cases, d21_all_ones_row, quintic_partition, rank_one_family
+from tests.conftest import (
+    all_catalog_cases,
+    d21_all_ones_row,
+    dense_restriction_difference,
+    quintic_partition,
+    rank_one_family,
+)
 
 
 def _with_surface(config, index, **changes):
@@ -140,27 +146,6 @@ def test_quintic_matrix_blocks_and_kernel(quintic5):
     assert kernel_dimension(m) == 1
 
 
-def _dense_block_reference(config):
-    """Cell by cell: row (i, r), column (c, q) holds +R_ij[r][q] if c is the
-    first component adjacent to surface i, -R_ik[r][q] if c is the second, and
-    zero otherwise."""
-    rows = []
-    for i, surf in enumerate(config.surfaces):
-        j, k = config.adjacent(i)
-        for r in range(surf.lattice.rank):
-            row = []
-            for c, comp in enumerate(config.components):
-                for q in range(comp.h2_rank):
-                    if c == j:
-                        row.append(config.restriction(i, j)[r][q])
-                    elif c == k:
-                        row.append(-config.restriction(i, k)[r][q])
-                    else:
-                        row.append(0)
-            rows.append(tuple(row))
-    return tuple(rows)
-
-
 def _blown_up_catalog_and_d21():
     for fam_id, spec in all_catalog_cases():
         yield f"{fam_id}:{spec.cli_form()}", catalog.instantiate(fam_id, spec)
@@ -172,7 +157,7 @@ def test_blown_up_matrix_matches_dense_block_reference():
     for label, (config, divisor) in _blown_up_catalog_and_d21():
         config_tilde, _ = construction.sequential_blowup(config, divisor)
         m = restriction_difference_matrix(config_tilde)
-        reference = _dense_block_reference(config_tilde)
+        reference = dense_restriction_difference(config_tilde)
         assert m.entries == reference, label
         assert (m.rows, m.cols) == (len(reference), len(reference[0])), label
         seen += 1

@@ -15,7 +15,6 @@ of every blown-up configuration:
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -23,7 +22,12 @@ from nc3 import catalog, construction, degeneration
 from nc3._record import replace
 from nc3.exactlat import mat_vec, matrix_rank
 from nc3.ncconfig import restriction_difference_matrix
-from tests.conftest import all_catalog_cases, rank_one_family
+from tests.conftest import (
+    all_catalog_cases,
+    dense_restriction_difference,
+    fraction_rank,
+    rank_one_family,
+)
 
 
 def _stress_rows():
@@ -78,39 +82,6 @@ def _variants(config, gamma, rng):
     return {"shared": config, "fresh": fresh, "permuted": _with_rows(fresh, permuted)}
 
 
-def _dense_matrix(config):
-    """Row (i, r), column (c, q): +R_ij[r][q] for c = j, -R_ik[r][q] for c = k, else 0."""
-    rows = []
-    for i in range(3):
-        j, k = config.adjacent(i)
-        plus, minus = config.restriction(i, j), config.restriction(i, k)
-        for r in range(len(plus)):
-            row = []
-            for c, comp in enumerate(config.components):
-                for q in range(comp.h2_rank):
-                    row.append(plus[r][q] if c == j else -minus[r][q] if c == k else 0)
-            rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _fraction_rank(rows):
-    """Fraction Gaussian elimination on the rows' distinct values."""
-    m = [[Fraction(x) for x in r] for r in set(rows)]
-    rank = 0
-    for col in range(len(m[0]) if m else 0):
-        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank]
-        for i in range(rank + 1, len(m)):
-            f = m[i][col] / p[col]
-            if f:
-                m[i] = [a - f * b for a, b in zip(m[i], p)]
-        rank += 1
-    return rank
-
-
 def _generator_is_zero(normal):
     return all(all(x == 0 for x in c) for c in normal.classes)
 
@@ -121,12 +92,13 @@ def test_run_collapsing_paths_match_plain_computations(label, case):
     config_tilde, _ = construction.sequential_blowup(config, divisor)
     rng = random.Random(label)
     variants = _variants(config_tilde, divisor.gamma, rng)
-    dense = _dense_matrix(config_tilde)
-    rank = _fraction_rank(dense)
+    dense = dense_restriction_difference(config_tilde)
+    # Repeated rows leave the rank alone; the oracle ranks the distinct ones.
+    rank = fraction_rank(set(dense))
     for name, cfg in variants.items():
         where = (label, name)
         m = restriction_difference_matrix(cfg)
-        assert m.entries == (dense if name != "permuted" else _dense_matrix(cfg)), where
+        assert m.entries == (dense if name != "permuted" else dense_restriction_difference(cfg)), where
         assert (m.rows, m.cols) == (len(dense), len(dense[0])), where
         # Equal rows share one tuple, consecutive or not.
         assert len(set(map(id, m.entries))) == len(set(m.entries)), where
