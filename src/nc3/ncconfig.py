@@ -253,23 +253,24 @@ class NCConfiguration(Record):
         return self.surfaces[surface_index].restrictions[adj.index(component_index)]
 
     def restrict(self, surface_index: int, component_index: int, v: Vec) -> Vec:
-        """Image of ``v`` under a restriction matrix, each distinct row multiplied once.
+        """Image of ``v`` under a restriction matrix, each distinct run head multiplied once.
 
         A blown-up surface repeats one restriction row for every point over
         a curve, in a file as equal rows and after the blow-up as one shared
         row.  Runs of equal consecutive rows collapse first, so only a run's
-        first row is hashed, and each run's image is repeated at C speed.
+        first row is hashed, and each run's image is repeated at C speed.  A
+        matrix without such a run is multiplied row by row.
         """
         m = self.restriction(surface_index, component_index)
-        heads = tuple(map(itemgetter(0), groupby(m)))
-        distinct = tuple(dict.fromkeys(heads))
-        if len(distinct) == len(m):
+        # The runs as lists of their rows: ``map`` reads each group whole
+        # before ``groupby`` moves past it.
+        runs = list(map(list, map(itemgetter(1), groupby(m))))
+        if len(runs) == len(m):
             return mat_vec(m, v)
+        heads = list(map(itemgetter(0), runs))
+        distinct = tuple(dict.fromkeys(heads))
         image = dict(zip(distinct, mat_vec(distinct, v)))
-        # Each run's length: the maps pull one group at a time, so each is
-        # read whole before groupby moves past it.
-        lengths = map(len, map(list, map(itemgetter(1), groupby(m))))
-        return tuple(chain.from_iterable(map(repeat, map(image.__getitem__, heads), lengths)))
+        return tuple(chain.from_iterable(map(repeat, map(image.__getitem__, heads), map(len, runs))))
 
     def hyperplane_on_surface(self, surface_index: int) -> Vec:
         """Restriction of the distinguished ample class to a surface: its
