@@ -253,7 +253,7 @@ class NCConfiguration(Record):
         return self.surfaces[surface_index].restrictions[adj.index(component_index)]
 
     def restrict(self, surface_index: int, component_index: int, v: Vec) -> Vec:
-        """Image of ``v`` under a restriction matrix, each distinct run head multiplied once.
+        """Image of ``v`` under a restriction matrix, each run of equal rows multiplied once.
 
         A blown-up surface repeats one restriction row for every point over
         a curve, in a file as equal rows and after the blow-up as one shared
