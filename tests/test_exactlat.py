@@ -217,6 +217,20 @@ def test_block_form_refusals():
 # kernel_dimension
 
 
+@pytest.mark.parametrize(
+    "rows, cols, entries, message",
+    [
+        (2, 2, ((1, 2),), "row count does not match entries"),
+        (2, 2, ((1, 2), (3,)), "column count does not match entries"),
+        (2, 2, ((1, 2, 3), (4, 5)), "column count does not match entries"),
+        (3, 1, ((1,),) * 2 + ((1, 0),), "column count does not match entries"),
+    ],
+)
+def test_malformed_rational_matrix_is_refused(rows, cols, entries, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        RationalMatrix(rows=rows, cols=cols, entries=entries)
+
+
 def test_kernel_zero_matrix():
     assert kernel_dimension(RationalMatrix.from_rows([[0] * 3] * 3)) == 3
 
