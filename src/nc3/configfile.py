@@ -7,6 +7,12 @@ every file the schema in ``schemas/ncconfig.schema.json`` refuses with
 :class:`~nc3.ncconfig.SchemaError`.  Numbers are integers only.  ``dumps``
 is the one layout of every file and payload nc3 writes.
 
+The reader reads a blown-up surface's Gram, ``base (+) -I``, without
+decoding its -I rows cell by cell: it compares their text with the
+writer's in one ``str.startswith`` and decodes each verified row as a whole
+(``_loads``).  A text that does not match the writer's layout, or a tail of
+a catalog blow-up's size, is decoded as plain JSON.
+
 ``ncconfig`` forwards these names, so callers reach them as
 ``ncconfig.config_to_json`` and so on; this module is loaded only by a
 command that reads or writes a file or a payload.
@@ -14,10 +20,11 @@ command that reads or writes a file or a payload.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, filterfalse, repeat
+from operator import eq
 from typing import Any, Callable
 
-from .exactlat import IntersectionLattice, IntMatrix, Vec, base_rank, default_labels
+from .exactlat import IntersectionLattice, IntMatrix, Vec, base_rank, default_labels, runs
 from .ncconfig import (
     OTHER_COMPONENTS,
     SCHEMA_ID,
@@ -143,21 +150,52 @@ def _introws(x: Any, where: str) -> list[list[int]]:
     return x
 
 
+# A restriction matrix of fewer rows is copied row by row: comparing its
+# rows costs more than its shared rows save ``NCConfiguration.restrict``.
+_SHARE_MIN_ROWS = 32
+
+
 def _intmat(x: Any, where: str) -> IntMatrix:
-    return tuple(map(tuple, _introws(x, where)))
+    """A restriction matrix as tuples; in a long one equal consecutive rows share one tuple.
+
+    A blown-up surface repeats one row for every point over a curve.  Runs
+    are found at C speed and only a run's first row is copied and hashed,
+    so equal runs share one tuple too, as in the blown-up record.
+    """
+    rows = _introws(x, where)
+    if len(rows) < _SHARE_MIN_ROWS or not any(map(eq, rows, rows[1:])):
+        return tuple(map(tuple, rows))
+    heads, lengths = runs(rows)
+    tuples = list(map(tuple, heads))
+    shared: dict[Vec, Vec] = {}
+    return tuple(chain.from_iterable(map(repeat, map(shared.setdefault, tuples, tuples), lengths)))
+
+
+class _MinusIdentityRow(list):
+    """A row of a Gram's ``-I`` block that the reader decoded from verified text.
+
+    It holds exact ints by construction, so ``_gram`` does not type-check it.
+    """
+
+    __slots__ = ()
 
 
 def _gram(x: Any, where: str) -> tuple[IntMatrix, int]:
     """A dense Gram matrix as its base block and the count of its trailing -I rows.
 
-    Every cell is type-checked, but only the base block is copied into
-    tuples: a blown-up surface's -I rows are found on the parsed lists.
+    Every cell is type-checked, except those of the ``-I`` rows whose text
+    ``config_from_json`` verified and decoded itself.  Only the base block
+    is copied into tuples: a blown-up surface's -I rows are found on the
+    parsed lists.
     """
-    rows = _introws(x, where)
-    b = base_rank(rows)
-    if b == len(rows):
-        return tuple(map(tuple, rows)), 0
-    return tuple(tuple(r[:b]) for r in rows[:b]), len(rows) - b
+    unread = x
+    if isinstance(x, list) and x and type(x[-1]) is _MinusIdentityRow:
+        unread = list(filterfalse(_MinusIdentityRow.__instancecheck__, x))
+    _introws(unread, where)
+    b = base_rank(x)
+    if b == len(x):
+        return tuple(map(tuple, x)), 0
+    return tuple(tuple(r[:b]) for r in x[:b]), len(x) - b
 
 
 def _dense(rows: IntMatrix, exceptional: int) -> list[list[int]]:
@@ -218,18 +256,30 @@ class _DenseText:
             emit(lead + text)
             lead = "," + inner
         if exceptional:
-            # Cell p of a dense row starts at character p * width.
-            width = len(zero)
-            n = len(rows) + exceptional
-            zeros = "0" + zero * (n - 1)
-            for at in range(len(rows) * width, n * width, width):
-                emit(lead + "[" + cell)
-                emit(zeros[:at])
-                emit("-1")
-                emit(zeros[at + 1 :])
-                emit(inner + "]")
-                lead = "," + inner
+            for piece in _minus_identity_text(lead, inner, len(rows) + exceptional, len(rows)):
+                emit(piece)
         emit(newline + "]")
+
+
+def _minus_identity_text(lead: str, inner: str, n: int, start: int) -> list[str]:
+    """The text of rows ``start`` to ``n - 1`` of the dense ``-I`` rows of an n x n Gram.
+
+    Row p is ``-1`` in cell p and ``0`` elsewhere, written one cell a line
+    below ``inner``; the first row follows ``lead`` and every other one
+    ``"," + inner``.  Each row is cut out of one all-zeros row text around
+    its ``-1``.  The writer emits these pieces and the reader compares a
+    file's text with their join, so the two share one layout.
+    """
+    cell = inner + "  "
+    zero = "," + cell + "0"
+    # Cell p of a dense row starts at character p * width.
+    width = len(zero)
+    zeros = "0" + zero * (n - 1)
+    pieces: list[str] = []
+    for at in range(start * width, n * width, width):
+        pieces += (lead + "[" + cell, zeros[:at], "-1", zeros[at + 1 :], inner + "]")
+        lead = "," + inner
+    return pieces
 
 
 def config_to_dict(config: NCConfiguration) -> dict[str, Any]:
@@ -471,12 +521,142 @@ def config_to_json(config: NCConfiguration) -> str:
 
 
 def config_from_json(text: str) -> NCConfiguration:
-    import json
-
+    """``config_from_dict(json.loads(text))``: the same configuration or the same ``SchemaError``."""
     try:
-        data = json.loads(text)
+        data = _loads(text)
     except (ValueError, RecursionError) as exc:
         # ValueError: JSONDecodeError, or an integer literal past Python's
         # digit limit; RecursionError: nesting past the parser's limit
         raise SchemaError(f"invalid JSON: {exc}")
     return config_from_dict(data)
+
+
+_GRAM_KEY = '"gram": ['
+
+# A tail of fewer cells is decoded as plain JSON.  The hook and the folded
+# copy cost about what folding 700 cells saves, and a catalog blow-up's tail
+# has at most 600.  In the writer's layout a cell of a surface Gram takes 13
+# characters, so a shorter text holds no tail worth folding.
+_FOLD_MIN_CELLS = 2048
+_FOLD_MIN_CHARS = 13 * _FOLD_MIN_CELLS
+
+
+def _loads(text: str) -> Any:
+    """``json.loads(text)``, with each verified -I row of a surface Gram decoded unread.
+
+    Each verified row becomes a number token in a folded copy of the text,
+    and the ``parse_float`` hook of ``json.loads`` turns the token back into
+    the list of exact ints the row's text holds, where that text was.  On
+    any doubt this is plain ``json.loads(text)``, which also raises every
+    error with its own message: when no tail is verified, when the folded
+    text fails to decode, or when a token is not decoded exactly once.
+    """
+    import json
+
+    folded, rows = _fold_gram_tails(text)
+    if rows:
+        decoded = 0
+
+        def decode(token: str) -> Any:
+            nonlocal decoded
+            row = rows.get(token)
+            if row is None:
+                return float(token)
+            decoded += 1
+            zeros, p = row
+            out = _MinusIdentityRow(zeros)
+            out[p] = -1
+            return out
+
+        try:
+            data = json.loads(folded, parse_float=decode)
+        except (ValueError, RecursionError):
+            pass
+        else:
+            # Each token is decoded once; a second time, it was in the text too.
+            if decoded == len(rows):
+                return data
+    return json.loads(text)
+
+
+def _fold_gram_tails(text: str) -> tuple[str, dict[str, tuple[list[int], int]]]:
+    """``text`` with the verified -I rows of each surface Gram replaced by number tokens.
+
+    Each folded row becomes a comma and its token, and a comma or the
+    Gram's own closing line follows it.  No token is inside a JSON string:
+    the Gram's key line and first row come before them, and a string cannot
+    hold their raw newlines.  Returns the folded text and, for each token,
+    the all-zeros row of its length and the cell of its ``-1``; with no tail
+    worth folding, ``text`` and ``{}``.
+    """
+    rows: dict[str, tuple[list[int], int]] = {}
+    if not isinstance(text, str) or len(text) < _FOLD_MIN_CHARS:
+        return text, rows
+    pieces: list[str] = []
+    done = 0
+    # One letter of the key is found with memchr; a longer needle crawls
+    # through the spaces of a Gram's indentation.
+    at = text.find("g")
+    while at >= 0:
+        key = at - 1
+        tail = _verified_tail(text, key) if text.startswith(_GRAM_KEY, key) else None
+        if tail is None:
+            at = text.find("g", at + 1)
+            continue
+        start, end, n, p = tail
+        pieces.append(text[done:start])
+        zeros = [0] * n
+        for q in range(p, n):
+            token = f"{len(rows)}.0"
+            rows[token] = (zeros, q)
+            pieces.append("," + token)
+        done = end
+        at = text.find("g", end)
+    if not rows:
+        return text, rows
+    pieces.append(text[done:])
+    return "".join(pieces), rows
+
+
+def _verified_tail(text: str, key: int) -> tuple[int, int, int, int] | None:
+    """The writer's -I rows at the end of the Gram whose key starts at ``key``.
+
+    Returns ``(start, end, n, p)``: the text from ``start`` to ``end`` is
+    exactly ``_minus_identity_text`` for rows p to n - 1 of an n x n Gram,
+    each after its comma, and the Gram's closing line follows it.  The tail
+    is taken to start at the first row after row 0 whose opening and ``-1``
+    cell fit an -I row.  Returns ``None`` when the text differs from there
+    on, or when the tail has fewer than ``_FOLD_MIN_CELLS`` cells.
+    """
+    line = text.rfind("\n", 0, key)
+    indent = text[line:key]
+    if line < 0 or indent[1:].strip(" "):
+        return None
+    inner = indent + "  "
+    cell = inner + "  "
+    lead = "," + inner
+    head = lead + "[" + cell
+    width = len(cell) + 2  # a cell after its separator: "," + cell + "0"
+    row = key + len(_GRAM_KEY) - 1  # the Gram's "[", which leads its first row
+    close = text.find("]", row + 1)
+    if not text.startswith(inner + "[", row + 1) or close < 0:
+        return None
+    n = text.count(",", row, close) + 1
+    if (n - 1) * n < _FOLD_MIN_CELLS:
+        return None
+    # Row p starts at ``row``; rows before the tail are skipped one "]" at a time.
+    for p in range(1, n):
+        row = close + 1
+        if not text.startswith(lead + "[", row):
+            return None
+        if text.startswith(head, row) and text.startswith("-1", row + len(head) + p * width):
+            if (n - p) * n < _FOLD_MIN_CELLS:
+                return None
+            expected = "".join(_minus_identity_text(lead, inner, n, p))
+            end = row + len(expected)
+            if text.startswith(expected, row) and text.startswith(indent + "]", end):
+                return row, end, n, p
+            return None
+        close = text.find("]", row)
+    return None
+

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import groupby
+from itertools import compress, count, groupby
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from ._record import Record
 
@@ -84,6 +84,17 @@ def mat_vec(m: IntMatrix, v: Vec) -> Vec:
             f"matrix with {len(m[0])} columns applied to vector of length {len(v)}"
         )
     return tuple(sum(map(operator.mul, r, v)) for r in m)
+
+
+def runs(rows: Sequence[Any]) -> tuple[list[Any], list[int]]:
+    """The first row and the length of each run of equal consecutive rows, at C speed.
+
+    ``groupby`` compares a row with the one before it, and a row that is
+    the same object as its neighbour compares equal without a look at its
+    entries.  ``map`` reads each group whole before ``groupby`` moves past it.
+    """
+    groups = list(map(list, map(itemgetter(1), groupby(rows))))
+    return list(map(itemgetter(0), groups)), list(map(len, groups))
 
 
 def as_int_matrix(rows: Iterable[Iterable[int]]) -> IntMatrix:
@@ -285,14 +296,15 @@ class RationalMatrix(Record):
 def _sparse_rank(rows: Iterable[Sequence[int]]) -> int:
     """Rank over the rationals of integer rows, by sparse elimination.
 
-    Rows are ``{col: value}`` dicts without zeros.  Each step takes the
+    Rows are ``{col: value}`` dicts without zeros, each built at C speed
+    from the row's nonzero columns and values.  Each step takes the
     shortest remaining row as the pivot row, at its entry p of smallest
     absolute value, and clears the pivot column from each row r that holds
     it, with entry f:  r <- (p/g) r - (f/g) pivot,  g = gcd(p, f).  The
     updated row is divided by the gcd of its entries.  Rows without the
     pivot column are not touched, and every number stays an integer.
     """
-    pending = [d for d in ({j: x for j, x in enumerate(r) if x} for r in rows) if d]
+    pending = list(filter(None, (dict(zip(compress(count(), r), filter(None, r))) for r in rows)))
     rank = 0
     while pending:
         lengths = list(map(len, pending))

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain, groupby, repeat
-from operator import itemgetter, neg
+from operator import is_, neg
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ._record import Record
@@ -54,6 +54,7 @@ from .exactlat import (
     adjunction_sum,
     kernel_dimension,
     mat_vec,
+    runs,
     vec_add,
     vec_sub,
     vec_zero,
@@ -256,21 +257,19 @@ class NCConfiguration(Record):
         """Image of ``v`` under a restriction matrix, each run of equal rows multiplied once.
 
         A blown-up surface repeats one restriction row for every point over
-        a curve, in a file as equal rows and after the blow-up as one shared
-        row.  Runs of equal consecutive rows collapse first, so only a run's
-        first row is hashed, and each run's image is repeated at C speed.  A
-        matrix without such a run is multiplied row by row.
+        a curve, as one shared row tuple after the blow-up and in a parsed
+        file alike.  A matrix in which no row is the same object as the one
+        before it (checked at C speed) is multiplied row by row.  Otherwise
+        runs of equal consecutive rows collapse, only a run's first row is
+        hashed, and each run's image is repeated at C speed.
         """
         m = self.restriction(surface_index, component_index)
-        # The runs as lists of their rows: ``map`` reads each group whole
-        # before ``groupby`` moves past it.
-        runs = list(map(list, map(itemgetter(1), groupby(m))))
-        if len(runs) == len(m):
+        if not any(map(is_, m, m[1:])):
             return mat_vec(m, v)
-        heads = list(map(itemgetter(0), runs))
+        heads, lengths = runs(m)
         distinct = tuple(dict.fromkeys(heads))
         image = dict(zip(distinct, mat_vec(distinct, v)))
-        return tuple(chain.from_iterable(map(repeat, map(image.__getitem__, heads), map(len, runs))))
+        return tuple(chain.from_iterable(map(repeat, map(image.__getitem__, heads), lengths)))
 
     def hyperplane_on_surface(self, surface_index: int) -> Vec:
         """Restriction of the distinguished ample class to a surface: its
