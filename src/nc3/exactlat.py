@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import compress, count, groupby
+from itertools import groupby
 from operator import itemgetter
 from typing import Any, Iterable, Sequence
 
@@ -297,14 +297,14 @@ def _sparse_rank(rows: Iterable[Sequence[int]]) -> int:
     """Rank over the rationals of integer rows, by sparse elimination.
 
     Rows are ``{col: value}`` dicts without zeros, each built at C speed
-    from the row's nonzero columns and values.  Each step takes the
+    from the row's nonzero ``(col, value)`` pairs.  Each step takes the
     shortest remaining row as the pivot row, at its entry p of smallest
     absolute value, and clears the pivot column from each row r that holds
     it, with entry f:  r <- (p/g) r - (f/g) pivot,  g = gcd(p, f).  The
     updated row is divided by the gcd of its entries.  Rows without the
     pivot column are not touched, and every number stays an integer.
     """
-    pending = list(filter(None, (dict(zip(compress(count(), r), filter(None, r))) for r in rows)))
+    pending = list(filter(None, (dict(filter(itemgetter(1), enumerate(r))) for r in rows)))
     rank = 0
     while pending:
         lengths = list(map(len, pending))
