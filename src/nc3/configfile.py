@@ -9,9 +9,11 @@ is the one layout of every file and payload nc3 writes.
 
 The reader reads a blown-up surface's Gram, ``base (+) -I``, without
 decoding its -I rows cell by cell: it compares their text with the
-writer's in one ``str.startswith`` and decodes each verified row as a whole
-(``_loads``).  A text that does not match the writer's layout, or a tail of
-a catalog blow-up's size, is decoded as plain JSON.
+writer's, piece by piece up to the first difference, and decodes each
+verified row as a whole (``_loads``).  No part of the text is read for two
+Gram keys, so the work stays linear in the length of the text.  A text
+that does not match the writer's layout, or a tail of a catalog blow-up's
+size, is decoded as plain JSON.
 
 ``ncconfig`` forwards these names, so callers reach them as
 ``ncconfig.config_to_json`` and so on; this module is loaded only by a
@@ -21,8 +23,7 @@ command that reads or writes a file or a payload.
 from __future__ import annotations
 
 from itertools import chain, filterfalse, repeat
-from operator import eq
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .exactlat import IntersectionLattice, IntMatrix, Vec, base_rank, default_labels, runs
 from .ncconfig import (
@@ -163,9 +164,11 @@ def _intmat(x: Any, where: str) -> IntMatrix:
     so equal runs share one tuple too, as in the blown-up record.
     """
     rows = _introws(x, where)
-    if len(rows) < _SHARE_MIN_ROWS or not any(map(eq, rows, rows[1:])):
+    if len(rows) < _SHARE_MIN_ROWS:
         return tuple(map(tuple, rows))
     heads, lengths = runs(rows)
+    if len(heads) == len(rows):
+        return tuple(map(tuple, rows))
     tuples = list(map(tuple, heads))
     shared: dict[Vec, Vec] = {}
     return tuple(chain.from_iterable(map(repeat, map(shared.setdefault, tuples, tuples), lengths)))
@@ -261,25 +264,28 @@ class _DenseText:
         emit(newline + "]")
 
 
-def _minus_identity_text(lead: str, inner: str, n: int, start: int) -> list[str]:
+def _minus_identity_text(lead: str, inner: str, n: int, start: int) -> Iterator[str]:
     """The text of rows ``start`` to ``n - 1`` of the dense ``-I`` rows of an n x n Gram.
 
     Row p is ``-1`` in cell p and ``0`` elsewhere, written one cell a line
     below ``inner``; the first row follows ``lead`` and every other one
     ``"," + inner``.  Each row is cut out of one all-zeros row text around
     its ``-1``.  The writer emits these pieces and the reader compares a
-    file's text with their join, so the two share one layout.
+    file's text with them one by one, so the two share one layout; a piece
+    is cut only when it is asked for.
     """
     cell = inner + "  "
     zero = "," + cell + "0"
     # Cell p of a dense row starts at character p * width.
     width = len(zero)
     zeros = "0" + zero * (n - 1)
-    pieces: list[str] = []
     for at in range(start * width, n * width, width):
-        pieces += (lead + "[" + cell, zeros[:at], "-1", zeros[at + 1 :], inner + "]")
+        yield lead + "[" + cell
+        yield zeros[:at]
+        yield "-1"
+        yield zeros[at + 1 :]
+        yield inner + "]"
         lead = "," + inner
-    return pieces
 
 
 def config_to_dict(config: NCConfiguration) -> dict[str, Any]:
@@ -588,6 +594,10 @@ def _fold_gram_tails(text: str) -> tuple[str, dict[str, tuple[list[int], int]]]:
     hold their raw newlines.  Returns the folded text and, for each token,
     the all-zeros row of its length and the cell of its ``-1``; with no tail
     worth folding, ``text`` and ``{}``.
+
+    The next key is sought where ``_verified_tail`` stopped reading, so no
+    part of the text is read for two keys and the work stays linear in its
+    length.
     """
     rows: dict[str, tuple[list[int], int]] = {}
     if not isinstance(text, str) or len(text) < _FOLD_MIN_CHARS:
@@ -599,18 +609,18 @@ def _fold_gram_tails(text: str) -> tuple[str, dict[str, tuple[list[int], int]]]:
     at = text.find("g")
     while at >= 0:
         key = at - 1
-        tail = _verified_tail(text, key) if text.startswith(_GRAM_KEY, key) else None
-        if tail is None:
+        if not text.startswith(_GRAM_KEY, key):
             at = text.find("g", at + 1)
             continue
-        start, end, n, p = tail
-        pieces.append(text[done:start])
-        zeros = [0] * n
-        for q in range(p, n):
-            token = f"{len(rows)}.0"
-            rows[token] = (zeros, q)
-            pieces.append("," + token)
-        done = end
+        start, end, n, p = _verified_tail(text, key)
+        if p < n:
+            pieces.append(text[done:start])
+            zeros = [0] * n
+            for q in range(p, n):
+                token = f"{len(rows)}.0"
+                rows[token] = (zeros, q)
+                pieces.append("," + token)
+            done = end
         at = text.find("g", end)
     if not rows:
         return text, rows
@@ -618,45 +628,61 @@ def _fold_gram_tails(text: str) -> tuple[str, dict[str, tuple[list[int], int]]]:
     return "".join(pieces), rows
 
 
-def _verified_tail(text: str, key: int) -> tuple[int, int, int, int] | None:
+# A Gram key's indentation is sought this far back; the writer's surface
+# Grams are indented 6 spaces.
+_MAX_INDENT = 64
+
+
+def _verified_tail(text: str, key: int) -> tuple[int, int, int, int]:
     """The writer's -I rows at the end of the Gram whose key starts at ``key``.
 
     Returns ``(start, end, n, p)``: the text from ``start`` to ``end`` is
     exactly ``_minus_identity_text`` for rows p to n - 1 of an n x n Gram,
     each after its comma, and the Gram's closing line follows it.  The tail
     is taken to start at the first row after row 0 whose opening and ``-1``
-    cell fit an -I row.  Returns ``None`` when the text differs from there
-    on, or when the tail has fewer than ``_FOLD_MIN_CELLS`` cells.
+    cell fit an -I row.  When the text differs from there on, or the tail
+    has fewer than ``_FOLD_MIN_CELLS`` cells, no row is verified: ``p == n``,
+    and the text was read up to ``end``.  A key before ``end`` lies inside
+    this Gram's rows, so it starts no Gram of the writer's layout.
     """
-    line = text.rfind("\n", 0, key)
+    row = key + len(_GRAM_KEY) - 1  # the Gram's "[", which leads its first row
+    line = text.rfind("\n", max(0, key - _MAX_INDENT), key)
     indent = text[line:key]
     if line < 0 or indent[1:].strip(" "):
-        return None
+        return row, row + 1, 0, 0
     inner = indent + "  "
     cell = inner + "  "
     lead = "," + inner
     head = lead + "[" + cell
     width = len(cell) + 2  # a cell after its separator: "," + cell + "0"
-    row = key + len(_GRAM_KEY) - 1  # the Gram's "[", which leads its first row
+    if not text.startswith(inner + "[", row + 1):
+        return row, row + 1, 0, 0
     close = text.find("]", row + 1)
-    if not text.startswith(inner + "[", row + 1) or close < 0:
-        return None
+    if close < 0:
+        # No row of this Gram or of any later one is closed.
+        return row, len(text), 0, 0
     n = text.count(",", row, close) + 1
     if (n - 1) * n < _FOLD_MIN_CELLS:
-        return None
+        return close, close, n, n
     # Row p starts at ``row``; rows before the tail are skipped one "]" at a time.
     for p in range(1, n):
         row = close + 1
         if not text.startswith(lead + "[", row):
-            return None
+            return row, row, n, n
         if text.startswith(head, row) and text.startswith("-1", row + len(head) + p * width):
             if (n - p) * n < _FOLD_MIN_CELLS:
-                return None
-            expected = "".join(_minus_identity_text(lead, inner, n, p))
-            end = row + len(expected)
-            if text.startswith(expected, row) and text.startswith(indent + "]", end):
+                return row, row, n, n
+            # The tail's text grows as n squared: it is compared one piece at
+            # a time, and a piece is cut only once the text before it matched.
+            end = row
+            for piece in _minus_identity_text(lead, inner, n, p):
+                if not text.startswith(piece, end):
+                    return row, row, n, n
+                end += len(piece)
+            if text.startswith(indent + "]", end):
                 return row, end, n, p
-            return None
+            return row, row, n, n
         close = text.find("]", row)
-    return None
-
+        if close < 0:
+            return row, len(text), n, n
+    return close, close, n, n

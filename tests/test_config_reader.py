@@ -13,6 +13,8 @@ import functools
 import json
 import random
 import re
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -94,6 +96,80 @@ def test_every_minus_identity_row_of_a_stress_blowup_is_recognised():
 def test_catalog_sized_exports_are_decoded_as_plain_json():
     for label, _, text in _exports()[:63]:
         assert configfile._fold_gram_tails(text) == (text, {}), label
+
+
+def test_a_long_first_row_over_a_short_tail_reads_as_plain_json_in_bounded_memory():
+    """A Gram row of 2000 zeros, then one row that opens like an -I row: the
+    writer's text of 1999 such rows would take about 52 MB.  The reader cuts
+    that text only as far as the file matches it."""
+    n = 2000
+    text = '{\n  "gram": [\n    [' + ",".join(["0"] * n) + "],\n    [\n      0,\n      -1\n    ]\n  ]\n}"
+    text += " " * configfile._FOLD_MIN_CHARS  # past the size below which no tail is sought
+    tracemalloc.start()
+    try:
+        _assert_as_plain(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * len(text)
+
+
+def _nested_first_rows(k):
+    """k Gram keys, each inside the first row of the one before it: one "]" closes them all."""
+    return "{" + '\n  "gram": [\n    [' * k + ",".join(["0"] * 100) + "]"
+
+
+def _nested_rows(k):
+    """A Gram of k-cell rows, each row after the first holding the key of another such Gram."""
+    first = "[" + ",".join(["0"] * k) + "]"
+    return '{\n  "gram": [\n    ' + first + (',\n    [\n  "gram": [\n    ' + first) * k
+
+
+def _keys_on_one_line(k):
+    return "{\n" + ' "gram": [' * k
+
+
+def _unclosed_rows(k):
+    return "{" + '\n  "gram": [\n    [' * k
+
+
+def _best_of_three(text):
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        _assert_as_plain(text)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+@pytest.mark.parametrize(
+    "build, small, grow",
+    [(_nested_first_rows, 2000, 8), (_keys_on_one_line, 3000, 8), (_unclosed_rows, 4000, 16)],
+    ids=lambda x: getattr(x, "__name__", "").lstrip("_") or None,
+)
+def test_reading_a_text_of_many_gram_keys_takes_time_linear_in_its_length(build, small, grow):
+    """Gram keys inside one another's first rows, on one line or with no row
+    closed: a text ``r`` times as long takes at most about ``r`` times as long
+    to read, where reading each key to the end of the text took ``r**2``."""
+    texts = [build(small), build(small * grow)]
+    assert len(texts[0]) > configfile._FOLD_MIN_CHARS
+    times = [_best_of_three(t) for t in texts]
+    assert times[1] < 2 * len(texts[1]) / len(texts[0]) * times[0] + 0.002
+
+
+def test_a_key_inside_rows_already_read_is_not_read_again(monkeypatch):
+    """A Gram of 400-cell rows, each holding the key of another such Gram:
+    the first key reads every row, and only the key in the last one is read."""
+    calls = []
+    verified_tail = configfile._verified_tail
+
+    def counted(text, key):
+        calls.append(key)
+        return verified_tail(text, key)
+
+    monkeypatch.setattr(configfile, "_verified_tail", counted)
+    _assert_as_plain(_nested_rows(400))
+    assert len(calls) == 2
 
 
 @functools.cache
