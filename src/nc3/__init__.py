@@ -26,7 +26,7 @@ _EXPORTS = {
         "validate",
     ),
     "degeneration": (
-        "NormalClassTriple", "collective_normal_class", "is_d_semistable", "triple_sum_check",
+        "NormalClassTriple", "collective_normal_class", "is_d_semistable",
     ),
     "construction": (
         "AmpleMarginProblem", "BlowupTrace", "CollectiveDivisor", "ample_margin",

@@ -128,6 +128,9 @@ def _load_config_file(path: str) -> tuple[ncconfig.NCConfiguration, dict[str, An
     return config, {"path": path, "sha256": digest}
 
 
+_AFTER_BLOWUP_NEEDS = "--after-blowup needs --family with --partition"
+
+
 def _resolve_source(
     args: argparse.Namespace,
 ) -> tuple[
@@ -140,9 +143,14 @@ def _resolve_source(
     if args.order and not args.partition:
         raise CliError("--order needs --partition", EXIT_PARSE)
     if args.config:
-        config, provenance = _load_config_file(args.config)
+        # Flags are refused before the file is read, whatever it holds.
         if args.partition:
             raise CliError("--partition needs --family", EXIT_PARSE)
+        if getattr(args, "trace", False):
+            raise CliError("--trace needs --family", EXIT_PARSE)
+        if getattr(args, "after_blowup", False):
+            raise CliError(_AFTER_BLOWUP_NEEDS, EXIT_PARSE)
+        config, provenance = _load_config_file(args.config)
         return config, None, provenance, None
     if not args.family:
         raise CliError("one of --family or --config is required", EXIT_PARSE)
@@ -190,7 +198,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     record = _base_record("check", provenance)
     if args.after_blowup:
         if divisor is None:
-            raise CliError("--after-blowup needs --family with --partition", EXIT_PARSE)
+            raise CliError(_AFTER_BLOWUP_NEEDS, EXIT_PARSE)
         from . import construction
         try:
             config, _ = construction.sequential_blowup(config, divisor)
@@ -241,8 +249,6 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     config, divisor, provenance, parts = _resolve_source(args)
     if args.family and divisor is None:
         raise CliError("invariants needs --partition with --family", EXIT_PARSE)
-    if args.config and args.trace:
-        raise CliError("--trace needs --family", EXIT_PARSE)
     record = _base_record("invariants", provenance)
     try:
         record.update(_invariants_record(config, divisor, args.trace))

@@ -408,12 +408,15 @@ def config_from_dict(data: dict[str, Any]) -> NCConfiguration:
             raw_b = c["boundary"]
             if not isinstance(raw_b, dict):
                 raise SchemaError(f"{where}: boundary must map component names to vectors")
+            adjacent = [names[o] for o in OTHER_COMPONENTS[i]]
             try:
-                boundary = tuple(
-                    _intvec(raw_b[names[o]], where + ".boundary") for o in OTHER_COMPONENTS[i]
-                )
+                boundary = tuple(_intvec(raw_b[name], where + ".boundary") for name in adjacent)
             except KeyError as exc:
                 raise SchemaError(f"{where}: boundary missing entry for {exc.args[0]!r}")
+            # The schema types every entry, also one of no adjacent component.
+            for key, value in raw_b.items():
+                if key not in adjacent:
+                    _intlist(value, where + ".boundary")
         chern = None
         if "chern_numbers" in c:
             cn = _intvec(c["chern_numbers"], where + ".chern_numbers")
@@ -441,10 +444,8 @@ def config_from_dict(data: dict[str, Any]) -> NCConfiguration:
         _refuse_unknown_keys(s, _SURFACE_KEYS, where)
         gram, exceptional = _gram(_require(s, "gram", where), where + ".gram")
         rank = len(gram) + exceptional
-        labels_raw = s.get("basis_labels")
-        if labels_raw is not None and not (
-            isinstance(labels_raw, list) and all(isinstance(x, str) for x in labels_raw)
-        ):
+        labels_raw = s.get("basis_labels", [])
+        if not (isinstance(labels_raw, list) and all(isinstance(x, str) for x in labels_raw)):
             raise SchemaError(f"{where}: basis_labels must be a list of strings")
         try:
             lattice = IntersectionLattice(
@@ -468,6 +469,9 @@ def config_from_dict(data: dict[str, Any]) -> NCConfiguration:
             raise SchemaError(
                 f"{where}: restrictions must include adjacent component {exc.args[0]!r}"
             )
+        for key, value in raw_restr.items():
+            if key not in (names[j], names[k]):
+                _introws(value, where + ".restrictions")
         raw_bs = _require(s, "boundary_self", where)
         if not isinstance(raw_bs, list) or len(raw_bs) != 2:
             raise SchemaError(f"{where}: boundary_self must be a pair of vectors")

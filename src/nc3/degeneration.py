@@ -21,12 +21,8 @@ equality in the tracked sublattice.
 from __future__ import annotations
 
 from ._record import Record
-from .exactlat import Vec, pair, vec_add
+from .exactlat import Vec, vec_add
 from .ncconfig import NCConfiguration
-
-
-class InternalConsistencyError(Exception):
-    """An identity that must hold on coherent data failed."""
 
 
 class NormalClassTriple(Record):
@@ -40,19 +36,6 @@ class NormalClassTriple(Record):
 
     def as_lists(self) -> list[list[int]]:
         return [list(c) for c in self.classes]
-
-
-class TripleSumReport(Record):
-    """Degrees of the normal classes along the triple curve.
-
-    ``residuals`` holds N(D_i).tau computed in each surface lattice;
-    ``tau_square_sum`` is the sum over surfaces of the self-intersection of
-    the triple-curve class.  For coherent data the residual total is three
-    times the square sum, and both vanish on a d-semistable configuration.
-    """
-
-    residuals: tuple[int, int, int]
-    tau_square_sum: int
 
 
 def collective_normal_class(config: NCConfiguration) -> NormalClassTriple:
@@ -75,28 +58,3 @@ def is_d_semistable(config: NCConfiguration) -> tuple[bool, NormalClassTriple]:
     """
     residual = config.normal_class
     return residual.is_zero, residual
-
-
-def triple_sum_check(config: NCConfiguration) -> TripleSumReport:
-    """Restrict each normal class to the triple curve and compare squares.
-
-    Raises :class:`InternalConsistencyError` if the configuration is
-    d-semistable but a residual (or the square sum) fails to vanish.
-    """
-    normal = config.normal_class
-    residuals = tuple(
-        pair(n, surf.tau_class, surf.lattice)
-        for n, surf in zip(normal.classes, config.surfaces)
-    )
-    tau_square_sum = sum(
-        pair(surf.tau_class, surf.tau_class, surf.lattice) for surf in config.surfaces
-    )
-    if normal.is_zero and (any(residuals) or tau_square_sum != 0):
-        raise InternalConsistencyError(
-            f"d-semistable configuration with nonzero triple-curve residuals "
-            f"{residuals} / square sum {tau_square_sum}"
-        )
-    return TripleSumReport(
-        residuals=(residuals[0], residuals[1], residuals[2]),
-        tau_square_sum=tau_square_sum,
-    )

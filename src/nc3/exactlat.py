@@ -33,9 +33,12 @@ import math
 import operator
 from itertools import groupby
 from operator import itemgetter
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ._record import Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Vec = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]

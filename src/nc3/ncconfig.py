@@ -240,9 +240,6 @@ class NCConfiguration(Record):
             for i, (j, _) in enumerate(SURFACE_ADJACENCY)
         )
 
-    def adjacent(self, surface_index: int) -> tuple[int, int]:
-        return SURFACE_ADJACENCY[surface_index]
-
     def restriction(self, surface_index: int, component_index: int) -> IntMatrix:
         """Restriction matrix from a component into an adjacent surface."""
         adj = SURFACE_ADJACENCY[surface_index]
@@ -271,11 +268,6 @@ class NCConfiguration(Record):
         image = dict(zip(distinct, mat_vec(distinct, v)))
         return tuple(chain.from_iterable(map(repeat, map(image.__getitem__, heads), lengths)))
 
-    def hyperplane_on_surface(self, surface_index: int) -> Vec:
-        """Restriction of the distinguished ample class to a surface: its
-        entry of :attr:`hyperplanes`."""
-        return self.hyperplanes[surface_index]
-
     def boundary_class(self, component_index: int, other_index: int) -> Vec:
         """Coordinates on component i of the double surface Y_other ^ Y_i."""
         comp = self.components[component_index]
@@ -284,9 +276,6 @@ class NCConfiguration(Record):
                 f"component {comp.name} does not declare boundary divisor coordinates"
             )
         return comp.boundary[OTHER_COMPONENTS[component_index].index(other_index)]
-
-    def total_rank(self) -> int:
-        return sum(c.h2_rank for c in self.components)
 
 
 # ---------------------------------------------------------------------------
@@ -502,18 +491,6 @@ def stack_component_vectors(config: NCConfiguration, parts: Sequence[Vec]) -> Ve
     return tuple(out)
 
 
-def split_surface_vector(config: NCConfiguration, v: Sequence[Any]) -> tuple[tuple[Any, ...], ...]:
-    """Split a codomain vector into its three per-surface slices."""
-    out = []
-    pos = 0
-    for surf in config.surfaces:
-        out.append(tuple(v[pos : pos + surf.lattice.rank]))
-        pos += surf.lattice.rank
-    if pos != len(v):
-        raise DimensionMismatch("vector length does not match total surface rank")
-    return tuple(out)
-
-
 def component_restriction_classes(config: NCConfiguration) -> tuple[Vec, Vec]:
     """Collective restrictions of the first two component line bundles.
 
@@ -555,8 +532,6 @@ _FILE_NAMES = frozenset(
         "config_from_dict",
         "config_to_json",
         "config_from_json",
-        "_dense",
-        "_DenseText",
         "_CONFIG_KEYS",
         "_COMPONENT_KEYS",
         "_SURFACE_KEYS",

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from nc3 import catalog, construction
+from nc3.ncconfig import SURFACE_ADJACENCY
 
 
 def quintic_partition(*parts: int) -> catalog.PartitionSpec:
@@ -91,7 +92,7 @@ def dense_restriction_difference(config):
     zero otherwise."""
     rows = []
     for i, surf in enumerate(config.surfaces):
-        j, k = config.adjacent(i)
+        j, k = SURFACE_ADJACENCY[i]
         for r in range(surf.lattice.rank):
             row = []
             for c, comp in enumerate(config.components):

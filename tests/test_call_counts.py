@@ -209,7 +209,7 @@ def test_d21_all_ones_hodge_pairs_and_ranks_each_distinct_value_once(monkeypatch
     """The 21 parts are one class, and the 297 rows of the
     restriction-difference matrix hold 24 distinct ones."""
     counts = collections.Counter()
-    for module in (catalog, degeneration, exactlat):
+    for module in (catalog, exactlat):
         count_calls(monkeypatch, counts, module, "pair")
     for module in (construction, exactlat):
         count_calls(monkeypatch, counts, module, "gram_product")

@@ -163,7 +163,7 @@ def test_gamma_per_unit_is_triple_curve_degree():
         spec = enumerate_partitions(fam)[0]
         config, _ = instantiate(fam, spec)
         for i, surf in enumerate(config.surfaces):
-            h = config.hyperplane_on_surface(i)
+            h = config.hyperplanes[i]
             assert pair(surf.tau_class, h, surf.lattice) == fam.gamma_per_unit
 
 

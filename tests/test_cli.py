@@ -779,6 +779,24 @@ def test_invariants_config_refuses_family_only_flags(capsys, blown_up_export, fl
     assert (rc, out, err) == (2, "", json.dumps({"error": message}) + "\n")
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["invariants", "--partition", "5"], "--partition needs --family"),
+        (["invariants", "--partition", "5", "--trace"], "--partition needs --family"),
+        (["invariants", "--trace"], "--trace needs --family"),
+        (["check", "--partition", "5"], "--partition needs --family"),
+        (["check", "--after-blowup"], "--after-blowup needs --family with --partition"),
+    ],
+)
+def test_config_flag_refusals_do_not_read_the_file(tmp_path, capsys, argv, message):
+    """A flag that ``--config`` cannot take is refused before the file is
+    opened, so the refusal is the same for a missing file as for a valid one."""
+    missing = str(tmp_path / "missing.json")
+    rc, out, err = run(capsys, argv[0], "--config", missing, *argv[1:])
+    assert (rc, out, err) == (2, "", json.dumps({"error": message}) + "\n")
+
+
 def _rename(obj, old, new):
     obj[new] = obj.pop(old)
 

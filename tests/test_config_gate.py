@@ -13,12 +13,18 @@ import copy
 import functools
 import io
 import json
+import pathlib
 
+import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nc3 import catalog, cli, construction, ncconfig
+
+SCHEMA = json.loads(
+    (pathlib.Path(__file__).resolve().parent.parent / "schemas" / "ncconfig.schema.json").read_text()
+)
 
 # What `invariants --config` may still refuse on a file `check --config` accepts.
 REFUSALS_AFTER_VALIDATION = (
@@ -156,3 +162,93 @@ def test_canonical_mutation_is_refused_by_both_commands(tmp_path, capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.err) == {"error": "configuration fails validation"}
     assert json.loads(captured.out)["diagnostics"] == checked
+
+
+# Values of every JSON type and of the shapes the schema names: int vector,
+# int matrix, string list.
+ILL_TYPED = (None, True, 1.5, -1, "x", [], [1], ["x"], [None], [[1]], [["x"]], [[1.5]], {}, {"x": 1})
+
+
+def _schema_mutations(data):
+    """Each value of each object in ``data`` replaced by each of ``ILL_TYPED``,
+    and each object given an extra key holding each of them.
+
+    Yields the changed object and its part of the schema, with ``data``
+    changed in place, and restores it on resumption.
+    """
+    objects = [(data, SCHEMA)]
+    for obj, schema in objects:
+        for key, value in list(obj.items()):
+            for bad in ILL_TYPED:
+                obj[key] = bad
+                yield obj, schema
+            obj[key] = value
+        for bad in ILL_TYPED:
+            obj["extra"] = bad
+            yield obj, schema
+        del obj["extra"]
+        for key, value in obj.items():
+            part = schema.get("properties", {}).get(key, schema.get("additionalProperties"))
+            if isinstance(value, dict):
+                objects.append((value, part))
+            elif isinstance(value, list):
+                objects.extend((v, part["items"]) for v in value if isinstance(v, dict))
+
+
+def test_reader_refuses_every_mutation_the_schema_refuses():
+    """The schema is the oracle: wherever it refuses a mutated export, the
+    reader raises ``SchemaError``, which the commands report with exit 2.
+
+    Only the changed object is validated, against its part of the schema:
+    the rest of the export is valid and the schema ties no two objects
+    together, so the file is valid exactly when that object is.
+    """
+    p2xp2 = catalog.instantiate("p2xp2", catalog.PartitionSpec(parts=((1, 0), (2, 3))))[0]
+    validators = {}
+    refused = 0
+    for export in (_exports()[0], ncconfig.config_to_dict(p2xp2)):
+        jsonschema.validate(export, SCHEMA)
+        data = copy.deepcopy(export)
+        for obj, schema in _schema_mutations(data):
+            if id(schema) not in validators:
+                part = {**schema, "$defs": SCHEMA["$defs"]}
+                validators[id(schema)] = jsonschema.Draft202012Validator(part)
+            if validators[id(schema)].is_valid(obj):
+                continue
+            refused += 1
+            with pytest.raises(ncconfig.SchemaError):
+                ncconfig.config_from_dict(data)
+        assert data == export
+    assert refused > 2000
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        pytest.param(
+            lambda d: d["components"][0]["boundary"].update(Y9="x"),
+            "component Y1.boundary: expected list of integers, got 'x'",
+            id="boundary",
+        ),
+        pytest.param(
+            lambda d: d["surfaces"][0]["restrictions"].update(Y9=[["x"]]),
+            "surface D1.restrictions: expected integer, got 'x'",
+            id="restrictions",
+        ),
+        pytest.param(
+            lambda d: d["surfaces"][2].update(basis_labels=None),
+            "surface D3: basis_labels must be a list of strings",
+            id="basis_labels",
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["check", "invariants"])
+def test_ill_typed_extra_entries_and_null_labels_exit_2(config_path, command, mutate, message):
+    """An entry of ``boundary`` or ``restrictions`` for no adjacent component
+    is still typed by the schema, and ``basis_labels`` may be left out but
+    not null."""
+    data = copy.deepcopy(_exports()[1])
+    mutate(data)
+    config_path.write_text(json.dumps(data), encoding="utf-8")
+    expected = (2, f"schema error in {config_path}: {message}")
+    assert _run([command, "--config", str(config_path)]) == expected

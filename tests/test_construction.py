@@ -218,7 +218,7 @@ def test_stage_two_centers_have_unchanged_degree_and_euler():
 
         e = adjunction_euler(primed, s2.canonical, s2.lattice)
         assert e == trace.steps[4 + l].euler
-        h = config_tilde.hyperplane_on_surface(2)
+        h = config_tilde.hyperplanes[2]
         assert pair(primed, h, s2.lattice) == trace.steps[4 + l].degree
 
 

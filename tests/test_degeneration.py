@@ -54,47 +54,44 @@ def test_hand_built_cancelling_boundary_is_semistable(quintic5):
     assert ok and residual.is_zero
 
 
-def test_triple_sum_quintic_residuals():
+def _triple_curve_degrees(config):
+    """N(D_i).tau on each surface, and tau.tau summed over the surfaces."""
+    normal = degeneration.collective_normal_class(config)
+    residuals = tuple(
+        pair(n, s.tau_class, s.lattice) for n, s in zip(normal.classes, config.surfaces)
+    )
+    return residuals, sum(pair(s.tau_class, s.tau_class, s.lattice) for s in config.surfaces)
+
+
+def test_triple_curve_degrees_of_the_quintic():
     # N(D_i).tau is 15 on every surface: 5h.h on the two cubic surfaces
     # (h^2 = 3) and 5h.3h on the plane; the square sum is 3+3+9.
     config, _ = catalog.instantiate("quintic", quintic_partition(5))
-    report = degeneration.triple_sum_check(config)
-    assert report.residuals == (15, 15, 15)
-    assert report.tau_square_sum == 15
-    assert sum(report.residuals) == 3 * report.tau_square_sum
+    residuals, tau_square_sum = _triple_curve_degrees(config)
+    assert residuals == (15, 15, 15)
+    assert tau_square_sum == 15
+    assert sum(residuals) == 3 * tau_square_sum
 
 
-def test_triple_sum_identity_holds_on_every_catalog_family():
+def test_residual_total_is_three_tau_squares_on_every_catalog_family():
     for fam_id in catalog.family_ids():
         fam = catalog.get_family(fam_id)
         spec = catalog.enumerate_partitions(fam)[0]
         config, _ = catalog.instantiate(fam, spec)
-        report = degeneration.triple_sum_check(config)
-        assert sum(report.residuals) == 3 * report.tau_square_sum
+        residuals, tau_square_sum = _triple_curve_degrees(config)
+        assert sum(residuals) == 3 * tau_square_sum
 
 
-def test_triple_sum_vanishes_after_blowup(quintic5_blown):
-    config_tilde, _ = quintic5_blown
-    report = degeneration.triple_sum_check(config_tilde)
-    assert report.residuals == (0, 0, 0)
-    assert report.tau_square_sum == 0
+def test_triple_curve_degrees_vanish_on_every_blowup():
+    """The blow-up's tau, self-classes and lattices give N(D_i).tau = 0 and
+    a zero tau-square sum on every catalog row."""
+    from nc3 import construction
 
-
-def test_triple_sum_zero_configuration(quintic5):
-    config, _ = quintic5
-    surfaces = tuple(
-        replace(
-            s,
-            boundary_self=((0,) * s.lattice.rank, (0,) * s.lattice.rank),
-            tau_class=(0,) * s.lattice.rank,
-            canonical=(0,) * s.lattice.rank,
-        )
-        for s in config.surfaces
-    )
-    zeroed = replace(config, surfaces=surfaces, h2_total=None)
-    report = degeneration.triple_sum_check(zeroed)
-    assert report.residuals == (0, 0, 0)
-    assert report.tau_square_sum == 0
+    for fam_id in catalog.family_ids():
+        for spec in catalog.enumerate_partitions(fam_id):
+            config, divisor = catalog.instantiate(fam_id, spec)
+            config_tilde, _ = construction.sequential_blowup(config, divisor)
+            assert _triple_curve_degrees(config_tilde) == ((0, 0, 0), 0), (fam_id, spec)
 
 
 def test_collective_class_is_linear_in_boundary_perturbations(quintic5):
@@ -121,7 +118,7 @@ def test_normal_class_degrees_scale_with_hyperplane_square():
         config, _ = catalog.instantiate(fam, spec)
         n = degeneration.collective_normal_class(config)
         for i, surf in enumerate(config.surfaces):
-            h = config.hyperplane_on_surface(i)
+            h = config.hyperplanes[i]
             want = pair(fam.total_degree, h, surf.lattice)
             assert pair(n.classes[i], h, surf.lattice) == want
 
@@ -130,26 +127,11 @@ def test_quintic_normal_class_degree_pattern():
     config, _ = catalog.instantiate("quintic", quintic_partition(5))
     n = degeneration.collective_normal_class(config)
     degrees = [
-        pair(n.classes[i], config.hyperplane_on_surface(i), s.lattice)
+        pair(n.classes[i], config.hyperplanes[i], s.lattice)
         for i, s in enumerate(config.surfaces)
     ]
     # h^2 = (3, 3, 1) across the surfaces, total degree 5
     assert degrees == [15, 15, 5]
-
-
-def test_every_blowup_output_passes_triple_sum_consistency():
-    # triple_sum_check raises on a d-semistable configuration with nonzero
-    # residuals, so running it over every catalog blow-up exercises both
-    # the vanishing and the internal-consistency guard
-    from nc3 import construction
-
-    for fam_id in catalog.family_ids():
-        for spec in catalog.enumerate_partitions(fam_id):
-            config, divisor = catalog.instantiate(fam_id, spec)
-            config_tilde, _ = construction.sequential_blowup(config, divisor)
-            report = degeneration.triple_sum_check(config_tilde)
-            assert report.residuals == (0, 0, 0)
-            assert report.tau_square_sum == 0
 
 
 def test_collective_class_linearity_randomized():

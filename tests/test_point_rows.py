@@ -21,7 +21,7 @@ import pytest
 from nc3 import catalog, construction, degeneration
 from nc3._record import replace
 from nc3.exactlat import mat_vec, matrix_rank
-from nc3.ncconfig import restriction_difference_matrix
+from nc3.ncconfig import SURFACE_ADJACENCY, restriction_difference_matrix
 from tests.conftest import (
     all_catalog_cases,
     dense_restriction_difference,
@@ -104,7 +104,7 @@ def test_run_collapsing_paths_match_plain_computations(label, case):
         assert len(set(map(id, m.entries))) == len(set(m.entries)), where
         assert matrix_rank(m) == rank, where
         for i in range(3):
-            for c in cfg.adjacent(i):
+            for c in SURFACE_ADJACENCY[i]:
                 n = cfg.components[c].h2_rank
                 for v in (cfg.components[c].ample, tuple(rng.randint(-3, 3) for _ in range(n))):
                     assert cfg.restrict(i, c, v) == mat_vec(cfg.restriction(i, c), v), where
