@@ -91,6 +91,8 @@ def _parse_partition(text: str) -> catalog.PartitionSpec:
     from . import catalog
     s = text.strip()
     try:
+        if not s:
+            raise ValueError("empty")
         if "(" in s:
             if not re.fullmatch(r"\s*\([^()]*\)(\s*,\s*\([^()]*\))*\s*", s):
                 raise ValueError("expected comma-separated parenthesized pairs")
@@ -140,11 +142,13 @@ def _resolve_source(
     is given) from flags."""
     if args.family and args.config:
         raise CliError("give either --family or --config, not both", EXIT_PARSE)
-    if args.order and not args.partition:
+    # An empty --partition or --order is given, not absent: the partition
+    # parser refuses it.
+    if args.order is not None and args.partition is None:
         raise CliError("--order needs --partition", EXIT_PARSE)
     if args.config:
         # Flags are refused before the file is read, whatever it holds.
-        if args.partition:
+        if args.partition is not None:
             raise CliError("--partition needs --family", EXIT_PARSE)
         if getattr(args, "trace", False):
             raise CliError("--trace needs --family", EXIT_PARSE)
@@ -157,7 +161,7 @@ def _resolve_source(
     from . import catalog
     fam = catalog.get_family(args.family)
     provenance = {"catalog": fam.id}
-    if not args.partition:
+    if args.partition is None:
         # Degree-one placeholder not meaningful: check-style commands on raw
         # family configurations use the trivial instantiation below.
         spec = catalog.PartitionSpec(parts=(fam.total_degree,))
@@ -165,7 +169,7 @@ def _resolve_source(
         return config, None, provenance, None
     spec = _parse_partition(args.partition).canonical()
     parts = spec.parts
-    if args.order:
+    if args.order is not None:
         ordered = _parse_partition(args.order)
         if ordered.canonical().parts != parts:
             raise CliError(
@@ -246,6 +250,9 @@ def _invariants_record(
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     from . import construction, ncconfig
+    if args.trace and args.format == "csv":
+        # The CSV columns are fixed: the trace would be dropped.
+        raise CliError("--trace needs --format text or json", EXIT_PARSE)
     config, divisor, provenance, parts = _resolve_source(args)
     if args.family and divisor is None:
         raise CliError("invariants needs --partition with --family", EXIT_PARSE)

@@ -29,6 +29,8 @@ d-semistable by the triple point formula.  All bookkeeping is exact:
   one row per exceptional point.  The points over one curve share one row
   tuple, repeated at C speed, and the points' basis labels are formatted
   once per process, so no Python step of the blow-up runs per point.  The
+  exceptional divisors' labels and the unit vectors of length alpha are
+  likewise built once per process for each alpha.  The
   first two surfaces keep their lattice, canonical and triple-curve classes
   and Euler number; only their restrictions and self classes change;
 * the declared h2 of the configuration grows by exactly 2*alpha.
@@ -44,7 +46,7 @@ the invariants never builds them.
 from __future__ import annotations
 
 import operator
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, repeat
 from typing import Sequence
 
@@ -335,9 +337,7 @@ def sequential_blowup(
             )
         ),
     )
-    labels_e2 = tuple(f"E[{l + 1},2]" for l in range(alpha))
-    labels_e1 = tuple(f"E[{l + 1},1]" for l in range(alpha))
-    labels_e3 = tuple(f"E'[{l + 1},3]" for l in range(alpha))
+    labels_e1, labels_e2, labels_e3, unit, minus = _alpha_table(alpha)
 
     # --- components --------------------------------------------------------
     chern0 = comp0.chern_numbers
@@ -421,11 +421,7 @@ def sequential_blowup(
     )
     # D3 = Y1 ^ Y2: blown up at the gamma triple-curve points, one new row
     # each, curve by curve: the first m_1 points lie over curve 1, and so on.
-    # unit[l] and minus[l] are plus and minus the l-th unit vector of length
-    # alpha.
     points = divisor.tau_multiplicities
-    unit = [zeros[:l] + (1,) + zeros[l + 1 :] for l in range(alpha)]
-    minus = [zeros[:l] + (-1,) + zeros[l + 1 :] for l in range(alpha)]
     new_lattice = IntersectionLattice(
         rank=s2.lattice.rank + gamma,
         gram=s2.lattice.gram,
@@ -476,6 +472,26 @@ def sequential_blowup(
         ),
     )
     return new_config, trace
+
+
+@cache
+def _alpha_table(
+    alpha: int,
+) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], tuple[Vec, ...], tuple[Vec, ...]]:
+    """The labels ``E[l,1]``, ``E[l,2]`` and ``E'[l,3]`` of the exceptional
+    divisors, and plus and minus the l-th unit vector of length ``alpha``,
+    for l = 1 .. alpha.
+
+    They depend on alpha alone, so each is built once per process.
+    """
+    zeros = (0,) * alpha
+    return (
+        tuple(f"E[{l + 1},1]" for l in range(alpha)),
+        tuple(f"E[{l + 1},2]" for l in range(alpha)),
+        tuple(f"E'[{l + 1},3]" for l in range(alpha)),
+        tuple(zeros[:l] + (1,) + zeros[l + 1 :] for l in range(alpha)),
+        tuple(zeros[:l] + (-1,) + zeros[l + 1 :] for l in range(alpha)),
+    )
 
 
 # The basis labels eps[1], eps[2], ... of the exceptional points on the third

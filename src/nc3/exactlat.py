@@ -17,13 +17,14 @@ on the distinct nonzero rows of a matrix: a repeated row or a zero row adds
 nothing to the row space, and a blown-up surface repeats one restriction row
 for every point over a curve.  Runs of equal consecutive rows collapse before
 any row is hashed, so those repeats cost no Python step each.  The rank is
-computed by sparse integer elimination:
-rows are kept as ``{col: value}`` dicts, each step pivots on the shortest row
-and updates only the rows that meet the pivot column, and every updated row
-is divided by the gcd of its entries (its content) so the numbers stay
-small.  ``Fraction`` entries are accepted at the API boundary:
-``matrix_rank`` clears the denominators of the rows that hold one, once,
-before elimination.  Only the rank over the rationals is needed, never
+computed by sparse fraction-free integer elimination: rows are kept as
+``{col: value}`` dicts and taken as pivot rows in ascending order of their
+initial length, an index of each column's rows lets a pivot update only the
+rows that hold its column, so no step rescans the rows left, and a row
+scaled by an update is divided by the gcd of its entries (its content) so
+the numbers stay small.  ``Fraction`` entries are accepted at the API
+boundary: ``matrix_rank`` clears the denominators of the rows that hold one,
+once, before elimination.  Only the rank over the rationals is needed, never
 torsion.
 """
 
@@ -300,22 +301,39 @@ def _sparse_rank(rows: Iterable[Sequence[int]]) -> int:
     """Rank over the rationals of integer rows, by sparse elimination.
 
     Rows are ``{col: value}`` dicts without zeros, each built at C speed
-    from the row's nonzero ``(col, value)`` pairs.  Each step takes the
-    shortest remaining row as the pivot row, at its entry p of smallest
-    absolute value, and clears the pivot column from each row r that holds
-    it, with entry f:  r <- (p/g) r - (f/g) pivot,  g = gcd(p, f).  The
-    updated row is divided by the gcd of its entries.  Rows without the
-    pivot column are not touched, and every number stays an integer.
+    from the row's nonzero ``(col, value)`` pairs, and taken as pivot rows
+    once each, in ascending order of their initial length.  ``holders``
+    lists, per column, the rows that may hold it: every row at the start,
+    and a row again whenever an update puts a new entry in that column.
+    A pivot row that is still nonzero counts one to the rank; its entry p
+    of smallest absolute value fixes the pivot column, and each later row r
+    listed under that column that still holds it, with entry f, becomes
+    r <- (p/g) r - (f/g) pivot,  g = gcd(p, f).  A row scaled by p/g is
+    then divided by the gcd of its entries (its content), so the numbers
+    stay small.  Every number stays an integer, a pivot touches only the
+    rows listed under its column, and no pass rescans the rows left.
     """
-    pending = list(filter(None, (dict(filter(itemgetter(1), enumerate(r))) for r in rows)))
+    pending = sorted(
+        filter(None, (dict(filter(itemgetter(1), enumerate(r))) for r in rows)), key=len
+    )
+    holders: dict[int, list[int]] = {}
+    for i, r in enumerate(pending):
+        for j in r:
+            holders.setdefault(j, []).append(i)
     rank = 0
-    while pending:
-        lengths = list(map(len, pending))
-        pivot = pending.pop(lengths.index(min(lengths)))
-        col = min(pivot, key=lambda j: abs(pivot[j]))
-        p = pivot[col]
+    for k, pivot in enumerate(pending):
+        if not pivot:
+            continue
         rank += 1
-        for r in pending:
+        sizes = list(map(abs, pivot.values()))
+        col = list(pivot)[sizes.index(min(sizes))]
+        p = pivot[col]
+        # Once cleared, no later row holds the column again: the later pivot
+        # rows do not hold it either.
+        for i in holders.pop(col):
+            if i <= k:
+                continue
+            r = pending[i]
             f = r.get(col)
             if f is None:
                 continue
@@ -325,16 +343,21 @@ def _sparse_rank(rows: Iterable[Sequence[int]]) -> int:
                 for j in r:
                     r[j] *= a
             for j, y in pivot.items():
-                x = r.get(j, 0) - b * y
-                if x:
-                    r[j] = x
+                x = r.get(j)
+                if x is None:
+                    r[j] = -b * y
+                    holders[j].append(i)
                 else:
-                    del r[j]
-            content = math.gcd(*r.values())
-            if content > 1:
-                for j in r:
-                    r[j] //= content
-        pending = [r for r in pending if r]
+                    x -= b * y
+                    if x:
+                        r[j] = x
+                    else:
+                        del r[j]
+            if a != 1:
+                content = math.gcd(*r.values())
+                if content > 1:
+                    for j in r:
+                        r[j] //= content
     return rank
 
 

@@ -285,3 +285,19 @@ def test_hodge_takes_no_python_step_per_triple_curve_point():
         invariants.hodge(config, divisor)  # warm: shared configurations and labels
     small, large = (nc3_trace_events(config, divisor) for config, divisor in rows)
     assert large - small < 144, (small, large)
+
+
+def test_hodge_traced_events_grow_less_than_twice_when_alpha_doubles():
+    """The all-ones rows of degree 30 and 60 have alpha 30 and 60.  Doubling
+    alpha doubles the curves, the distinct matrix rows and their columns; the
+    Python work of one ``hodge`` must grow less than twice as fast, so no
+    stage (the exact rank above all) rescans its rows once per pivot."""
+    rows = [
+        catalog.instantiate(rank_one_family(degree), quintic_partition(*(1,) * degree))
+        for degree in (30, 60)
+    ]
+    assert [d.alpha for _, d in rows] == [30, 60]
+    for config, divisor in rows:
+        invariants.hodge(config, divisor)  # warm: shared configurations and tables
+    small, large = (nc3_trace_events(config, divisor) for config, divisor in rows)
+    assert large < 2 * small, (small, large)

@@ -231,6 +231,43 @@ def test_invariants_bad_order_rejected(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "--family", "quintic", "--partition", ""], "cannot parse partition '': empty"),
+        (
+            ["invariants", "--family", "quintic", "--partition", "1,4", "--order", ""],
+            "cannot parse partition '': empty",
+        ),
+        (["invariants", "--family", "quintic", "--partition", ""], "cannot parse partition '': empty"),
+        (
+            ["invariants", "--family", "quintic", "--partition", " ", "--format", "json"],
+            "cannot parse partition ' ': empty",
+        ),
+        (["check", "--family", "quintic", "--order", ""], "--order needs --partition"),
+    ],
+)
+def test_empty_partition_or_order_is_a_parse_error(capsys, argv, message):
+    """An empty value is given, not absent: it is refused, never read as the
+    bare family or as no ordering."""
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", json.dumps({"error": message}) + "\n")
+
+
+@pytest.mark.parametrize("source", [["--family", "quintic", "--partition", "1,4"], ["--config", "-"]])
+def test_invariants_refuses_trace_with_csv_before_computing(monkeypatch, capsys, source):
+    """The CSV columns are fixed, so a trace would be dropped without a word."""
+    from nc3 import catalog as catalog_module
+
+    def fail(*args, **kwargs):
+        raise AssertionError("computed before the refusal")
+
+    monkeypatch.setattr(catalog_module, "instantiate", fail)
+    rc, out, err = run(capsys, "invariants", *source, "--format", "csv", "--trace")
+    expected = json.dumps({"error": "--trace needs --format text or json"}) + "\n"
+    assert (rc, out, err) == (2, "", expected)
+
+
 def test_invariants_text_format(capsys):
     rc, out, _ = run(capsys, "invariants", "--family", "quintic", "--partition", "5")
     assert rc == 0

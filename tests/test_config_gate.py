@@ -252,3 +252,16 @@ def test_ill_typed_extra_entries_and_null_labels_exit_2(config_path, command, mu
     config_path.write_text(json.dumps(data), encoding="utf-8")
     expected = (2, f"schema error in {config_path}: {message}")
     assert _run([command, "--config", str(config_path)]) == expected
+
+
+def test_schema_accepts_a_zero_fraction_integer_that_the_reader_refuses(config_path):
+    """JSON Schema's ``integer`` type admits ``0.0``; the reader does not.
+    The schema says so in its ``$comment``, and this pins the gap: a file
+    the schema accepts can still be refused, with exit 2."""
+    data = copy.deepcopy(_exports()[0])
+    data["triple"]["euler"] = 0.0
+    assert jsonschema.Draft202012Validator(SCHEMA).is_valid(data)
+    assert "fraction or an exponent" in SCHEMA["$comment"]
+    config_path.write_text(json.dumps(data), encoding="utf-8")
+    expected = (2, f"schema error in {config_path}: triple.euler: expected integer, got 0.0")
+    assert _run(["check", "--config", str(config_path)]) == expected

@@ -1,9 +1,13 @@
+import math
 import random
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nc3 import catalog, construction, exactlat
 from nc3.exactlat import (
     DimensionMismatch,
     ExactLatticeError,
@@ -11,6 +15,7 @@ from nc3.exactlat import (
     RationalMatrix,
     SmoothCurveParityError,
     ZeroCurveClass,
+    _sparse_rank,
     adjunction_euler,
     adjunction_sum,
     default_labels,
@@ -22,7 +27,13 @@ from nc3.exactlat import (
     require_curve_class,
     vec_add,
 )
-from tests.conftest import fraction_rank
+from nc3.ncconfig import restriction_difference_matrix
+from tests.conftest import (
+    all_catalog_cases,
+    dense_restriction_difference,
+    fraction_rank,
+    rank_one_family,
+)
 
 PLANE = make_lattice([[1]], ["h"])
 CUBIC_SURFACE = make_lattice([[3]], ["h"])
@@ -231,6 +242,14 @@ def test_malformed_rational_matrix_is_refused(rows, cols, entries, message):
         RationalMatrix(rows=rows, cols=cols, entries=entries)
 
 
+def test_from_rows_keeps_integers_and_an_empty_matrix_has_no_columns():
+    m = RationalMatrix.from_rows([[1, Fraction(1, 2)], [0, 3]])
+    assert [[type(x) for x in r] for r in m.entries] == [[int, Fraction], [int, int]]
+    empty = RationalMatrix.from_rows([])
+    assert (empty.rows, empty.cols, empty.entries) == (0, 0, ())
+    assert kernel_dimension(empty) == 0
+
+
 def test_kernel_zero_matrix():
     assert kernel_dimension(RationalMatrix.from_rows([[0] * 3] * 3)) == 3
 
@@ -342,6 +361,194 @@ def test_sparse_integer_rank_against_oracle(n_rows, n_cols, zero_rows):
 def test_rank_big_integers():
     m = RationalMatrix.from_rows([[10**40, 2 * 10**40], [3, 6]])
     assert kernel_dimension(m) == 1
+
+
+# The elimination itself, called on integer rows as ``matrix_rank`` hands
+# them over, against the Fraction oracle.
+
+
+def _combinations(rnd, base, n_rows, coefficients):
+    """``n_rows`` integer combinations of the ``base`` rows, so the rank is
+    at most ``len(base)`` and most rows empty out during elimination."""
+    return [
+        [sum(c * x for c, x in zip(cs, col)) for col in zip(*base)]
+        for cs in ([rnd.choice(coefficients) for _ in base] for _ in range(n_rows))
+    ]
+
+
+def _check_sparse_rank(rows):
+    copy = [list(r) for r in rows]
+    rank = fraction_rank(rows)
+    assert _sparse_rank(rows) == rank, rows
+    assert [list(r) for r in rows] == copy  # the input rows are not touched
+    return rank
+
+
+def test_sparse_rank_fill_in_under_a_pivot_column_held_by_many_rows():
+    """The shortest row pivots on column 0, which every other row holds; each
+    update writes the pivot row's other entries into rows that lacked them,
+    so the later pivot columns are held through fill-in."""
+    rnd = random.Random(7)
+    for width in (3, 5, 8):
+        for _ in range(40):
+            n = width + 4
+            head = [rnd.choice((1, -1, 2, 3))] + [rnd.choice((1, 2, -3)) for _ in range(width)]
+            rows = [head + [0] * n]
+            for i in range(n):
+                row = [rnd.choice((1, -1, 2, -2, 3))] + [0] * (width + n)
+                row[1 + width + i] = rnd.choice((1, -1, 5))
+                for j in rnd.sample(range(1 + width, 1 + width + n), 2):
+                    row[j] = row[j] or rnd.choice((1, -2))
+                rows.append(row)
+            # Rows that are sums of others: their fill-in must cancel.
+            rows += _combinations(rnd, rows[1:4], 3, (0, 1, -1, 2))
+            rank = _check_sparse_rank(rows)
+            assert rank <= len(rows) - 3
+
+
+def test_sparse_rank_with_non_unit_pivots_that_force_scaling():
+    """Every entry is a multiple of 2, 3 or 5 and none is a unit, so each
+    update scales its row by p/g > 1 and the content division has work."""
+    rnd = random.Random(11)
+    for n_rows, n_cols in ((6, 5), (10, 6), (8, 12), (14, 9)):
+        for _ in range(30):
+            cells = (2, -4, 6, 9, -12, 15, 10)
+            rows = [
+                [rnd.choice(cells) if rnd.random() < 0.4 else 0 for _ in range(n_cols)]
+                for _ in range(n_rows)
+            ]
+            rows += _combinations(rnd, rows[:3], 2, (0, 2, -3))
+            _check_sparse_rank(rows)
+    # Pivot 4 against 6: g = 2, the row is scaled by 2, and its content is
+    # then 2 again.
+    assert _sparse_rank([[4, 2, 0], [6, 0, 4], [0, 6, -8]]) == fraction_rank(
+        [[4, 2, 0], [6, 0, 4], [0, 6, -8]]
+    )
+
+
+def test_sparse_rank_when_rows_empty_out():
+    rnd = random.Random(13)
+    for n_base, n_cols in ((1, 4), (2, 6), (3, 7), (5, 9)):
+        for _ in range(30):
+            cells = (0, 0, 1, -1, 2, -3)
+            base = [[rnd.choice(cells) for _ in range(n_cols)] for _ in range(n_base)]
+            rows = base + _combinations(rnd, base, 2 * n_base + 2, (0, 1, -1, 2, 3))
+            rnd.shuffle(rows)
+            assert _check_sparse_rank(rows) <= n_base
+    # Equal rows as separate objects, and a row equal to a multiple of another.
+    assert _sparse_rank([[1, 2, 0], [1, 2, 0], [3, 6, 0], [0, 0, 0]]) == 1
+    assert _sparse_rank([]) == 0
+    assert _sparse_rank([[0, 0], [0, 0]]) == 0
+
+
+def test_sparse_rank_of_rows_repeated_as_one_shared_object():
+    """A blown-up surface repeats one row object per point over a curve."""
+    rnd = random.Random(17)
+    for _ in range(40):
+        shared = [rnd.choice((0, 1, -1, 2)) for _ in range(6)]
+        others = [[rnd.choice((0, 0, 1, -2, 3)) for _ in range(6)] for _ in range(3)]
+        rows = others[:1] + [shared] * 4 + others[1:] + [shared] * 2
+        rows_as_tuples = [tuple(r) for r in rows]
+        rank = _check_sparse_rank(rows)
+        assert _sparse_rank(rows_as_tuples) == rank
+        assert matrix_rank(RationalMatrix.from_rows(rows)) == rank
+
+
+def test_sparse_rank_of_rows_with_10_to_the_40_entries():
+    rnd = random.Random(19)
+    big = 10**40
+    for n_rows, n_cols in ((4, 4), (6, 5), (9, 7)):
+        for _ in range(25):
+            rows = [
+                [rnd.choice((0, 1, -1, big, -big, big + 1, 3 * big)) for _ in range(n_cols)]
+                for _ in range(n_rows)
+            ]
+            rows += _combinations(rnd, rows[:2], 2, (1, -1, big))
+            _check_sparse_rank(rows)
+    # Pivot 10**40 + 1 against 10**40: coprime, so the row is scaled by a
+    # 41-digit factor, and the rank is still exact.
+    rows = [[big + 1, big], [big, big - 1], [2 * big + 1, 2 * big - 1]]
+    assert _sparse_rank(rows) == fraction_rank(rows) == 2
+
+
+def test_sparse_rank_divides_each_scaled_row_by_its_content(monkeypatch):
+    """Pivot row k holds only the k-th odd prime q in column k, and the last
+    row is all ones, so each update scales it by q and leaves it with
+    content q.  Divided, no number the elimination hands ``math.gcd``
+    passes the largest prime; a scaled row left undivided would carry the
+    product of all the primes so far."""
+    primes = [q for q in range(3, 200) if all(q % d for d in range(2, q))][:20]
+    n = len(primes)
+    rows = [[q if j == k else 0 for j in range(n + 1)] for k, q in enumerate(primes)]
+    rows.append([1] * (n + 1))
+    seen = []
+
+    def gcd(*args):
+        seen.extend(map(abs, args))
+        return math.gcd(*args)
+
+    monkeypatch.setattr(exactlat, "math", SimpleNamespace(gcd=gcd))
+    assert _sparse_rank(rows) == n + 1
+    assert max(seen) == primes[-1]
+
+
+@pytest.mark.parametrize(
+    "rows, bound",
+    [
+        # A row scaled by 2 and left undivided: 910.
+        ([[2, 3, 0, 0], [7, 3, 5, 5], [7, 3, 0, 5], [0, 2, 0, 3], [0, 7, 7, 5]], 100),
+        # A content of 2 left in a row: 2,220.
+        ([[2, 2, 3, 5], [0, 3, 0, 5], [5, 7, 0, 3], [2, 2, 2, 0]], 1000),
+    ],
+)
+def test_sparse_rank_divides_rows_scaled_by_two_and_contents_of_two(monkeypatch, rows, bound):
+    """Two matrices from a seeded search: here the elimination hands
+    ``math.gcd`` no number above 15 and 77, while skipping the content
+    division after a scaling by 2, or for a content of 2, gives the numbers
+    in the comments."""
+    seen = []
+
+    def gcd(*args):
+        seen.extend(map(abs, args))
+        return math.gcd(*args)
+
+    monkeypatch.setattr(exactlat, "math", SimpleNamespace(gcd=gcd))
+    assert _sparse_rank(rows) == fraction_rank(rows)
+    assert max(seen) < bound
+
+
+def _stress_blow_ups():
+    """One partition per alpha of each degree 9, 15 and 21 rank-one family,
+    drawn as the stress rows are drawn (seed 901), and the all-ones row."""
+    rng = random.Random(901)
+    rows = []
+    for degree in (9, 15, 21):
+        family = rank_one_family(degree)
+        by_alpha = {}
+        for spec in catalog.enumerate_partitions(family):
+            by_alpha.setdefault(spec.alpha, []).append(spec)
+        for alpha in sorted(by_alpha):
+            rows.append((family, rng.choice(by_alpha[alpha])))
+    return rows
+
+
+def test_every_catalog_and_stress_blow_up_keeps_its_rank():
+    """The rank of each blown-up restriction-difference matrix equals the
+    Fraction oracle's on the matrix built cell by cell, and ``hodge`` gets
+    the same kernel dimension."""
+    cases = [(catalog.get_family(f), spec) for f, spec in all_catalog_cases()]
+    stress = _stress_blow_ups()
+    assert (len(cases), len(stress)) == (63, 45)
+    for family, spec in cases + stress:
+        config, divisor = catalog.instantiate(family, spec)
+        tilde, _ = construction.sequential_blowup(config, divisor)
+        dense = dense_restriction_difference(tilde)
+        distinct = [r for r in dict.fromkeys(dense) if any(r)]
+        rank = fraction_rank(distinct)
+        m = restriction_difference_matrix(tilde)
+        assert m.entries == dense
+        assert matrix_rank(m) == rank, (family.id, spec)
+        assert tilde.kernel_dim == m.cols - rank
 
 
 # ---------------------------------------------------------------------------
