@@ -257,12 +257,11 @@ def test_empty_partition_or_order_is_a_parse_error(capsys, argv, message):
 @pytest.mark.parametrize("source", [["--family", "quintic", "--partition", "1,4"], ["--config", "-"]])
 def test_invariants_refuses_trace_with_csv_before_computing(monkeypatch, capsys, source):
     """The CSV columns are fixed, so a trace would be dropped without a word."""
-    from nc3 import catalog as catalog_module
 
     def fail(*args, **kwargs):
         raise AssertionError("computed before the refusal")
 
-    monkeypatch.setattr(catalog_module, "instantiate", fail)
+    monkeypatch.setattr(catalog, "instantiate", fail)
     rc, out, err = run(capsys, "invariants", *source, "--format", "csv", "--trace")
     expected = json.dumps({"error": "--trace needs --format text or json"}) + "\n"
     assert (rc, out, err) == (2, "", expected)
