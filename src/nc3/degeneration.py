@@ -20,10 +20,8 @@ equality in the tracked sublattice.
 
 from __future__ import annotations
 
-from operator import add
-
 from ._record import Record
-from .exactlat import DimensionMismatch, Vec
+from .exactlat import Vec, vec_add
 from .ncconfig import NCConfiguration
 
 
@@ -43,19 +41,13 @@ class NormalClassTriple(Record):
 def collective_normal_class(config: NCConfiguration) -> NormalClassTriple:
     """Per surface: first self-class + second self-class + triple curve.
 
-    The three vectors are summed in one pass, and vectors of different
-    lengths are refused as ``vec_add`` refuses them.  Computed on each call;
-    ``config.normal_class`` keeps the result of the first one.
+    Computed on each call; ``config.normal_class`` keeps the result of the
+    first one.
     """
     classes = []
     for surf in config.surfaces:
-        (a, b), c = surf.boundary_self, surf.tau_class
-        if not len(a) == len(b) == len(c):
-            raise DimensionMismatch(
-                f"cannot add vectors of lengths {len(a)} and "
-                f"{len(b) if len(b) != len(a) else len(c)}"
-            )
-        classes.append(tuple(map(add, map(add, a, b), c)))
+        n = vec_add(vec_add(surf.boundary_self[0], surf.boundary_self[1]), surf.tau_class)
+        classes.append(n)
     return NormalClassTriple(classes=(classes[0], classes[1], classes[2]))
 
 

@@ -1,11 +1,7 @@
 
-from types import SimpleNamespace
-
-import pytest
-
 from nc3 import catalog, degeneration
 from nc3._record import replace
-from nc3.exactlat import DimensionMismatch, pair, vec_add
+from nc3.exactlat import pair
 from tests.conftest import quintic_partition
 
 
@@ -167,20 +163,3 @@ def test_collective_class_linearity_randomized():
                     )
                 else:
                     assert n.classes[j] == base.classes[j]
-
-
-def test_collective_class_refuses_vectors_of_different_lengths_as_vec_add_does():
-    """A surface record refuses such vectors when it is built; the sum keeps
-    the refusal for stand-ins that were not built that way."""
-    good = SimpleNamespace(boundary_self=((1, 2), (3, 4)), tau_class=(5, 6))
-    assert degeneration.collective_normal_class(
-        SimpleNamespace(surfaces=(good, good, good))
-    ).classes == ((9, 12),) * 3
-    cases = (((1, 2), (3,), (5, 6)), ((1, 2), (3, 4), (5, 6, 7)), ((1,), (2,), ()))
-    for first, second, tau in cases:
-        with pytest.raises(DimensionMismatch) as expected:
-            vec_add(vec_add(first, second), tau)
-        bad = SimpleNamespace(boundary_self=(first, second), tau_class=tau)
-        with pytest.raises(DimensionMismatch) as exc:
-            degeneration.collective_normal_class(SimpleNamespace(surfaces=(good, bad, good)))
-        assert str(exc.value) == str(expected.value)

@@ -3,7 +3,7 @@
 Usage, from the root of the repository:
 
     python3 tools/mutants.py src/nc3/exactlat.py [more modules] \\
-        [--seed 1] [--sample N] [--timeout 300] [--tests tests/test_exactlat.py ...]
+        [--seed 1] [--sample N] [--timeout 300]
 
 A mutant changes one site of one module:
 
@@ -22,8 +22,8 @@ mutant stops at its first failing test), and the module's original text is
 written back before the next mutant.  One pytest process runs at a time.
 A mutant is killed when pytest fails or runs out of time.  With
 ``--sample N`` a seeded random sample of N sites per module is run, else
-every site.  The default tests are the module's own test file, when there
-is one, then the rest of ``tests/``.  Per module the probe prints how many
+every site.  The tests run are the module's own test file, when there is
+one, then the rest of ``tests/``.  Per module the probe prints how many
 mutants were killed, then each survivor with its line.
 
 Uses the standard library only.
@@ -222,7 +222,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--sample", type=int, default=None, help="sites per module (default: all)")
     parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant")
-    parser.add_argument("--tests", nargs="+", default=None, help="pytest arguments (default: see above)")
     args = parser.parse_args(argv)
     rng = random.Random(args.seed)
     with tempfile.TemporaryDirectory(prefix="nc3-mutants-") as tmp:
@@ -233,13 +232,12 @@ def main(argv: list[str] | None = None) -> int:
             if not (copy / module).is_file():
                 parser.error(f"no module {module}")
         # The unmutated copy must pass, or no mutant can be told apart.
-        tests = args.tests or default_tests(copy, modules[0])
-        if run_tests(copy, tests, args.timeout) != "survived":
+        if run_tests(copy, default_tests(copy, modules[0]), args.timeout) != "survived":
             print("the tests fail on the unmutated copy", file=sys.stderr)
             return 1
         summary = []
         for module in modules:
-            tests = args.tests or default_tests(copy, module)
+            tests = default_tests(copy, module)
             print(f"{module}: tests {' '.join(tests)}", flush=True)
             total, killed, survivors = probe(copy, module, tests, args.sample, rng, args.timeout)
             summary.append((module, total, killed, survivors))
