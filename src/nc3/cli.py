@@ -104,7 +104,7 @@ def _parse_partition(text: str) -> catalog.PartitionSpec:
         nums = tuple(int(x.strip()) for x in s.split(","))
         return catalog.PartitionSpec(parts=tuple((a,) for a in nums))
     except (ValueError, catalog.PartitionError) as exc:
-        raise CliError(f"cannot parse partition {text!r}: {exc}", EXIT_PARSE)
+        raise CliError(f"cannot parse partition {text!r}: {exc}", EXIT_PARSE) from exc
 
 
 def _load_config_file(path: str) -> tuple[ncconfig.NCConfiguration, dict[str, Any]]:
@@ -170,7 +170,10 @@ def _resolve_source(
     spec = _parse_partition(args.partition).canonical()
     parts = spec.parts
     if args.order is not None:
-        ordered = _parse_partition(args.order)
+        try:
+            ordered = _parse_partition(args.order)
+        except CliError as exc:
+            raise CliError(f"cannot parse --order {args.order!r}: {exc.__cause__}", EXIT_PARSE)
         if ordered.canonical().parts != parts:
             raise CliError(
                 f"--order {args.order!r} is not an ordering of partition "

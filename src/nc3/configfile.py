@@ -187,18 +187,22 @@ def _gram(x: Any, where: str) -> tuple[IntMatrix, int]:
     """A dense Gram matrix as its base block and the count of its trailing -I rows.
 
     Every cell is type-checked, except those of the ``-I`` rows whose text
-    ``config_from_json`` verified and decoded itself.  Only the base block
-    is copied into tuples: a blown-up surface's -I rows are found on the
-    parsed lists.
+    ``config_from_json`` verified and decoded itself.  Those rows close the
+    Gram, row q with its -1 in cell q, so they are the -I block, unscanned,
+    when they are as long as the Gram and the rows above are zero over
+    their columns; otherwise ``base_rank`` finds the block.  Only the base
+    block is copied into tuples.
     """
     unread = x
     if isinstance(x, list) and x and type(x[-1]) is _MinusIdentityRow:
         unread = list(filterfalse(_MinusIdentityRow.__instancecheck__, x))
     _introws(unread, where)
-    b = base_rank(x)
-    if b == len(x):
+    n, b = len(x), len(unread)
+    if b == n or len(x[-1]) != n or not all(len(r) == n and not any(r[b:]) for r in unread):
+        b = base_rank(x)
+    if b == n:
         return tuple(map(tuple, x)), 0
-    return tuple(tuple(r[:b]) for r in x[:b]), len(x) - b
+    return tuple(tuple(r[:b]) for r in x[:b]), n - b
 
 
 def _dense(rows: IntMatrix, exceptional: int) -> list[list[int]]:

@@ -1,4 +1,4 @@
-"""Exact integer and rational linear algebra on intersection lattices.
+"""Exact integer linear algebra on intersection lattices.
 
 Everything downstream (normal-class arithmetic, kernel dimensions, Euler
 numbers) reduces to three primitives implemented here:
@@ -7,7 +7,7 @@ numbers) reduces to three primitives implemented here:
   where the form is held as a base block plus a count of orthogonal
   (-1)-classes, ``base (+) -I``, so a surface blown up at many points
   never stores its dense Gram matrix,
-* the rank / kernel dimension of an exact rational matrix,
+* the rank / kernel dimension over the rationals of an integer matrix,
 * the topological Euler number of a smooth curve from its divisor class,
   via adjunction: e(c) = -c.(c + K).
 
@@ -22,24 +22,19 @@ computed by sparse fraction-free integer elimination: rows are kept as
 initial length, an index of each column's rows lets a pivot update only the
 rows that hold its column, so no step rescans the rows left, and a row
 scaled by an update is divided by the gcd of its entries (its content) so
-the numbers stay small.  ``Fraction`` entries are accepted at the API
-boundary: ``matrix_rank`` clears the denominators of the rows that hold one,
-once, before elimination.  Only the rank over the rationals is needed, never
-torsion.
+the numbers stay small.  Entries are integers only.  Only the rank over
+the rationals is needed, never torsion.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from ._record import Record
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 Vec = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -274,11 +269,11 @@ def adjunction_euler(c: Sequence[int], canonical: Sequence[int], lattice: Inters
 
 
 class RationalMatrix(Record):
-    """A dense matrix of exact rationals: ``int`` entries, ``Fraction`` where needed."""
+    """A dense matrix of ``int`` entries, ranked over the rationals."""
 
     rows: int
     cols: int
-    entries: tuple[tuple[int | Fraction, ...], ...]
+    entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         if len(self.entries) != self.rows:
@@ -287,13 +282,11 @@ class RationalMatrix(Record):
             raise DimensionMismatch("column count does not match entries")
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int | Fraction]]) -> "RationalMatrix":
-        """Integers are kept as they are; every other value becomes a ``Fraction``."""
-        from fractions import Fraction
-
-        entries = tuple(
-            tuple(x if type(x) is int else Fraction(x) for x in row) for row in rows
-        )
+    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "RationalMatrix":
+        """The matrix of ``rows``; an entry that is not an ``int`` is refused."""
+        entries = tuple(map(tuple, rows))
+        if not {int}.issuperset(map(type, chain.from_iterable(entries))):
+            raise ExactLatticeError("matrix entries must be integers")
         return cls(rows=len(entries), cols=len(entries[0]) if entries else 0, entries=entries)
 
 
@@ -305,17 +298,16 @@ def _sparse_rank(rows: Iterable[Sequence[int]]) -> int:
     once each, in ascending order of their initial length.  ``holders``
     lists, per column, the rows that may hold it: every row at the start,
     and a row again whenever an update puts a new entry in that column.
-    A pivot row that is still nonzero counts one to the rank; its entry p
-    of smallest absolute value fixes the pivot column, and each later row r
-    listed under that column that still holds it, with entry f, becomes
-    r <- (p/g) r - (f/g) pivot,  g = gcd(p, f).  A row scaled by p/g is
+    A zero row, given as one or emptied by the updates, is skipped as a
+    pivot.  A pivot row that is still nonzero counts one to the rank; its
+    entry p of smallest absolute value fixes the pivot column, and each
+    later row r listed under that column that still holds it, with entry f,
+    becomes r <- (p/g) r - (f/g) pivot,  g = gcd(p, f).  A row scaled by p/g is
     then divided by the gcd of its entries (its content), so the numbers
     stay small.  Every number stays an integer, a pivot touches only the
     rows listed under its column, and no pass rescans the rows left.
     """
-    pending = sorted(
-        filter(None, (dict(filter(itemgetter(1), enumerate(r))) for r in rows)), key=len
-    )
+    pending = sorted((dict(filter(itemgetter(1), enumerate(r))) for r in rows), key=len)
     holders: dict[int, list[int]] = {}
     for i, r in enumerate(pending):
         for j in r:
@@ -364,24 +356,14 @@ def _sparse_rank(rows: Iterable[Sequence[int]]) -> int:
 def matrix_rank(m: RationalMatrix) -> int:
     """Exact rank over the rationals.
 
-    Only the distinct nonzero rows are ranked: repeats are dropped first,
-    keeping the first of each in order, then zero rows.  Neither changes the
-    row space, so the rank is that of the whole matrix.  A run of equal
-    consecutive rows collapses to its first row before any row is hashed;
-    the run of one shared row tuple (a blown-up surface's points over one
-    curve) compares on identity, at C speed.  Integer rows go to the
-    elimination as they are.  A row that holds a ``Fraction`` is scaled once
-    by the lcm of its denominators.
+    Only the distinct rows are ranked: repeats are dropped, keeping the
+    first of each in order, and the elimination skips a zero row.  Neither
+    changes the row space, so the rank is that of the whole matrix.  A run
+    of equal consecutive rows collapses to its first row before any row is
+    hashed; the run of one shared row tuple (a blown-up surface's points
+    over one curve) compares on identity, at C speed.
     """
-    rows: list[Sequence[int]] = []
-    for r in dict.fromkeys(map(tuple, map(itemgetter(0), groupby(m.entries)))):
-        if not any(r):
-            continue
-        if not {int}.issuperset(map(type, r)):
-            lcm = math.lcm(*(x.denominator for x in r))
-            r = tuple(int(x * lcm) for x in r)
-        rows.append(r)
-    return _sparse_rank(rows)
+    return _sparse_rank(dict.fromkeys(map(tuple, map(itemgetter(0), groupby(m.entries)))))
 
 
 def kernel_dimension(m: RationalMatrix) -> int:

@@ -237,7 +237,11 @@ def test_invariants_bad_order_rejected(capsys):
         (["check", "--family", "quintic", "--partition", ""], "cannot parse partition '': empty"),
         (
             ["invariants", "--family", "quintic", "--partition", "1,4", "--order", ""],
-            "cannot parse partition '': empty",
+            "cannot parse --order '': empty",
+        ),
+        (
+            ["invariants", "--family", "quintic", "--partition", "1,4", "--order", "x"],
+            "cannot parse --order 'x': invalid literal for int() with base 10: 'x'",
         ),
         (["invariants", "--family", "quintic", "--partition", ""], "cannot parse partition '': empty"),
         (

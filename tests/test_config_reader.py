@@ -321,3 +321,33 @@ def test_each_mutation_of_the_largest_tail_reads_as_plain_json(mutate):
     for _ in range(3):
         _assert_as_plain(mutate(text, rng.randrange))
 
+
+
+def test_a_base_row_nonzero_in_a_minus_identity_column_is_refused_as_plain_json():
+    """The degree-21 all-ones export with a 1 in the last cell of the D3
+    Gram's first row: the tail is still verified, but it is not the -I block
+    of the dense form, which is not symmetric."""
+    text = _d21_all_ones_text()
+    start, _ = _gram_span(text)
+    a, b = list(_CELL.finditer(text, start, text.index("\n        ]", start)))[-1].span()
+    assert text[a:b] == "0"
+    text = text[:a] + "1" + text[b:]
+    assert configfile._fold_gram_tails(text)[1]
+    outcome = _outcome(ncconfig.config_from_json, text)
+    assert outcome == _outcome(_plain, text)
+    assert outcome[0] == "refused" and "not symmetric" in outcome[1]
+
+
+def test_verified_minus_identity_rows_are_not_scanned_again(monkeypatch):
+    """The reader takes the D3 Gram's verified rows as its -I block: only the
+    Grams it decoded cell by cell go through ``base_rank``."""
+    sizes = []
+    original = configfile.base_rank
+
+    def recorded(rows):
+        sizes.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(configfile, "base_rank", recorded)
+    assert ncconfig.config_from_json(_d21_all_ones_text()) == _d21_all_ones()
+    assert len(sizes) == 2 and max(sizes) < 295, sizes

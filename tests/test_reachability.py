@@ -43,7 +43,7 @@ KEPT = {
     "construction:ample_margin": "acceptance criteria 5b and 5c",
     "construction:check_collective_divisor": "bench/worker.py and bench/tracing.py",
     "construction:extend_restriction_matrix": "acceptance criterion 5c",
-    "exactlat:RationalMatrix.from_rows": "README's rational matrix API",
+    "exactlat:RationalMatrix.from_rows": "the checked integer constructor, for tests and callers",
     "exactlat:adjunction_euler": "acceptance criterion 5e",
     "ncconfig:NCConfiguration.boundary_class": "ROADMAP item 2, a second d-semistability route",
     "ncconfig:component_restriction_classes": "ROADMAP item 2, a second d-semistability route",
