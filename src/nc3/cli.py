@@ -419,6 +419,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_catalog(args: argparse.Namespace) -> int:
     from . import catalog, ncconfig
     if args.action == "list":
+        # The export flags are refused, not ignored, before anything prints.
+        if args.family is not None:
+            raise CliError("--family needs catalog export", EXIT_PARSE)
+        if args.expected:
+            raise CliError("--expected needs catalog export", EXIT_PARSE)
         lines = []
         for fam_id in catalog.family_ids():
             fam = catalog.get_family(fam_id)

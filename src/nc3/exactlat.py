@@ -15,29 +15,33 @@ No floating point is used anywhere in this package, and all arithmetic goes
 through Python integers, so the contract is unbounded precision.  Rank runs
 on the distinct nonzero rows of a matrix: a repeated row or a zero row adds
 nothing to the row space, and a blown-up surface repeats one restriction row
-for every point over a curve.  Runs of equal consecutive rows collapse before
-any row is hashed, so those repeats cost no Python step each.  The rank is
-computed by sparse fraction-free integer elimination: rows are kept as
-``{col: value}`` dicts and taken as pivot rows in ascending order of their
-initial length, an index of each column's rows lets a pivot update only the
-rows that hold its column, so no step rescans the rows left, and a row
-scaled by an update is divided by the gcd of its entries (its content) so
-the numbers stay small.  Entries are integers only.  Only the rank over
-the rationals is needed, never torsion.
+for every point over a curve.  A ``RationalMatrix`` holds those rows as
+their ``(col, value)`` pairs, given by its builder or derived from the dense
+rows on first read; a builder that gives them lays out the dense rows only
+when they are read.  The rank is computed by sparse fraction-free integer
+elimination: rows are kept as ``{col: value}`` dicts and taken as pivot
+rows in ascending order of their initial length, an index of each column's
+rows lets a pivot update only the rows that hold its column, so no step
+rescans the rows left, and a row scaled by an update is divided by the gcd
+of its entries (its content) so the numbers stay small.  Entries are
+integers only.  Only the rank over the rationals is needed, never torsion.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from functools import cached_property
 from itertools import chain, groupby
 from operator import itemgetter
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from ._record import Record
 
 Vec = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
+# A matrix row as its nonzero (col, value) pairs, in ascending column order.
+SparseRow = tuple[tuple[int, int], ...]
 
 
 class ExactLatticeError(Exception):
@@ -269,7 +273,15 @@ def adjunction_euler(c: Sequence[int], canonical: Sequence[int], lattice: Inters
 
 
 class RationalMatrix(Record):
-    """A dense matrix of ``int`` entries, ranked over the rationals."""
+    """A matrix of ``int`` entries, ranked over the rationals.
+
+    ``entries`` holds the dense rows in order.  The rank reads only
+    ``distinct_rows``: the distinct nonzero rows, each a tuple of its
+    ``(col, value)`` pairs in ascending column order.  A matrix given its
+    dense rows derives its distinct rows on their first read; one built by
+    :meth:`from_distinct_rows` lays out its dense rows on the first read of
+    ``entries``.  Either is then held.
+    """
 
     rows: int
     cols: int
@@ -289,15 +301,52 @@ class RationalMatrix(Record):
             raise ExactLatticeError("matrix entries must be integers")
         return cls(rows=len(entries), cols=len(entries[0]) if entries else 0, entries=entries)
 
+    @classmethod
+    def from_distinct_rows(
+        cls,
+        rows: int,
+        cols: int,
+        distinct_rows: tuple[SparseRow, ...],
+        layout: Callable[[], Iterable[tuple[int, ...]]],
+    ) -> "RationalMatrix":
+        """A ``rows`` x ``cols`` matrix given by its distinct nonzero rows.
 
-def _sparse_rank(rows: Iterable[Sequence[int]]) -> int:
+        ``layout()`` returns the dense rows in order; it runs on the first
+        read of ``entries``, and the caller vouches that both describe one
+        matrix.
+        """
+        m = cls.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "distinct_rows", distinct_rows)
+        object.__setattr__(m, "_layout", layout)
+        return m
+
+    @cached_property
+    def distinct_rows(self) -> tuple[SparseRow, ...]:
+        """The distinct nonzero rows, in order of first appearance."""
+        sparse = (tuple(filter(itemgetter(1), enumerate(r))) for r in self.entries)
+        return tuple(filter(None, dict.fromkeys(sparse)))
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for a name the instance does not hold: ``entries`` of a
+        # matrix built by ``from_distinct_rows``, laid out here once.
+        if name != "entries":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        entries = tuple(self._layout())
+        object.__setattr__(self, "entries", entries)
+        return entries
+
+
+def _sparse_rank(rows: Iterable[SparseRow]) -> int:
     """Rank over the rationals of integer rows, by sparse elimination.
 
-    Rows are ``{col: value}`` dicts without zeros, each built at C speed
-    from the row's nonzero ``(col, value)`` pairs, and taken as pivot rows
-    once each, in ascending order of their initial length.  ``holders``
-    lists, per column, the rows that may hold it: every row at the start,
-    and a row again whenever an update puts a new entry in that column.
+    Each row is given as its nonzero ``(col, value)`` pairs (or as a
+    ``{col: value}`` dict) and copied into a dict at C speed, so the input
+    is never touched.  The rows are taken as pivot rows once each, in
+    ascending order of their initial length.  ``holders`` lists, per
+    column, the rows that may hold it: every row at the start, and a row
+    again whenever an update puts a new entry in that column.
     A zero row, given as one or emptied by the updates, is skipped as a
     pivot.  A pivot row that is still nonzero counts one to the rank; its
     entry p of smallest absolute value fixes the pivot column, and each
@@ -307,7 +356,7 @@ def _sparse_rank(rows: Iterable[Sequence[int]]) -> int:
     stay small.  Every number stays an integer, a pivot touches only the
     rows listed under its column, and no pass rescans the rows left.
     """
-    pending = sorted((dict(filter(itemgetter(1), enumerate(r))) for r in rows), key=len)
+    pending = sorted(map(dict, rows), key=len)
     holders: dict[int, list[int]] = {}
     for i, r in enumerate(pending):
         for j in r:
@@ -354,16 +403,12 @@ def _sparse_rank(rows: Iterable[Sequence[int]]) -> int:
 
 
 def matrix_rank(m: RationalMatrix) -> int:
-    """Exact rank over the rationals.
+    """Exact rank over the rationals, of the matrix's distinct nonzero rows.
 
-    Only the distinct rows are ranked: repeats are dropped, keeping the
-    first of each in order, and the elimination skips a zero row.  Neither
-    changes the row space, so the rank is that of the whole matrix.  A run
-    of equal consecutive rows collapses to its first row before any row is
-    hashed; the run of one shared row tuple (a blown-up surface's points
-    over one curve) compares on identity, at C speed.
+    A repeated row or a zero row does not change the row space, so the rank
+    is that of the whole matrix.
     """
-    return _sparse_rank(dict.fromkeys(map(tuple, map(itemgetter(0), groupby(m.entries)))))
+    return _sparse_rank(m.distinct_rows)
 
 
 def kernel_dimension(m: RationalMatrix) -> int:

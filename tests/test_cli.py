@@ -406,6 +406,33 @@ def test_catalog_list(capsys):
     assert "quintic" in out
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--family", "quintic"), "--family needs catalog export"),
+        (("--family", ""), "--family needs catalog export"),
+        (("--expected",), "--expected needs catalog export"),
+        (("--expected", "--family", "quintic"), "--family needs catalog export"),
+    ],
+)
+def test_catalog_list_refuses_export_flags(tmp_path, capsys, flags, message):
+    """``list`` cannot narrow its families: an export flag is one JSON error
+    line and exit 2, with nothing printed or written first."""
+    target = tmp_path / "list.txt"
+    rc, out, err = run(capsys, "catalog", "list", *flags, "--out", str(target))
+    assert (rc, out) == (2, "")
+    assert [json.loads(line)["error"] for line in err.splitlines()] == [message]
+    assert not target.exists()
+
+
+def test_catalog_list_keeps_out(tmp_path, capsys):
+    target = tmp_path / "list.txt"
+    rc, out, _ = run(capsys, "catalog", "list")
+    assert rc == 0
+    assert run(capsys, "catalog", "list", "--out", str(target)) == (0, "", "")
+    assert target.read_text() == out
+
+
 def test_catalog_expected_csv(capsys):
     rc, out, _ = run(capsys, "catalog", "export", "--family", "quintic", "--expected")
     assert rc == 0

@@ -363,8 +363,13 @@ def test_rank_big_integers():
     assert kernel_dimension(m) == 1
 
 
-# The elimination itself, called on integer rows as ``matrix_rank`` hands
+# The elimination itself, called on sparse rows as ``matrix_rank`` hands
 # them over, against the Fraction oracle.
+
+
+def _sparse(rows):
+    """Dense rows as ``_sparse_rank`` takes them: their nonzero (col, value) pairs."""
+    return [tuple((j, x) for j, x in enumerate(r) if x) for r in rows]
 
 
 def _combinations(rnd, base, n_rows, coefficients):
@@ -377,10 +382,12 @@ def _combinations(rnd, base, n_rows, coefficients):
 
 
 def _check_sparse_rank(rows):
-    copy = [list(r) for r in rows]
+    as_dicts = [dict(r) for r in _sparse(rows)]
+    copy = [dict(r) for r in as_dicts]
     rank = fraction_rank(rows)
-    assert _sparse_rank(rows) == rank, rows
-    assert [list(r) for r in rows] == copy  # the input rows are not touched
+    assert _sparse_rank(_sparse(rows)) == rank, rows
+    assert _sparse_rank(as_dicts) == rank, rows
+    assert as_dicts == copy  # the input rows are not touched
     return rank
 
 
@@ -421,7 +428,7 @@ def test_sparse_rank_with_non_unit_pivots_that_force_scaling():
             _check_sparse_rank(rows)
     # Pivot 4 against 6: g = 2, the row is scaled by 2, and its content is
     # then 2 again.
-    assert _sparse_rank([[4, 2, 0], [6, 0, 4], [0, 6, -8]]) == fraction_rank(
+    assert _sparse_rank(_sparse([[4, 2, 0], [6, 0, 4], [0, 6, -8]])) == fraction_rank(
         [[4, 2, 0], [6, 0, 4], [0, 6, -8]]
     )
 
@@ -436,9 +443,9 @@ def test_sparse_rank_when_rows_empty_out():
             rnd.shuffle(rows)
             assert _check_sparse_rank(rows) <= n_base
     # Equal rows as separate objects, and a row equal to a multiple of another.
-    assert _sparse_rank([[1, 2, 0], [1, 2, 0], [3, 6, 0], [0, 0, 0]]) == 1
+    assert _sparse_rank(_sparse([[1, 2, 0], [1, 2, 0], [3, 6, 0], [0, 0, 0]])) == 1
     assert _sparse_rank([]) == 0
-    assert _sparse_rank([[0, 0], [0, 0]]) == 0
+    assert _sparse_rank([(), {}]) == 0
 
 
 def test_sparse_rank_of_rows_repeated_as_one_shared_object():
@@ -448,9 +455,10 @@ def test_sparse_rank_of_rows_repeated_as_one_shared_object():
         shared = [rnd.choice((0, 1, -1, 2)) for _ in range(6)]
         others = [[rnd.choice((0, 0, 1, -2, 3)) for _ in range(6)] for _ in range(3)]
         rows = others[:1] + [shared] * 4 + others[1:] + [shared] * 2
-        rows_as_tuples = [tuple(r) for r in rows]
+        shared_row = _sparse([shared])[0]
+        sparse = [shared_row if r is shared else s for r, s in zip(rows, _sparse(rows))]
         rank = _check_sparse_rank(rows)
-        assert _sparse_rank(rows_as_tuples) == rank
+        assert _sparse_rank(sparse) == rank
         assert matrix_rank(RationalMatrix.from_rows(rows)) == rank
 
 
@@ -468,7 +476,7 @@ def test_sparse_rank_of_rows_with_10_to_the_40_entries():
     # Pivot 10**40 + 1 against 10**40: coprime, so the row is scaled by a
     # 41-digit factor, and the rank is still exact.
     rows = [[big + 1, big], [big, big - 1], [2 * big + 1, 2 * big - 1]]
-    assert _sparse_rank(rows) == fraction_rank(rows) == 2
+    assert _sparse_rank(_sparse(rows)) == fraction_rank(rows) == 2
 
 
 def test_sparse_rank_divides_each_scaled_row_by_its_content(monkeypatch):
@@ -488,7 +496,7 @@ def test_sparse_rank_divides_each_scaled_row_by_its_content(monkeypatch):
         return math.gcd(*args)
 
     monkeypatch.setattr(exactlat, "math", SimpleNamespace(gcd=gcd))
-    assert _sparse_rank(rows) == n + 1
+    assert _sparse_rank(_sparse(rows)) == n + 1
     assert max(seen) == primes[-1]
 
 
@@ -513,7 +521,7 @@ def test_sparse_rank_divides_rows_scaled_by_two_and_contents_of_two(monkeypatch,
         return math.gcd(*args)
 
     monkeypatch.setattr(exactlat, "math", SimpleNamespace(gcd=gcd))
-    assert _sparse_rank(rows) == fraction_rank(rows)
+    assert _sparse_rank(_sparse(rows)) == fraction_rank(rows)
     assert max(seen) < bound
 
 

@@ -227,6 +227,25 @@ def test_quintic_component_classes_and_residual_identity(quintic5):
     assert [list(map(int, v)) for v in img2] == [[-x for x in n[0]], [0], list(n[2])]
 
 
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
+@pytest.mark.parametrize("fam_id", catalog.family_ids())
+def test_component_class_images_are_the_normal_classes(fam_id, order):
+    """On every family, in an order that puts components of different
+    degrees next to each other, the images of O(Y1) and O(Y2) are
+    (0, N(D2), -N(D3)) and (-N(D1), 0, N(D3))."""
+    from nc3 import degeneration
+
+    fam = catalog.get_family(fam_id)
+    config, _ = catalog.instantiate(fam, catalog.PartitionSpec(parts=(fam.total_degree,)), component_order=order)
+    m = restriction_difference_matrix(config)
+    n = degeneration.collective_normal_class(config).classes
+    neg = [tuple(-x for x in c) for c in n]
+    zero = [tuple(0 for _ in c) for c in n]
+    img1, img2 = (_by_surface(config, mat_vec(m.entries, e)) for e in component_restriction_classes(config))
+    assert img1 == [zero[0], n[1], neg[2]]
+    assert img2 == [neg[0], zero[1], n[2]]
+
+
 def test_component_classes_kernel_membership_after_blowup(quintic5_blown):
     config_tilde, _ = quintic5_blown
     m = restriction_difference_matrix(config_tilde)
@@ -476,8 +495,19 @@ def _rename_y2_to_y1(data):
             lambda d: d["surfaces"][2].update(canonical=[]),
             "surface D3: canonical has wrong length",
         ),
+        (
+            lambda d: d["surfaces"][1].update(boundary_self=[[3, 0], [1]]),
+            "surface D2: boundary_self[0] has wrong length",
+        ),
+        (
+            lambda d: d["surfaces"][1].update(boundary_self=[[3], []]),
+            "surface D2: boundary_self[1] has wrong length",
+        ),
     ],
-    ids=["ragged-restriction", "ragged-gram", "duplicate-names", "ample-length", "canonical-length"],
+    ids=[
+        "ragged-restriction", "ragged-gram", "duplicate-names", "ample-length", "canonical-length",
+        "first-self-class-length", "second-self-class-length",
+    ],
 )
 def test_broken_record_invariants_are_schema_errors(quintic5, mutate, message):
     config, _ = quintic5
