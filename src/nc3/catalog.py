@@ -380,14 +380,14 @@ def instantiate(
     divisor is built per partition.
     """
     fam = get_family(family) if isinstance(family, str) else family
+    if any(len(p) != fam.rank for p in partition.parts):
+        raise PartitionError(
+            f"parts of {partition.display()} do not match family rank {fam.rank}"
+        )
     if partition.degree() != fam.total_degree:
         raise PartitionError(
             f"partition {partition.display()} has degree {partition.degree()}, "
             f"family {fam.id} requires {fam.total_degree}"
-        )
-    if any(len(p) != fam.rank for p in partition.parts):
-        raise PartitionError(
-            f"parts of {partition.display()} do not match family rank {fam.rank}"
         )
     order = tuple(component_order) if component_order is not None else (0, 1, 2)
     if sorted(order) != [0, 1, 2]:

@@ -181,6 +181,10 @@ def _resolve_source(
                 EXIT_PARSE,
             )
         spec = ordered
+    # ``check`` reports on the configuration before the blow-up, which no
+    # partition changes, unless it is asked for the blown-up one.
+    if args.subcommand == "check" and not args.after_blowup:
+        raise CliError("--partition needs --after-blowup", EXIT_PARSE)
     # a partition that parsed but is inadmissible here is a PartitionError: exit 1
     config, divisor = catalog.instantiate(fam, spec)
     provenance["partition"] = spec.cli_form()

@@ -494,20 +494,13 @@ def _alpha_table(
     )
 
 
-# The basis labels eps[1], eps[2], ... of the exceptional points on the third
-# surface, formatted once per process and grown on demand.  They depend on
-# the number of points alone.
-_POINT_LABELS: tuple[str, ...] = ()
-
-
+@cache
 def _point_labels(gamma: int) -> tuple[str, ...]:
-    """The labels ``eps[1]`` to ``eps[gamma]`` of the blown-up third surface's points."""
-    global _POINT_LABELS
-    labels = _POINT_LABELS
-    if len(labels) < gamma:
-        labels += tuple(f"eps[{p + 1}]" for p in range(len(labels), gamma))
-        _POINT_LABELS = labels
-    return labels[:gamma]
+    """The labels ``eps[1]`` to ``eps[gamma]`` of the blown-up third surface's points.
+
+    They depend on gamma alone, so each tuple is built once per process.
+    """
+    return tuple(f"eps[{p + 1}]" for p in range(gamma))
 
 
 def transport_chern(n: tuple[int, int, int], degree: int) -> tuple[int, int, int]:

@@ -16,15 +16,17 @@ through Python integers, so the contract is unbounded precision.  Rank runs
 on the distinct nonzero rows of a matrix: a repeated row or a zero row adds
 nothing to the row space, and a blown-up surface repeats one restriction row
 for every point over a curve.  A ``RationalMatrix`` holds those rows as
-their ``(col, value)`` pairs, given by its builder or derived from the dense
-rows on first read; a builder that gives them lays out the dense rows only
-when they are read.  The rank is computed by sparse fraction-free integer
-elimination: rows are kept as ``{col: value}`` dicts and taken as pivot
-rows in ascending order of their initial length, an index of each column's
-rows lets a pivot update only the rows that hold its column, so no step
-rescans the rows left, and a row scaled by an update is divided by the gcd
-of its entries (its content) so the numbers stay small.  Entries are
-integers only.  Only the rank over the rationals is needed, never torsion.
+their ``(col, value)`` pairs, derived from its dense rows on first read or,
+for a matrix built from its runs of equal rows (one sparse row and its
+length each), from those runs; such a matrix lays out its dense rows from
+the same runs, and only when they are read.  The rank is computed by
+sparse fraction-free integer elimination: rows are kept as ``{col: value}``
+dicts and taken as pivot rows in ascending order of their initial length,
+an index of each column's rows lets a pivot update only the rows that hold
+its column, so no step rescans the rows left, and a row scaled by an
+update is divided by the gcd of its entries (its content) so the numbers
+stay small.  Entries are integers only.  Only the rank over the rationals
+is needed, never torsion.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from __future__ import annotations
 import math
 import operator
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import chain, groupby, repeat
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from ._record import Record
 
@@ -278,9 +280,11 @@ class RationalMatrix(Record):
     ``entries`` holds the dense rows in order.  The rank reads only
     ``distinct_rows``: the distinct nonzero rows, each a tuple of its
     ``(col, value)`` pairs in ascending column order.  A matrix given its
-    dense rows derives its distinct rows on their first read; one built by
-    :meth:`from_distinct_rows` lays out its dense rows on the first read of
-    ``entries``.  Either is then held.
+    dense rows derives its distinct rows on their first read.  One built by
+    :meth:`from_runs` is described by its runs of equal rows alone: its row
+    count and distinct rows are read from them at once, and its dense rows
+    are laid out from them on the first read of ``entries``.  Either is then
+    held.
     """
 
     rows: int
@@ -302,24 +306,23 @@ class RationalMatrix(Record):
         return cls(rows=len(entries), cols=len(entries[0]) if entries else 0, entries=entries)
 
     @classmethod
-    def from_distinct_rows(
-        cls,
-        rows: int,
-        cols: int,
-        distinct_rows: tuple[SparseRow, ...],
-        layout: Callable[[], Iterable[tuple[int, ...]]],
-    ) -> "RationalMatrix":
-        """A ``rows`` x ``cols`` matrix given by its distinct nonzero rows.
+    def from_runs(cls, cols: int, runs: Iterable[tuple[SparseRow, int]]) -> "RationalMatrix":
+        """The matrix of ``cols`` columns whose rows are ``runs`` in order:
+        each a sparse row and the number of times it repeats.
 
-        ``layout()`` returns the dense rows in order; it runs on the first
-        read of ``entries``, and the caller vouches that both describe one
-        matrix.
+        A sparse row lists its pairs in ascending column order, so its last
+        pair names its largest column; a column at or past ``cols`` raises
+        :class:`DimensionMismatch`.
         """
+        runs = tuple(runs)
+        distinct = tuple(filter(None, dict.fromkeys(map(itemgetter(0), runs))))
+        if max(map(itemgetter(0), map(itemgetter(-1), distinct)), default=-1) >= cols:
+            raise DimensionMismatch("a sparse row names a column past the last one")
         m = cls.__new__(cls)
-        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "rows", sum(map(itemgetter(1), runs)))
         object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "distinct_rows", distinct_rows)
-        object.__setattr__(m, "_layout", layout)
+        object.__setattr__(m, "distinct_rows", distinct)
+        object.__setattr__(m, "_runs", runs)
         return m
 
     @cached_property
@@ -330,10 +333,18 @@ class RationalMatrix(Record):
 
     def __getattr__(self, name: str) -> Any:
         # Reached only for a name the instance does not hold: ``entries`` of a
-        # matrix built by ``from_distinct_rows``, laid out here once.
+        # matrix built by ``from_runs``, laid out here once.  Each distinct
+        # row is laid out once and repeated, so equal rows are one tuple.
         if name != "entries":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        entries = tuple(self._layout())
+        dense: dict[SparseRow, tuple[int, ...]] = {}
+        for row, _ in self._runs:
+            if row not in dense:
+                cells = [0] * self.cols
+                for j, x in row:
+                    cells[j] = x
+                dense[row] = tuple(cells)
+        entries = tuple(chain.from_iterable(repeat(dense[row], n) for row, n in self._runs))
         object.__setattr__(self, "entries", entries)
         return entries
 

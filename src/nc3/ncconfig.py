@@ -21,9 +21,10 @@ The restriction-difference matrix maps ``(+) H2(Yi) -> (+) Pic(Di)`` by
 
     (x1, x2, x3) |-> (x2|D1 - x3|D1,  x3|D2 - x1|D2,  x1|D3 - x2|D3).
 
-It is built as its distinct nonzero rows, one sparse row per distinct pair
-of restriction rows on a surface, which is all its rank reads; the dense
-rows are laid out only when something reads them.
+It is built as its runs of equal rows, one sparse row and its length per
+run of equal pairs of restriction rows on a surface.  Its rank reads the
+distinct nonzero rows of those runs, and its dense rows are laid out from
+the same runs only when something reads them.
 Its kernel computes h2 of the glued variety; two canonical elements of that
 kernel for a semistable central fiber are the collective restrictions of the
 component line bundles O(Y1) and O(Y2), returned by
@@ -42,9 +43,9 @@ and the rest) on first use.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, compress, groupby, repeat
-from operator import is_, itemgetter, neg
+from operator import is_, neg
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ._record import Record
@@ -455,59 +456,29 @@ def restriction_difference_matrix(config: NCConfiguration) -> RationalMatrix:
     (rows grouped by surface).  Row block i carries + the restriction from
     the first adjacent component and - the restriction from the second.
 
-    The matrix is built as its distinct nonzero rows, all the rank reads:
-    one sparse row per distinct ``(r_plus, r_minus)`` restriction pair of a
-    surface, kept once however many surfaces give it.  A blown-up surface
-    repeats one pair of row tuples for every point over a curve, so runs of
-    equal consecutive pairs collapse at C speed, comparing on identity,
-    before any pair is hashed.  The dense rows are laid out only when
+    The matrix is built as its runs of equal rows, each one sparse row and
+    its length.  A blown-up surface repeats one pair of restriction row
+    tuples for every point over a curve, so runs of equal consecutive
+    ``(r_plus, r_minus)`` pairs collapse at C speed, comparing on identity,
+    before any row is built.  The rank reads the distinct nonzero rows of
+    these runs, and the dense rows are laid out from them only when
     ``entries`` is first read.
     """
     offsets = [0]
     for comp in config.components:
         offsets.append(offsets[-1] + comp.h2_rank)
-    distinct: dict[SparseRow, None] = {}
+    matrix_runs: list[tuple[SparseRow, int]] = []
     for i, (j, k) in enumerate(SURFACE_ADJACENCY):
         plus_cols = range(offsets[j], offsets[j + 1])
         minus_cols = range(offsets[k], offsets[k + 1])
         pairs = zip(config.restriction(i, j), config.restriction(i, k))
-        for r_plus, r_minus in dict.fromkeys(map(itemgetter(0), groupby(pairs))):
+        for (r_plus, r_minus), run in groupby(pairs):
             plus = zip(compress(plus_cols, r_plus), compress(r_plus, r_plus))
             minus = zip(compress(minus_cols, r_minus), map(neg, compress(r_minus, r_minus)))
-            # In ascending column order, so equal rows give equal keys.
-            distinct[tuple(chain(plus, minus) if j < k else chain(minus, plus))] = None
-    distinct.pop((), None)
-    return RationalMatrix.from_distinct_rows(
-        sum(s.lattice.rank for s in config.surfaces),
-        offsets[-1],
-        tuple(distinct),
-        partial(_dense_difference_rows, config, offsets),
-    )
-
-
-def _dense_difference_rows(config: NCConfiguration, offsets: Sequence[int]) -> list[tuple[int, ...]]:
-    """The dense rows of ``restriction_difference_matrix``, in order.
-
-    Equal restriction rows (a blown-up surface has one per point over a
-    curve) give one row tuple, built once and repeated.  A run of equal
-    consecutive row pairs is handled in one step: its pairs compare on
-    identity when they share row tuples, and its row is repeated at C speed.
-    """
-    rows: list[tuple[int, ...]] = []
-    for i, (j, k) in enumerate(SURFACE_ADJACENCY):
-        built: dict[tuple[Vec, Vec], tuple[int, ...]] = {}
-        pairs = zip(config.restriction(i, j), config.restriction(i, k))
-        for (r_plus, r_minus), run in groupby(pairs):
-            key = (tuple(r_plus), tuple(r_minus))
-            row = built.get(key)
-            if row is None:
-                # j != k, so the two column blocks of a row do not overlap.
-                cells = [0] * offsets[-1]
-                cells[offsets[j] : offsets[j + 1]] = r_plus
-                cells[offsets[k] : offsets[k + 1]] = map(neg, r_minus)
-                row = built[key] = tuple(cells)
-            rows.extend(repeat(row, len(list(run))))
-    return rows
+            # In ascending column order, so equal rows are equal tuples.
+            row = tuple(chain(plus, minus) if j < k else chain(minus, plus))
+            matrix_runs.append((row, len(list(run))))
+    return RationalMatrix.from_runs(offsets[-1], matrix_runs)
 
 
 def stack_component_vectors(config: NCConfiguration, parts: Sequence[Vec]) -> Vec:

@@ -93,6 +93,22 @@ def test_partition_degree_constraint():
         instantiate("p2xp2", PartitionSpec(parts=((1, 1), (1, 1))))
 
 
+@pytest.mark.parametrize(
+    "family, parts, message",
+    [
+        ("p2xp2", ((1,), (2,)), "parts of (1,2) do not match family rank 2"),
+        ("quintic", ((1, 1), (3, 0)), "parts of ((1,1),(3,0)) do not match family rank 1"),
+        ("p2xp2", ((1, 1), (1, 1)), "partition ((1,1),(1,1)) has degree (2, 2), family p2xp2 requires (3, 3)"),
+    ],
+)
+def test_partition_rank_is_checked_before_degree(family, parts, message):
+    """Parts of the wrong rank are named as such, also when their degree,
+    summed in the wrong rank, differs from the family's too."""
+    with pytest.raises(PartitionError) as exc:
+        instantiate(family, PartitionSpec(parts=parts))
+    assert str(exc.value) == message
+
+
 def test_partition_rejects_zero_part():
     with pytest.raises(PartitionError):
         PartitionSpec(parts=((0, 0), (3, 3)))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nc3 import catalog
+from nc3 import catalog, cli
 from nc3.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -258,6 +258,36 @@ def test_empty_partition_or_order_is_a_parse_error(capsys, argv, message):
     assert (rc, out, err) == (2, "", json.dumps({"error": message}) + "\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--family", "quintic", "--partition", "1,4"],
+        ["check", "--family", "quintic", "--partition", "5"],
+        ["check", "--family", "quintic", "--partition", "1,4", "--order", "4,1"],
+        ["check", "--family", "p2xp2", "--partition", "(1,0),(2,3)"],
+        # refused before the partition meets the family: no degree message
+        ["check", "--family", "quintic", "--partition", "9"],
+    ],
+)
+def test_check_refuses_partition_without_after_blowup(monkeypatch, capsys, argv):
+    """Before the blow-up no partition changes the configuration, so a
+    partition without ``--after-blowup`` is refused before it is built."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("configuration built")
+
+    monkeypatch.setattr(catalog, "instantiate", fail)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", json.dumps({"error": "--partition needs --after-blowup"}) + "\n")
+
+
+def test_a_partition_of_the_wrong_rank_is_refused_by_its_rank(capsys):
+    rc, out, err = run(capsys, "invariants", "--family", "p2xp2", "--partition", "1,2")
+    assert (rc, out, err) == (
+        1, "", json.dumps({"error": "parts of (1,2) do not match family rank 2"}) + "\n"
+    )
+
+
 @pytest.mark.parametrize("source", [["--family", "quintic", "--partition", "1,4"], ["--config", "-"]])
 def test_invariants_refuses_trace_with_csv_before_computing(monkeypatch, capsys, source):
     """The CSV columns are fixed, so a trace would be dropped without a word."""
@@ -292,6 +322,41 @@ def test_table_text_and_row_count(capsys):
     rc, out, _ = run(capsys, "table", "--family", "cubic4fold-111")
     assert rc == 0
     assert len([l for l in out.splitlines() if l.strip()]) == 2 + 3
+
+
+def test_table_text_puts_two_spaces_after_the_longest_partition(capsys):
+    """The partition column is two wider than the longest partition, and
+    h11, h12 and euler are right-aligned in fields of 5, 5 and 8."""
+    _, out, _ = run(capsys, "table", "--family", "p2xp2", "--format", "csv")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    _, text, _ = run(capsys, "table", "--family", "p2xp2")
+    lines = text.splitlines()
+    width = max(len(r["partition"]) for r in rows) + 2
+    assert lines[1] == "partition".ljust(width) + "  h11  h12   euler  star"
+    assert lines[2:] == [
+        r["partition"].ljust(width) + r["h11"].rjust(5) + r["h12"].rjust(5) + r["euler"].rjust(8) + "  " + r["star"]
+        for r in rows
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [(["catalog", "list"], "catalog"), (["check", "--help"], "check"), (["bogus"], None), ([], None)],
+)
+def test_main_builds_only_the_named_subcommands_parser(monkeypatch, capsys, argv, built):
+    seen = []
+    original = cli.build_parser
+
+    def recording(subcommand=None):
+        seen.append(subcommand)
+        return original(subcommand)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    assert seen == [built]
 
 
 def test_table_deterministic(capsys):
@@ -526,6 +591,15 @@ def test_integer_literal_past_the_digit_limit_exits_2(tmp_path, capsys, command)
     assert (rc, out) == (2, "")
     [line] = err.splitlines()
     assert json.loads(line)["error"].startswith(f"schema error in {path}: invalid JSON: ")
+
+
+def test_a_python_without_a_digit_limit_reads_a_file_and_restores_nothing(monkeypatch, capsys, blown_up_export):
+    """Before 3.10.7 Python has no integer digit limit and no functions to
+    read or set one: a command that reads a file runs as on a later Python."""
+    expected = run(capsys, "invariants", "--config", blown_up_export, "--format", "json")
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    monkeypatch.delattr(sys, "set_int_max_str_digits")
+    assert run(capsys, "invariants", "--config", blown_up_export, "--format", "json") == expected
 
 
 @pytest.mark.parametrize("command", ["check", "invariants"])

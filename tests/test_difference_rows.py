@@ -1,12 +1,12 @@
 """The restriction-difference matrix as the rank reads it: its distinct nonzero rows.
 
-``restriction_difference_matrix`` builds the distinct nonzero rows as sparse
-``(col, value)`` pairs and lays out the dense rows only when ``entries`` is
-read.  These tests hold both forms to independent oracles: a dense layout
+``restriction_difference_matrix`` builds the matrix as its runs of equal
+rows, each one sparse ``(col, value)`` row and its length; the distinct
+nonzero rows and, when ``entries`` is read, the dense rows derive from those
+runs.  These tests hold both forms to independent oracles: a dense layout
 built cell by cell, and plain Fraction elimination.
 """
 
-import collections
 import random
 
 import pytest
@@ -44,6 +44,17 @@ def _blown_up_cases():
         yield (family.id, spec.display()), catalog.instantiate(family, spec)
 
 
+def _assert_matches_the_oracles(config, where):
+    dense = dense_restriction_difference(config)
+    distinct = [r for r in dict.fromkeys(dense) if any(r)]
+    m = restriction_difference_matrix(config)
+    assert m.distinct_rows == tuple(map(_sparse, distinct)), where
+    assert (m.rows, m.cols) == (len(dense), sum(c.h2_rank for c in config.components)), where
+    assert m.entries == dense, where
+    assert config.kernel_dim == m.cols - fraction_rank(distinct), where
+    return m
+
+
 def test_entries_and_kernel_match_the_cell_by_cell_oracles():
     """The dense rows equal the layout built cell by cell.  The distinct rows
     are that layout's distinct nonzero rows, in order of first appearance,
@@ -53,15 +64,47 @@ def test_entries_and_kernel_match_the_cell_by_cell_oracles():
     seen = 0
     for where, (config, divisor) in _blown_up_cases():
         tilde, _ = construction.sequential_blowup(config, divisor)
-        dense = dense_restriction_difference(tilde)
-        distinct = [r for r in dict.fromkeys(dense) if any(r)]
-        m = restriction_difference_matrix(tilde)
-        assert m.distinct_rows == tuple(map(_sparse, distinct)), where
-        assert (m.rows, m.cols) == (len(dense), sum(c.h2_rank for c in tilde.components)), where
-        assert m.entries == dense, where
-        assert tilde.kernel_dim == m.cols - fraction_rank(distinct), where
+        _assert_matches_the_oracles(tilde, where)
         seen += 1
     assert seen == 2 * 63 + 30 + 176 + 24
+
+
+def _parsed_exports():
+    """The blown-up 63 catalog rows in component orders (0,1,2) and (2,0,1),
+    and the degree-21 all-ones row, each exported and read back."""
+    for fam_id, spec in all_catalog_cases():
+        for order in ((0, 1, 2), (2, 0, 1)):
+            config, divisor = catalog.instantiate(fam_id, spec, component_order=order)
+            yield (fam_id, spec.display(), order), construction.sequential_blowup(config, divisor)[0]
+    yield "d21 all ones", construction.sequential_blowup(*d21_all_ones_row())[0]
+
+
+def _equal_neighbours_apart(config):
+    """How many neighbouring restriction rows are equal but separate tuples."""
+    return sum(
+        a == b and a is not b
+        for surface in config.surfaces
+        for matrix in surface.restrictions
+        for a, b in zip(matrix, matrix[1:])
+    )
+
+
+def test_parsed_exports_match_the_cell_by_cell_oracles():
+    """The reader shares equal rows only in matrices of 32 rows or more, so in
+    a smaller parsed matrix a run of equal restriction rows is found by
+    comparing entries, where the blow-up's rows compare on identity.  The
+    matrix still matches the oracles, and equal rows of its layout are one
+    tuple."""
+    seen = apart = 0
+    for where, tilde in _parsed_exports():
+        parsed = ncconfig.config_from_json(ncconfig.config_to_json(tilde))
+        m = _assert_matches_the_oracles(parsed, where)
+        assert len(set(map(id, m.entries))) == len(set(m.entries)), where
+        assert _equal_neighbours_apart(tilde) == 0, where
+        apart += _equal_neighbours_apart(parsed)
+        seen += 1
+    assert seen == 2 * 63 + 1
+    assert apart > 0
 
 
 def _quintic_with(**restrictions):
@@ -117,26 +160,26 @@ def test_equal_rows_on_two_surfaces_reach_the_elimination_once(monkeypatch):
 
 
 def test_d21_all_ones_matrix_reads_its_shape_and_lays_out_entries_once(monkeypatch):
-    """297 rows, 66 columns, 951 nonzeros and rank 23; ``hodge`` never lays
-    out the dense rows, and a second read of ``entries`` returns the rows the
-    first read built."""
-    counts = collections.Counter()
-    layout = ncconfig._dense_difference_rows
+    """297 rows, 66 columns, 951 nonzeros and rank 23.  Neither ``hodge`` nor
+    the rank lays out the dense rows; the first read of ``entries`` does, and
+    a second read returns the rows the first read built."""
+    ranked = []
+    original = ncconfig.kernel_dimension
 
-    def counted(*args):
-        counts["layout"] += 1
-        return layout(*args)
+    def recording(m):
+        ranked.append(m)
+        return original(m)
 
-    monkeypatch.setattr(ncconfig, "_dense_difference_rows", counted)
+    monkeypatch.setattr(ncconfig, "kernel_dimension", recording)
     config, divisor = d21_all_ones_row()
     invariants.hodge(config, divisor)
-    assert counts["layout"] == 0
+    assert len(ranked) == 1 and "entries" not in vars(ranked[0])
     tilde, _ = construction.sequential_blowup(config, divisor)
     m = restriction_difference_matrix(tilde)
     assert (m.rows, m.cols, kernel_dimension(m)) == (297, 66, 66 - 23)
-    assert counts["layout"] == 0
+    assert "entries" not in vars(m)
     entries = m.entries
-    assert m.entries is entries and counts["layout"] == 1
+    assert vars(m)["entries"] is entries and m.entries is entries
     assert (len(entries), sum(1 for r in entries for x in r if x)) == (297, 951)
     assert len(m.distinct_rows) == 24
 

@@ -242,6 +242,33 @@ def test_malformed_rational_matrix_is_refused(rows, cols, entries, message):
         RationalMatrix(rows=rows, cols=cols, entries=entries)
 
 
+@pytest.mark.parametrize(
+    "runs",
+    [
+        [(((0, 1), (3, 2)), 1)],
+        [(((2, 1),), 2), (((0, 1), (1, 4), (7, 1)), 1)],
+        [((), 3), (((2, 5), (3, -1)), 1)],
+    ],
+)
+def test_a_run_naming_a_column_past_the_last_one_is_refused(runs):
+    with pytest.raises(DimensionMismatch, match="a sparse row names a column past the last one"):
+        RationalMatrix.from_runs(3, runs)
+
+
+def test_a_matrix_from_runs_reads_its_rows_distinct_rows_and_entries_from_them():
+    """Rows: the run lengths summed.  Distinct rows: the nonzero sparse rows
+    in order of first appearance.  Entries: each run's row laid out once and
+    repeated, so equal rows, also in runs apart, are one tuple."""
+    a, b = ((0, 2), (2, -1)), ((1, 3),)
+    m = RationalMatrix.from_runs(3, [(a, 2), ((), 1), (b, 1), (a, 1)])
+    assert (m.rows, m.cols, m.distinct_rows) == (5, 3, (a, b))
+    assert m.entries == ((2, 0, -1), (2, 0, -1), (0, 0, 0), (0, 3, 0), (2, 0, -1))
+    assert m.entries[0] is m.entries[1] is m.entries[4]
+    assert m == RationalMatrix.from_rows(m.entries) and kernel_dimension(m) == 1
+    empty = RationalMatrix.from_runs(0, [])
+    assert (empty.rows, empty.distinct_rows, empty.entries) == (0, (), ())
+
+
 @pytest.mark.parametrize("cell", [Fraction(1, 2), Fraction(2), 0.5, 2.0, True])
 def test_from_rows_refuses_a_non_integer_entry_and_an_empty_matrix_has_no_columns(cell):
     with pytest.raises(ExactLatticeError, match="matrix entries must be integers"):
