@@ -468,6 +468,22 @@ def _source_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the payload to a file")
 
 
+# argparse takes a value that starts with "-" and a digit but is no plain
+# number, such as "-1,6", for a flag; written "--partition=-1,6" it is a value.
+_SIGNED_VALUE_FLAGS = ("--partition", "--order")
+
+
+def _attach_signed_values(argv: Sequence[str]) -> list[str]:
+    """``argv`` with ``--partition`` or ``--order`` joined by ``=`` to a next value like ``-1,6``."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_VALUE_FLAGS and re.match(r"-\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _check_arguments(p: argparse.ArgumentParser) -> None:
     _source_arguments(p)
     p.add_argument(
@@ -572,6 +588,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     name = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    if name in ("check", "invariants"):
+        argv = _attach_signed_values(argv)
     args = build_parser(name).parse_args(argv)
     # 0 when there is no limit to restore: none is set, or Python has none.
     digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0

@@ -8,12 +8,13 @@ every file the schema in ``schemas/ncconfig.schema.json`` refuses with
 is the one layout of every file and payload nc3 writes.
 
 The reader reads a blown-up surface's Gram, ``base (+) -I``, without
-decoding its -I rows cell by cell: it compares their text with the
-writer's, piece by piece up to the first difference, and decodes each
-verified row as a whole (``_loads``).  No part of the text is read for two
-Gram keys, so the work stays linear in the length of the text.  A text
-that does not match the writer's layout, or a tail of a catalog blow-up's
-size, is decoded as plain JSON.
+decoding its -I rows: it compares their text with the writer's, in blocks
+of rows up to the first difference, and the verified tail is decoded as one
+number token that stands for its count (``_loads``).  The writer emits the
+same blocks.  No part of the text is read for two Gram keys, so the work
+stays linear in the length of the text.  A text that does not match the
+writer's layout, or a tail of a catalog blow-up's size, is decoded as
+plain JSON.
 
 ``ncconfig`` forwards these names, so callers reach them as
 ``ncconfig.config_to_json`` and so on; this module is loaded only by a
@@ -22,7 +23,7 @@ command that reads or writes a file or a payload.
 
 from __future__ import annotations
 
-from itertools import chain, filterfalse, repeat
+from itertools import chain, repeat
 from typing import Any, Callable, Iterator
 
 from .exactlat import IntersectionLattice, IntMatrix, Vec, base_rank, default_labels, runs
@@ -174,10 +175,11 @@ def _intmat(x: Any, where: str) -> IntMatrix:
     return tuple(chain.from_iterable(map(repeat, map(shared.setdefault, tuples, tuples), lengths)))
 
 
-class _MinusIdentityRow(list):
-    """A row of a Gram's ``-I`` block that the reader decoded from verified text.
+class _MinusIdentityTail(tuple):
+    """``(n, p)``: rows p to n - 1 of an n x n Gram, read from text verified as the -I block's.
 
-    It holds exact ints by construction, so ``_gram`` does not type-check it.
+    ``config_from_json`` puts one in place of those rows, as the last item
+    of the Gram's list, and builds none of them.
     """
 
     __slots__ = ()
@@ -186,23 +188,38 @@ class _MinusIdentityRow(list):
 def _gram(x: Any, where: str) -> tuple[IntMatrix, int]:
     """A dense Gram matrix as its base block and the count of its trailing -I rows.
 
-    Every cell is type-checked, except those of the ``-I`` rows whose text
-    ``config_from_json`` verified and decoded itself.  Those rows close the
-    Gram, row q with its -1 in cell q, so they are the -I block, unscanned,
-    when they are as long as the Gram and the rows above are zero over
-    their columns; otherwise ``base_rank`` finds the block.  Only the base
-    block is copied into tuples.
+    A Gram whose tail ``config_from_json`` verified ends in a
+    ``_MinusIdentityTail`` ``(n, p)``.  When the rows above it are the p
+    rows of the base, n long and zero over columns p and up, the tail is
+    the -I block: its count is n - p, and only the base is type-checked.
+    Otherwise the tail becomes the dense rows plain JSON holds, and
+    ``base_rank`` finds the block, as in any Gram.  Only the base block is
+    copied into tuples.
     """
-    unread = x
-    if isinstance(x, list) and x and type(x[-1]) is _MinusIdentityRow:
-        unread = list(filterfalse(_MinusIdentityRow.__instancecheck__, x))
-    _introws(unread, where)
-    n, b = len(x), len(unread)
-    if b == n or len(x[-1]) != n or not all(len(r) == n and not any(r[b:]) for r in unread):
-        b = base_rank(x)
+    tail = None
+    if isinstance(x, list) and x and type(x[-1]) is _MinusIdentityTail:
+        *x, tail = x
+    _introws(x, where)
+    if tail is not None:
+        n, p = tail
+        if len(x) == p and all(len(r) == n and not any(r[p:]) for r in x):
+            return tuple(tuple(r[:p]) for r in x), n - p
+        x += _minus_identity_rows(n, p)
+    n = len(x)
+    b = base_rank(x)
     if b == n:
         return tuple(map(tuple, x)), 0
     return tuple(tuple(r[:b]) for r in x[:b]), n - b
+
+
+def _minus_identity_rows(n: int, p: int) -> list[list[int]]:
+    """Rows p to n - 1 of the n x n matrix -I, as lists."""
+    out = []
+    for q in range(p, n):
+        row = [0] * n
+        row[q] = -1
+        out.append(row)
+    return out
 
 
 def _dense(rows: IntMatrix, exceptional: int) -> list[list[int]]:
@@ -214,21 +231,16 @@ def _dense(rows: IntMatrix, exceptional: int) -> list[list[int]]:
     """
     n = len(rows) + exceptional
     tail = [0] * exceptional
-    out = [list(r) + tail for r in rows]
-    for p in range(len(rows), n):
-        row = [0] * n
-        row[p] = -1
-        out.append(row)
-    return out
+    return [list(r) + tail for r in rows] + _minus_identity_rows(n, len(rows))
 
 
 class _DenseText:
     """``config_to_json``'s stand-in for ``_dense(rows, exceptional)``: the writer
     emits the text of those lists without building them.
 
-    Each row's zero tail is one repeated string, and each ``-I`` row is cut
-    out of one all-zeros row text around its ``-1``.  A row object that the
-    matrix repeats (the blow-up shares one restriction row per curve) is
+    Each row's zero tail is one repeated string, and the ``-I`` rows are
+    written in the blocks of ``_minus_identity_blocks``.  A row object that
+    the matrix repeats (the blow-up shares one restriction row per curve) is
     written once.  Rows that are not all exact ints go through ``_write``.
     """
 
@@ -263,33 +275,57 @@ class _DenseText:
             emit(lead + text)
             lead = "," + inner
         if exceptional:
-            for piece in _minus_identity_text(lead, inner, len(rows) + exceptional, len(rows)):
-                emit(piece)
+            for block in _minus_identity_blocks(lead, inner, len(rows) + exceptional, len(rows)):
+                emit(block)
         emit(newline + "]")
 
 
-def _minus_identity_text(lead: str, inner: str, n: int, start: int) -> Iterator[str]:
-    """The text of rows ``start`` to ``n - 1`` of the dense ``-I`` rows of an n x n Gram.
+# The -I rows are written and verified in blocks of 1, 2, 4, ... rows, and
+# then of this many: a block's text is at most about that of the rows before
+# it, and at most this many rows long.
+_BLOCK_ROWS = 64
 
-    Row p is ``-1`` in cell p and ``0`` elsewhere, written one cell a line
-    below ``inner``; the first row follows ``lead`` and every other one
-    ``"," + inner``.  Each row is cut out of one all-zeros row text around
-    its ``-1``.  The writer emits these pieces and the reader compares a
-    file's text with them one by one, so the two share one layout; a piece
-    is cut only when it is asked for.
+
+def _minus_identity_blocks(lead: str, inner: str, n: int, p: int) -> Iterator[str]:
+    """The text of rows p to n - 1 of the -I block of an n x n Gram, block by block.
+
+    The first row follows ``lead`` and every other one ``"," + inner``.
+    The writer emits these blocks and the reader compares a file's text
+    with them in turn, so the two share one layout; a block is cut only
+    when it is asked for.
+    """
+    size = 1
+    while p < n:
+        b = min(n, p + size)
+        yield _minus_identity_text(lead, inner, n, p, b)
+        lead = "," + inner
+        p = b
+        size = min(2 * size, _BLOCK_ROWS)
+
+
+def _minus_identity_text(lead: str, inner: str, n: int, a: int, b: int) -> str:
+    """The text of rows a to b - 1 of the -I block of an n x n Gram, a < b.
+
+    Row q is ``-1`` in cell q and ``0`` elsewhere, written one cell a line
+    below ``inner``; row a follows ``lead`` and every other row
+    ``"," + inner``.  The text from the ``-1`` of row q to that of row
+    q + 1 is the same length for every q: a window of one periodic string
+    that moves one cell a row.  So the rows are one ``"-1".join`` of a
+    slice per row.
     """
     cell = inner + "  "
     zero = "," + cell + "0"
-    # Cell p of a dense row starts at character p * width.
     width = len(zero)
-    zeros = "0" + zero * (n - 1)
-    for at in range(start * width, n * width, width):
-        yield lead + "[" + cell
-        yield zeros[:at]
-        yield "-1"
-        yield zeros[at + 1 :]
-        yield inner + "]"
-        lead = "," + inner
+    cells = zero * (n - 1)
+    between = inner + "]," + inner + "[" + cell
+    # The window after the -1 of row q starts at character q * width.
+    period = cells + between + "0" + cells
+    span = n * width + len(between)
+    first = (n - 1) * width + len(between)  # where "0" and n - 1 zero cells end the period
+    pieces = [lead + "[" + cell + period[first : first + a * width]]
+    pieces += [period[at : at + span] for at in range(a * width, (b - 1) * width, width)]
+    pieces.append(period[(b - 1) * width : (n - 1) * width + len(inner) + 1])
+    return "-1".join(pieces)
 
 
 def config_to_dict(config: NCConfiguration) -> dict[str, Any]:
@@ -547,40 +583,42 @@ def config_from_json(text: str) -> NCConfiguration:
 
 _GRAM_KEY = '"gram": ['
 
-# A tail of fewer cells is decoded as plain JSON.  The hook and the folded
-# copy cost about what folding 700 cells saves, and a catalog blow-up's tail
-# has at most 600.  In the writer's layout a cell of a surface Gram takes 13
-# characters, so a shorter text holds no tail worth folding.
+# A tail of fewer cells is decoded as plain JSON.  With one token per tail,
+# the search, the hook and the folded copy cost about what folding 450-500
+# cells saves (best of 30 reads of each blown-up catalog export, folded and
+# plain).  A catalog blow-up's tail has at most 600 cells, and folding those
+# saves 9-26 us of about 300, so catalog files stay plain JSON.  In the
+# writer's layout a cell of a surface Gram takes 13 characters, so a shorter
+# text holds no tail worth folding.
 _FOLD_MIN_CELLS = 2048
 _FOLD_MIN_CHARS = 13 * _FOLD_MIN_CELLS
 
 
 def _loads(text: str) -> Any:
-    """``json.loads(text)``, with each verified -I row of a surface Gram decoded unread.
+    """``json.loads(text)``, with each verified -I tail of a surface Gram left unread.
 
-    Each verified row becomes a number token in a folded copy of the text,
-    and the ``parse_float`` hook of ``json.loads`` turns the token back into
-    the list of exact ints the row's text holds, where that text was.  On
-    any doubt this is plain ``json.loads(text)``, which also raises every
-    error with its own message: when no tail is verified, when the folded
-    text fails to decode, or when a token is not decoded exactly once.
+    Each verified tail becomes one number token in a folded copy of the
+    text, and the ``parse_float`` hook of ``json.loads`` turns the token
+    into its ``_MinusIdentityTail``, where the tail's rows were.  On any
+    doubt this is plain ``json.loads(text)``, which also raises every error
+    with its own message: when no tail is verified, when the folded text
+    fails to decode, when a token is not decoded exactly once, or when a
+    tail does not close the Gram of a surface, the one place ``_gram``
+    reads it.
     """
     import json
 
-    folded, rows = _fold_gram_tails(text)
-    if rows:
+    folded, tails = _fold_gram_tails(text)
+    if tails:
         decoded = 0
 
         def decode(token: str) -> Any:
             nonlocal decoded
-            row = rows.get(token)
-            if row is None:
+            tail = tails.get(token)
+            if tail is None:
                 return float(token)
             decoded += 1
-            zeros, p = row
-            out = _MinusIdentityRow(zeros)
-            out[p] = -1
-            return out
+            return tail
 
         try:
             data = json.loads(folded, parse_float=decode)
@@ -588,28 +626,36 @@ def _loads(text: str) -> Any:
             pass
         else:
             # Each token is decoded once; a second time, it was in the text too.
-            if decoded == len(rows):
+            if decoded == len(tails) == _closed_surface_grams(data):
                 return data
     return json.loads(text)
 
 
-def _fold_gram_tails(text: str) -> tuple[str, dict[str, tuple[list[int], int]]]:
-    """``text`` with the verified -I rows of each surface Gram replaced by number tokens.
+def _closed_surface_grams(data: Any) -> int:
+    """How many of the surface Grams of ``data`` end in a ``_MinusIdentityTail``."""
+    surfaces = data.get("surfaces") if isinstance(data, dict) else None
+    if not isinstance(surfaces, list):
+        return 0
+    grams = [s.get("gram") for s in surfaces if isinstance(s, dict)]
+    return sum(isinstance(g, list) and bool(g) and type(g[-1]) is _MinusIdentityTail for g in grams)
 
-    Each folded row becomes a comma and its token, and a comma or the
-    Gram's own closing line follows it.  No token is inside a JSON string:
-    the Gram's key line and first row come before them, and a string cannot
-    hold their raw newlines.  Returns the folded text and, for each token,
-    the all-zeros row of its length and the cell of its ``-1``; with no tail
-    worth folding, ``text`` and ``{}``.
+
+def _fold_gram_tails(text: str) -> tuple[str, dict[str, _MinusIdentityTail]]:
+    """``text`` with the verified -I tail of each surface Gram replaced by a number token.
+
+    Each folded tail becomes a comma and its token, and the Gram's own
+    closing line follows it.  No token is inside a JSON string: the Gram's
+    key line and first row come before it, and a string cannot hold their
+    raw newlines.  Returns the folded text and, for each token, the
+    ``(n, p)`` of its tail; with no tail worth folding, ``text`` and ``{}``.
 
     The next key is sought where ``_verified_tail`` stopped reading, so no
     part of the text is read for two keys and the work stays linear in its
     length.
     """
-    rows: dict[str, tuple[list[int], int]] = {}
+    tails: dict[str, _MinusIdentityTail] = {}
     if not isinstance(text, str) or len(text) < _FOLD_MIN_CHARS:
-        return text, rows
+        return text, tails
     pieces: list[str] = []
     done = 0
     # One letter of the key is found with memchr; a longer needle crawls
@@ -622,18 +668,16 @@ def _fold_gram_tails(text: str) -> tuple[str, dict[str, tuple[list[int], int]]]:
             continue
         start, end, n, p = _verified_tail(text, key)
         if p < n:
+            token = f"{len(tails)}.0"
+            tails[token] = _MinusIdentityTail((n, p))
             pieces.append(text[done:start])
-            zeros = [0] * n
-            for q in range(p, n):
-                token = f"{len(rows)}.0"
-                rows[token] = (zeros, q)
-                pieces.append("," + token)
+            pieces.append("," + token)
             done = end
         at = text.find("g", end)
-    if not rows:
-        return text, rows
+    if not tails:
+        return text, tails
     pieces.append(text[done:])
-    return "".join(pieces), rows
+    return "".join(pieces), tails
 
 
 # A Gram key's indentation is sought this far back; the writer's surface
@@ -645,13 +689,14 @@ def _verified_tail(text: str, key: int) -> tuple[int, int, int, int]:
     """The writer's -I rows at the end of the Gram whose key starts at ``key``.
 
     Returns ``(start, end, n, p)``: the text from ``start`` to ``end`` is
-    exactly ``_minus_identity_text`` for rows p to n - 1 of an n x n Gram,
-    each after its comma, and the Gram's closing line follows it.  The tail
-    is taken to start at the first row after row 0 whose opening and ``-1``
-    cell fit an -I row.  When the text differs from there on, or the tail
-    has fewer than ``_FOLD_MIN_CELLS`` cells, no row is verified: ``p == n``,
-    and the text was read up to ``end``.  A key before ``end`` lies inside
-    this Gram's rows, so it starts no Gram of the writer's layout.
+    exactly the text of ``_minus_identity_blocks`` for rows p to n - 1 of an
+    n x n Gram, each row after its comma, and the Gram's closing line
+    follows it.  The tail is taken to start at the first row after row 0
+    whose opening and ``-1`` cell fit an -I row.  When the text differs
+    from there on, or the tail has fewer than ``_FOLD_MIN_CELLS`` cells, no
+    row is verified: ``p == n``, and the text was read up to ``end``.  A key
+    before ``end`` lies inside this Gram's rows, so it starts no Gram of the
+    writer's layout.
     """
     row = key + len(_GRAM_KEY) - 1  # the Gram's "[", which leads its first row
     line = text.rfind("\n", max(0, key - _MAX_INDENT), key)
@@ -678,15 +723,18 @@ def _verified_tail(text: str, key: int) -> tuple[int, int, int, int]:
         if not text.startswith(lead + "[", row):
             return row, row, n, n
         if text.startswith(head, row) and text.startswith("-1", row + len(head) + p * width):
-            if (n - p) * n < _FOLD_MIN_CELLS:
+            # Each tail row is ``head``, "-1" and n - 1 cells of ``width``,
+            # and ``inner + "]"``: a text too short for the tail is not compared.
+            size = (n - p) * (len(head) + 2 + (n - 1) * width + len(inner) + 1)
+            if (n - p) * n < _FOLD_MIN_CELLS or row + size > len(text):
                 return row, row, n, n
-            # The tail's text grows as n squared: it is compared one piece at
-            # a time, and a piece is cut only once the text before it matched.
+            # The tail's text grows as n squared: it is compared one block at
+            # a time, and a block is cut only once the text before it matched.
             end = row
-            for piece in _minus_identity_text(lead, inner, n, p):
-                if not text.startswith(piece, end):
+            for block in _minus_identity_blocks(lead, inner, n, p):
+                if not text.startswith(block, end):
                     return row, row, n, n
-                end += len(piece)
+                end += len(block)
             if text.startswith(indent + "]", end):
                 return row, end, n, p
             return row, row, n, n

@@ -258,6 +258,36 @@ def test_empty_partition_or_order_is_a_parse_error(capsys, argv, message):
     assert (rc, out, err) == (2, "", json.dumps({"error": message}) + "\n")
 
 
+_NEGATIVE_PART = "cannot parse partition '-1,6': part (-1,) must be non-negative and nonzero"
+_NEGATIVE_ORDER = "cannot parse --order '-4,1': part (-4,) must be non-negative and nonzero"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["invariants", "--family", "quintic", "--partition", "-1,6"], _NEGATIVE_PART),
+        (["invariants", "--family", "quintic", "--partition=-1,6"], _NEGATIVE_PART),
+        (["check", "--family", "quintic", "--partition", "-1,6", "--after-blowup"], _NEGATIVE_PART),
+        (["invariants", "--family", "quintic", "--partition", "1,4", "--order", "-4,1"], _NEGATIVE_ORDER),
+        (["check", "--family", "quintic", "--after-blowup", "--partition", "1,4", "--order", "-4,1"], _NEGATIVE_ORDER),
+        (["invariants", "--family", "quintic", "--partition=1,4", "--order=-4,1"], _NEGATIVE_ORDER),
+        # a flag is still no value, and a subcommand without the flag does not take it
+        (["invariants", "--family", "quintic", "--partition", "--order", "1"], "argument --partition: expected one argument"),
+        (["invariants", "--family", "quintic", "--partition", "-x"], "argument --partition: expected one argument"),
+        (["table", "--family", "quintic", "--partition", "-1,6"], "unrecognized arguments: --partition -1,6"),
+    ],
+)
+def test_a_value_with_a_leading_minus_is_parsed_not_taken_for_a_flag(capsys, argv, message):
+    """``--partition -1,6`` is refused as ``--partition=-1,6`` is, by the
+    partition parser, and ``--order -4,1`` likewise."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (2, "", json.dumps({"error": message}) + "\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -851,7 +881,7 @@ def blown_up_export(tmp_path_factory):
         ["bogus"],
         ["table"],
         ["table", "--family", "quintic", "--format", "xml"],
-        ["invariants", "--family", "quintic", "--partition", "-1,6"],
+        ["invariants", "--family", "quintic", "--partition", "--order", "1"],
     ],
 )
 def test_argument_errors_are_one_json_line(capsys, argv):

@@ -81,16 +81,25 @@ def test_every_export_reads_as_plain_json():
         assert ncconfig.config_from_json(text) == config == _plain(text), label
 
 
-def test_every_minus_identity_row_of_a_stress_blowup_is_recognised():
-    """On each stress export every D3 -I row is decoded from verified text;
-    a writer layout change that silently disables the fast path fails here."""
+def _minus_identity_oracle(n, p):
+    """Rows p to n - 1 of the n x n matrix -I, cell by cell."""
+    return [[-1 if c == q else 0 for c in range(n)] for q in range(p, n)]
+
+
+def test_the_d3_tail_of_each_stress_blowup_is_folded_into_one_token():
+    """On each stress export the D3 Gram's -I rows are one verified tail,
+    read as one ``(n, p)`` marker; a writer layout change that silently
+    disables the fast path fails here."""
     assert len(_stress_exports()) == 45
     for label, config, text in _stress_exports():
-        gram = configfile._loads(text)["surfaces"][2]["gram"]
+        [tail] = configfile._fold_gram_tails(text)[1].values()
+        grams = [s["gram"] for s in configfile._loads(text)["surfaces"]]
+        marked = [type(g[-1]) is configfile._MinusIdentityTail for g in grams]
+        assert marked == [False, False, True] and grams[2][-1] == tail, label
         lattice = config.surfaces[2].lattice
-        verified = [type(r) is configfile._MinusIdentityRow for r in gram]
-        assert verified == [False] * len(lattice.gram) + [True] * lattice.exceptional, label
-        assert gram == configfile.config_to_dict(config)["surfaces"][2]["gram"], label
+        assert tail == (lattice.rank, len(lattice.gram)), label
+        expanded = grams[2][:-1] + _minus_identity_oracle(*tail)
+        assert expanded == configfile.config_to_dict(config)["surfaces"][2]["gram"], label
 
 
 def test_catalog_sized_exports_are_decoded_as_plain_json():
@@ -112,6 +121,24 @@ def test_a_long_first_row_over_a_short_tail_reads_as_plain_json_in_bounded_memor
     finally:
         tracemalloc.stop()
     assert peak < 20 * len(text)
+
+
+def test_a_compact_first_row_under_a_deep_indent_reads_in_memory_a_few_times_its_text():
+    """A Gram indented 60 spaces whose first row is 20,000 zeros on one line,
+    then one row that opens like an -I row: a row of the writer's text is 33
+    times as long as that first row.  No expected row is built for a text
+    too short to hold the tail."""
+    n, indent = 20000, " " * 60
+    text = "{\n" + indent + '"gram": [\n' + indent + "  [" + ",".join(["0"] * n) + "],\n"
+    text += indent + "  [\n" + indent + "    0,\n" + indent + "    -1\n" + indent + "  ]\n" + indent + "]\n}"
+    text += " " * configfile._FOLD_MIN_CHARS
+    tracemalloc.start()
+    try:
+        _assert_as_plain(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(text)
 
 
 def _nested_first_rows(k):
@@ -351,3 +378,126 @@ def test_verified_minus_identity_rows_are_not_scanned_again(monkeypatch):
     monkeypatch.setattr(configfile, "base_rank", recorded)
     assert ncconfig.config_from_json(_d21_all_ones_text()) == _d21_all_ones()
     assert len(sizes) == 2 and max(sizes) < 295, sizes
+
+
+# ---------------------------------------------------------------------------
+# The degree-21 all-ones tail, at the edges of the blocks it is verified in
+
+
+def _d3_row_cells(text, q):
+    """Spans of the cells of row q >= 1 of the D3 Gram."""
+    rows, start = _tail_rows(text)
+    a = start + rows[q - 1]
+    return [m.span() for m in _CELL.finditer(text, a, text.index("\n        ]", a) + 1)]
+
+
+def _block_edge_rows():
+    """The first and the last row of each block the D3 tail is compared in."""
+    lattice = _d21_all_ones().surfaces[2].lattice
+    n, q = lattice.rank, len(lattice.gram)
+    edges = []
+    for block in configfile._minus_identity_blocks(",\n        ", "\n        ", n, q):
+        rows = block.count("-1")
+        edges += [q, q + rows - 1]
+        q += rows
+    assert q == n and len(edges) > 2 * 4
+    return sorted(set(edges))
+
+
+def _set_cell(text, q, c, value):
+    a, b = _d3_row_cells(text, q)[c]
+    return text[:a] + value + text[b:]
+
+
+def _edge_mutations():
+    text = _d21_all_ones_text()
+    n = _d21_all_ones().surfaces[2].lattice.rank
+    for q in _block_edge_rows():
+        yield f"row {q}: -1 -> 0", _set_cell(text, q, q, "0")
+        for c in (q - 1, q + 1):
+            if c < n:
+                yield f"row {q}: cell {c} 0 -> -1", _set_cell(text, q, c, "-1")
+    rows, start = _tail_rows(text)
+    last = start + rows[-1]
+    close = text.index("\n      ]", last)
+    yield "last row dropped", text[:last] + text[close:]
+    yield "one -I row added", text[:close] + text[last:close] + text[close:]
+
+
+def test_a_text_too_short_for_the_tail_it_opens_builds_no_block(monkeypatch):
+    """The degree-21 all-ones export cut 20,000 characters into D3's tail,
+    which takes about 1.1 MB: the tail is not compared, so not one block of
+    the writer's text is built for it."""
+    rows, start = _tail_rows(_d21_all_ones_text())
+    text = _d21_all_ones_text()[: start + rows[0] + 20000]
+    blocks = []
+    monkeypatch.setattr(configfile, "_minus_identity_blocks", lambda *args: blocks.append(args) or iter(()))
+    _assert_as_plain(text)
+    assert blocks == []
+
+
+def test_mutations_at_the_edges_of_the_verified_blocks_read_as_plain_json():
+    """Each block's first and last row, with its -1 set to 0 or a 0 beside
+    it set to -1; the tail one row short or one row long."""
+    cases = list(_edge_mutations())
+    assert len(cases) > 30
+    for label, text in cases:
+        assert text != _d21_all_ones_text(), label
+        assert _outcome(ncconfig.config_from_json, text) == _outcome(_plain, text), label
+
+
+def test_a_verified_tail_outside_a_surface_gram_reads_as_plain_json():
+    """A "gram" key among D3's restrictions holds a copy of its Gram in the
+    writer's layout: its tail is verified and folded too, but only a
+    surface's Gram reads the marker, so the text is read as plain JSON."""
+    data = configfile.config_to_dict(_d21_all_ones())
+    data["surfaces"][2]["restrictions"]["gram"] = data["surfaces"][2]["gram"]
+    text = configfile.dumps(data)
+    assert len(configfile._fold_gram_tails(text)[1]) == 2
+    outcome = _outcome(ncconfig.config_from_json, text)
+    assert outcome == _outcome(_plain, text) == ("ok", _d21_all_ones())
+
+
+def test_a_verified_tail_is_one_token_and_no_dense_rows(monkeypatch):
+    """Reading the degree-21 all-ones export calls the ``parse_float`` hook
+    once, for D3's 294-row tail, and lays out no -I row; the fallback, for a
+    base row nonzero in an -I column, lays out the tail it must scan."""
+    hooked, laid_out = [], []
+    loads = json.loads
+    rows = configfile._minus_identity_rows
+
+    def counted_loads(text, **kwargs):
+        if "parse_float" in kwargs:
+            hook = kwargs["parse_float"]
+            kwargs["parse_float"] = lambda token: hooked.append(token) or hook(token)
+        return loads(text, **kwargs)
+
+    def recorded_rows(n, p):
+        laid_out.append((n, p))
+        return rows(n, p)
+
+    monkeypatch.setattr(json, "loads", counted_loads)
+    monkeypatch.setattr(configfile, "_minus_identity_rows", recorded_rows)
+    assert ncconfig.config_from_json(_d21_all_ones_text()) == _d21_all_ones()
+    assert (hooked, laid_out) == (["0.0"], [])
+
+    text = _d21_all_ones_text()
+    start, _ = _gram_span(text)
+    a, b = list(_CELL.finditer(text, start, text.index("\n        ]", start)))[-1].span()
+    text = text[:a] + "1" + text[b:]  # the last cell of row 0, the base
+    assert _outcome(ncconfig.config_from_json, text)[0] == "refused"
+    assert laid_out == [(295, 1)]
+
+
+def test_reading_the_largest_export_holds_less_than_its_text():
+    """The tracemalloc peak of reading the degree-21 all-ones export stays
+    below 0.7 of its text's length: no list of the tail's rows is built."""
+    text = _d21_all_ones_text()
+    ncconfig.config_from_json(text)
+    tracemalloc.start()
+    try:
+        ncconfig.config_from_json(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.7 * len(text)

@@ -630,3 +630,17 @@ def test_writer_matches_stdlib_encoder_on_blown_up_and_edge_configurations():
         text = config_to_json(config)
         assert text == json.dumps(config_to_dict(config), indent=2, sort_keys=True)
         assert config_to_json(config_from_json(text)) == text
+
+
+def test_writer_writes_a_row_holding_a_bool_as_the_stdlib_encoder_does():
+    """A record built in Python may hold ``True`` where a file holds 1; such
+    a row is not all exact ints, and the writer still writes the text of
+    ``config_to_dict`` (``true``), as for any other value."""
+    config, _ = catalog.instantiate("quintic", quintic_partition(5))
+    surface = config.surfaces[0]
+    flagged = tuple(tuple(True if x == 1 else x for x in r) for r in surface.restrictions[0])
+    assert bool in map(type, flagged[0])
+    config = _with_surface(config, 0, restrictions=(flagged, surface.restrictions[1]))
+    text = config_to_json(config)
+    assert text == json.dumps(config_to_dict(config), indent=2, sort_keys=True)
+    assert "true" in text

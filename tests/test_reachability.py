@@ -114,11 +114,16 @@ def _exports(tmp_path):
     invalid["surfaces"][0]["canonical"][0] += 1
     malformed = ncconfig.config_to_dict(quintic)
     malformed["triple"]["euler"] = 1.5
+    d21_blown_up = construction.sequential_blowup(d21, d21_divisor)[0]
+    # The D3 tail is verified, but the base row is not zero over its columns.
+    asymmetric = ncconfig.config_to_dict(d21_blown_up)
+    asymmetric["surfaces"][2]["gram"][0][-1] = 1
     texts = {
         "quintic": ncconfig.config_to_json(quintic),
         "blown-up": ncconfig.config_to_json(blown_up),
         "d21": ncconfig.config_to_json(d21),
-        "d21-blown-up": ncconfig.config_to_json(construction.sequential_blowup(d21, d21_divisor)[0]),
+        "d21-blown-up": ncconfig.config_to_json(d21_blown_up),
+        "d21-asymmetric": ncconfig.dumps(asymmetric),
         "no-labels": json.dumps(no_labels),
         "invalid": json.dumps(invalid),
         "malformed": json.dumps(malformed),
