@@ -136,14 +136,16 @@ class PartitionSpec(Record):
     parts: tuple[Vec, ...]
 
     def __post_init__(self) -> None:
-        if not self.parts:
+        parts = self.parts
+        if not parts:
             raise PartitionError("a partition needs at least one part")
-        ranks = {len(p) for p in self.parts}
-        if len(ranks) != 1:
+        if len(set(map(len, parts))) != 1:
             raise PartitionError("all parts must have the same length")
-        for p in self.parts:
-            if any(x < 0 for x in p) or all(x == 0 for x in p):
-                raise PartitionError(f"part {p} must be non-negative and nonzero")
+        # Checked at C speed; the loop runs only to name the first bad part.
+        if min(itertools.chain.from_iterable(parts), default=0) < 0 or not all(map(any, parts)):
+            for p in parts:
+                if any(x < 0 for x in p) or all(x == 0 for x in p):
+                    raise PartitionError(f"part {p} must be non-negative and nonzero")
 
     @property
     def alpha(self) -> int:

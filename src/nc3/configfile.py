@@ -23,10 +23,10 @@ command that reads or writes a file or a payload.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain
 from typing import Any, Callable, Iterator
 
-from .exactlat import IntersectionLattice, IntMatrix, Vec, base_rank, default_labels, runs
+from .exactlat import IntersectionLattice, IntMatrix, Vec, base_rank, default_labels, rows_from_runs, runs
 from .ncconfig import (
     OTHER_COMPONENTS,
     SCHEMA_ID,
@@ -152,27 +152,26 @@ def _introws(x: Any, where: str) -> list[list[int]]:
     return x
 
 
-# A restriction matrix of fewer rows is copied row by row: comparing its
-# rows costs more than its shared rows save ``NCConfiguration.restrict``.
+# A restriction matrix of fewer rows is copied row by row: finding its runs
+# costs more than they save ``NCConfiguration.restrict`` and the
+# restriction-difference matrix.
 _SHARE_MIN_ROWS = 32
 
 
 def _intmat(x: Any, where: str) -> IntMatrix:
-    """A restriction matrix as tuples; in a long one equal consecutive rows share one tuple.
+    """A restriction matrix as tuples; a long one states its runs of equal rows.
 
-    A blown-up surface repeats one row for every point over a curve.  Runs
-    are found at C speed and only a run's first row is copied and hashed,
-    so equal runs share one tuple too, as in the blown-up record.
+    A blown-up surface repeats one row for every point over a curve.  In a
+    matrix of ``_SHARE_MIN_ROWS`` rows or more the runs of equal consecutive
+    rows are found at C speed, only a run's first row is copied, and the
+    matrix is laid out from the runs and states them
+    (:class:`~nc3.exactlat.RowRuns`), as the blow-up's own matrix does.
     """
     rows = _introws(x, where)
     if len(rows) < _SHARE_MIN_ROWS:
         return tuple(map(tuple, rows))
     heads, lengths = runs(rows)
-    if len(heads) == len(rows):
-        return tuple(map(tuple, rows))
-    tuples = list(map(tuple, heads))
-    shared: dict[Vec, Vec] = {}
-    return tuple(chain.from_iterable(map(repeat, map(shared.setdefault, tuples, tuples), lengths)))
+    return rows_from_runs(list(map(tuple, heads)), lengths)
 
 
 class _MinusIdentityTail(tuple):

@@ -27,12 +27,15 @@ d-semistable by the triple point formula.  All bookkeeping is exact:
 * each blown-up restriction matrix is written once in final form: its old
   rows, each extended by the new columns' entries, then on the third surface
   one row per exceptional point.  The points over one curve share one row
-  tuple, repeated at C speed, and the points' basis labels are formatted
-  once per process, so no Python step of the blow-up runs per point.  The
-  exceptional divisors' labels and the unit vectors of length alpha are
-  likewise built once per process for each alpha.  The
-  first two surfaces keep their lattice, canonical and triple-curve classes
-  and Euler number; only their restrictions and self classes change;
+  tuple, repeated at C speed, and the third surface's two matrices are laid
+  out from these runs and state them (``exactlat.RowRuns``), with each
+  point row's nonzero pairs.  The point rows and their pairs are built once
+  per process for each component rank and alpha, and the points' basis
+  labels once per point count, so no Python step of the blow-up runs per
+  point.  The exceptional divisors' labels are likewise built once per
+  process for each alpha.  The first two surfaces keep their lattice,
+  canonical and triple-curve classes and Euler number; only their
+  restrictions and self classes change;
 * the declared h2 of the configuration grows by exactly 2*alpha.
 
 Order matters for the construction (the trace records it) but not for any
@@ -47,16 +50,18 @@ from __future__ import annotations
 
 import operator
 from functools import cache, cached_property
-from itertools import chain, repeat
+from itertools import compress
 from typing import Sequence
 
 from ._record import Record
 from .exactlat import (
     IntersectionLattice,
     RationalMatrix,
+    SparseRow,
     Vec,
     gram_product,
     require_curve_class,
+    rows_from_runs,
     vec_sub,
 )
 from .ncconfig import (
@@ -337,7 +342,7 @@ def sequential_blowup(
             )
         ),
     )
-    labels_e1, labels_e2, labels_e3, unit, minus = _alpha_table(alpha)
+    labels_e1, labels_e2, labels_e3 = _alpha_table(alpha)
 
     # --- components --------------------------------------------------------
     chern0 = comp0.chern_numbers
@@ -431,19 +436,27 @@ def sequential_blowup(
     eps_all_pos = (1,) * gamma
     eps_all_neg = (-1,) * gamma
 
+    # Each matrix states its runs: one per base row, then one per curve that
+    # meets the triple curve, whose points share one row tuple and state its
+    # nonzero pairs.
+    lengths = [1] * len(s2.restrictions[0]) + list(filter(None, points))
+    no_pairs = [None] * len(s2.restrictions[0])
     # Restriction from component 0: pullbacks keep their coordinates (zero on
     # the exceptional points); E[l,2] restricts to the points over curve l;
     # E'[l,3] restricts to the proper transform of the l-th C3 curve, its
-    # class minus those points.  The points over one curve share one row
-    # tuple, repeated at C speed.
-    over0 = [(0,) * comp0.h2_rank + unit[l] + minus[l] for l in range(alpha)]
-    new_r20 = tuple(r + zeros + c for r, c in zip(s2.restrictions[0], coords[2])) + tuple(
-        chain.from_iterable(map(repeat, over0, points))
+    # class minus those points.
+    heads, pairs = _point_rows(comp0.h2_rank, alpha, True)
+    new_r20 = rows_from_runs(
+        [r + zeros + c for r, c in zip(s2.restrictions[0], coords[2])] + list(compress(heads, points)),
+        lengths,
+        no_pairs + list(compress(pairs, points)),
     )
     # Restriction from component 1: E[l,1] restricts to the points over curve l.
-    over1 = [(0,) * comp1.h2_rank + unit[l] for l in range(alpha)]
-    new_r21 = tuple(r + zeros for r in s2.restrictions[1]) + tuple(
-        chain.from_iterable(map(repeat, over1, points))
+    heads, pairs = _point_rows(comp1.h2_rank, alpha, False)
+    new_r21 = rows_from_runs(
+        [r + zeros for r in s2.restrictions[1]] + list(compress(heads, points)),
+        lengths,
+        no_pairs + list(compress(pairs, points)),
     )
     new_s2 = SurfaceGeometry(
         name=s2.name,
@@ -475,23 +488,38 @@ def sequential_blowup(
 
 
 @cache
-def _alpha_table(
-    alpha: int,
-) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], tuple[Vec, ...], tuple[Vec, ...]]:
+def _alpha_table(alpha: int) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
     """The labels ``E[l,1]``, ``E[l,2]`` and ``E'[l,3]`` of the exceptional
-    divisors, and plus and minus the l-th unit vector of length ``alpha``,
-    for l = 1 .. alpha.
+    divisors, for l = 1 .. alpha.
 
     They depend on alpha alone, so each is built once per process.
     """
-    zeros = (0,) * alpha
     return (
         tuple(f"E[{l + 1},1]" for l in range(alpha)),
         tuple(f"E[{l + 1},2]" for l in range(alpha)),
         tuple(f"E'[{l + 1},3]" for l in range(alpha)),
-        tuple(zeros[:l] + (1,) + zeros[l + 1 :] for l in range(alpha)),
-        tuple(zeros[:l] + (-1,) + zeros[l + 1 :] for l in range(alpha)),
     )
+
+
+@cache
+def _point_rows(width: int, alpha: int, proper: bool) -> tuple[tuple[Vec, ...], tuple[SparseRow, ...]]:
+    """The restriction rows of the points over curves 1 .. alpha of the blown-up
+    third surface, from a component with ``width`` classes before its alpha
+    exceptional divisors, and each row's nonzero ``(col, value)`` pairs.
+
+    A point over curve l is 1 on the l-th exceptional divisor.  With
+    ``proper`` the component's alpha proper transforms E'[l,3] follow, and
+    the point is -1 on the l-th of them.  The pairs are read from the rows.
+    They depend on these numbers alone, so each is built once per process.
+    """
+    rows = []
+    for l in range(alpha):
+        row = [0] * (width + (2 if proper else 1) * alpha)
+        row[width + l] = 1
+        if proper:
+            row[width + alpha + l] = -1
+        rows.append(tuple(row))
+    return tuple(rows), tuple(tuple(filter(operator.itemgetter(1), enumerate(r))) for r in rows)
 
 
 @cache

@@ -15,11 +15,13 @@ No floating point is used anywhere in this package, and all arithmetic goes
 through Python integers, so the contract is unbounded precision.  Rank runs
 on the distinct nonzero rows of a matrix: a repeated row or a zero row adds
 nothing to the row space, and a blown-up surface repeats one restriction row
-for every point over a curve.  A ``RationalMatrix`` holds those rows as
-their ``(col, value)`` pairs, derived from its dense rows on first read or,
-for a matrix built from its runs of equal rows (one sparse row and its
-length each), from those runs; such a matrix lays out its dense rows from
-the same runs, and only when they are read.  The rank is computed by
+for every point over a curve; the blow-up and the file reader lay such a
+matrix out from its runs as a ``RowRuns``, which keeps them for its
+readers.  A ``RationalMatrix`` holds the distinct nonzero rows as their
+``(col, value)`` pairs, derived from its dense rows on first read or, for
+a matrix built from its runs of equal rows (one sparse row and its length
+each), from those runs; such a matrix lays out its dense rows from the
+same runs, and only when they are read.  The rank is computed by
 sparse fraction-free integer elimination: rows are kept as ``{col: value}``
 dicts and taken as pivot rows in ascending order of their initial length,
 an index of each column's rows lets a pivot update only the rows that hold
@@ -91,13 +93,50 @@ def mat_vec(m: IntMatrix, v: Vec) -> Vec:
     return tuple(sum(map(operator.mul, r, v)) for r in m)
 
 
+class RowRuns(tuple):
+    """The rows of a matrix, with the runs they were laid out from.
+
+    Row tuple ``heads[r]`` repeats ``lengths[r]`` (positive) times; runs
+    next to each other may hold equal rows.  ``pairs``, when given, holds
+    per run its head's nonzero ``(col, value)`` pairs in ascending column
+    order, or None.  :func:`rows_from_runs` is the only constructor, so the
+    runs cannot disagree with the rows.  The value equals, hashes and prints
+    as the plain tuple of its rows; its slices and sums are plain tuples.
+    """
+
+    heads: list[tuple[int, ...]]
+    lengths: list[int]
+    pairs: list[SparseRow | None] | None
+
+    def __new__(cls, *args: Any) -> "RowRuns":
+        raise TypeError("RowRuns are built by rows_from_runs(heads, lengths, pairs)")
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return rows_from_runs, (self.heads, self.lengths, self.pairs)
+
+
+def rows_from_runs(
+    heads: list[tuple[int, ...]], lengths: list[int], pairs: list[SparseRow | None] | None = None
+) -> RowRuns:
+    """The rows ``heads[r]`` repeated ``lengths[r]`` times, laid out at C speed,
+    stating the runs (and ``pairs``) they came from; see :class:`RowRuns`."""
+    m = tuple.__new__(RowRuns, chain.from_iterable(map(repeat, heads, lengths)))
+    m.heads = heads
+    m.lengths = lengths
+    m.pairs = pairs
+    return m
+
+
 def runs(rows: Sequence[Any]) -> tuple[list[Any], list[int]]:
-    """The first row and the length of each run of equal consecutive rows, at C speed.
+    """The runs ``rows`` states, or else the first row and the length of each
+    run of equal consecutive rows, found at C speed.
 
     ``groupby`` compares a row with the one before it, and a row that is
     the same object as its neighbour compares equal without a look at its
     entries.  ``map`` reads each group whole before ``groupby`` moves past it.
     """
+    if type(rows) is RowRuns:
+        return rows.heads, rows.lengths
     groups = list(map(list, map(itemgetter(1), groupby(rows))))
     return list(map(itemgetter(0), groups)), list(map(len, groups))
 

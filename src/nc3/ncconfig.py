@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain, compress, groupby, repeat
-from operator import is_, neg
+from operator import neg
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ._record import Record
@@ -54,12 +54,12 @@ from .exactlat import (
     IntersectionLattice,
     IntMatrix,
     RationalMatrix,
+    RowRuns,
     SparseRow,
     Vec,
     adjunction_sum,
     kernel_dimension,
     mat_vec,
-    runs,
     vec_add,
     vec_sub,
     vec_zero,
@@ -217,7 +217,9 @@ class NCConfiguration(Record):
             raise ConfigError("component names must be distinct")
         for surf, adj in zip(self.surfaces, SURFACE_ADJACENCY):
             for m, comp in zip(surf.restrictions, (self.components[i] for i in adj)):
-                if len(m) != surf.lattice.rank or not {comp.h2_rank}.issuperset(map(len, m)):
+                # Each row of a stated matrix is one of its heads.
+                rows = m.heads if type(m) is RowRuns else m
+                if len(m) != surf.lattice.rank or not {comp.h2_rank}.issuperset(map(len, rows)):
                     raise ConfigError(
                         f"surface {surf.name}: restriction from {comp.name} must be "
                         f"{surf.lattice.rank}x{comp.h2_rank}"
@@ -257,22 +259,18 @@ class NCConfiguration(Record):
         return self.surfaces[surface_index].restrictions[adj.index(component_index)]
 
     def restrict(self, surface_index: int, component_index: int, v: Vec) -> Vec:
-        """Image of ``v`` under a restriction matrix, each run of equal rows multiplied once.
+        """Image of ``v`` under a restriction matrix, each stated run multiplied once.
 
         A blown-up surface repeats one restriction row for every point over
-        a curve, as one shared row tuple after the blow-up and in a parsed
-        file alike.  A matrix in which no row is the same object as the one
-        before it (checked at C speed) is multiplied row by row.  Otherwise
-        runs of equal consecutive rows collapse, only a run's first row is
-        hashed, and each run's image is repeated at C speed.
+        a curve.  The blow-up and the reader state such a matrix's runs
+        (:class:`~nc3.exactlat.RowRuns`): each run's head is multiplied once
+        and its image repeated at C speed.  Any other matrix is multiplied
+        row by row.
         """
         m = self.restriction(surface_index, component_index)
-        if not any(map(is_, m, m[1:])):
+        if type(m) is not RowRuns:
             return mat_vec(m, v)
-        heads, lengths = runs(m)
-        distinct = tuple(dict.fromkeys(heads))
-        image = dict(zip(distinct, mat_vec(distinct, v)))
-        return tuple(chain.from_iterable(map(repeat, map(image.__getitem__, heads), lengths)))
+        return tuple(chain.from_iterable(map(repeat, mat_vec(m.heads, v), m.lengths)))
 
     def boundary_class(self, component_index: int, other_index: int) -> Vec:
         """Coordinates on component i of the double surface Y_other ^ Y_i."""
@@ -457,12 +455,15 @@ def restriction_difference_matrix(config: NCConfiguration) -> RationalMatrix:
     the first adjacent component and - the restriction from the second.
 
     The matrix is built as its runs of equal rows, each one sparse row and
-    its length.  A blown-up surface repeats one pair of restriction row
-    tuples for every point over a curve, so runs of equal consecutive
-    ``(r_plus, r_minus)`` pairs collapse at C speed, comparing on identity,
-    before any row is built.  The rank reads the distinct nonzero rows of
-    these runs, and the dense rows are laid out from them only when
-    ``entries`` is first read.
+    its length.  When a surface's two restriction matrices state runs of the
+    same lengths (:class:`~nc3.exactlat.RowRuns`, as the blow-up and the
+    reader write a blown-up surface), the runs pair up in order and no row
+    is walked: a head with stated pairs gives them shifted by its
+    component's column offset, and any other head is made sparse at C
+    speed.  Otherwise runs of equal consecutive ``(r_plus, r_minus)`` pairs
+    of rows are found at C speed, comparing on identity first.  The rank
+    reads the distinct nonzero rows of these runs, and the dense rows are
+    laid out from them only when ``entries`` is first read.
     """
     offsets = [0]
     for comp in config.components:
@@ -471,8 +472,24 @@ def restriction_difference_matrix(config: NCConfiguration) -> RationalMatrix:
     for i, (j, k) in enumerate(SURFACE_ADJACENCY):
         plus_cols = range(offsets[j], offsets[j + 1])
         minus_cols = range(offsets[k], offsets[k + 1])
-        pairs = zip(config.restriction(i, j), config.restriction(i, k))
-        for (r_plus, r_minus), run in groupby(pairs):
+        m_plus, m_minus = config.restriction(i, j), config.restriction(i, k)
+        if type(m_plus) is type(m_minus) is RowRuns and m_plus.lengths == m_minus.lengths:
+            o_plus, o_minus = offsets[j], offsets[k]
+            heads = zip(m_plus.heads, m_minus.heads)
+            pairs = zip(m_plus.pairs or repeat(None), m_minus.pairs or repeat(None))
+            for (r_plus, r_minus), (p_plus, p_minus), n in zip(heads, pairs, m_plus.lengths):
+                if p_plus is None:
+                    plus = zip(compress(plus_cols, r_plus), compress(r_plus, r_plus))
+                else:
+                    plus = [(c + o_plus, x) for c, x in p_plus]
+                if p_minus is None:
+                    minus = zip(compress(minus_cols, r_minus), map(neg, compress(r_minus, r_minus)))
+                else:
+                    minus = [(c + o_minus, -x) for c, x in p_minus]
+                row = tuple(chain(plus, minus) if j < k else chain(minus, plus))
+                matrix_runs.append((row, n))
+            continue
+        for (r_plus, r_minus), run in groupby(zip(m_plus, m_minus)):
             plus = zip(compress(plus_cols, r_plus), compress(r_plus, r_plus))
             minus = zip(compress(minus_cols, r_minus), map(neg, compress(r_minus, r_minus)))
             # In ascending column order, so equal rows are equal tuples.

@@ -114,6 +114,39 @@ def test_partition_rejects_zero_part():
         PartitionSpec(parts=((0, 0), (3, 3)))
 
 
+def _part_by_part_refusal(parts):
+    """The partition checks written out part by part: the message of the
+    first refusal, or None."""
+    if not parts:
+        return "a partition needs at least one part"
+    if len({len(p) for p in parts}) != 1:
+        return "all parts must have the same length"
+    for p in parts:
+        if any(x < 0 for x in p) or all(x == 0 for x in p):
+            return f"part {p} must be non-negative and nonzero"
+    return None
+
+
+def test_partition_refusals_match_the_part_by_part_checks():
+    """Every partition of up to three parts of length 0, 1 or 2 with entries
+    -1, 0 and 2 is refused, with the same message naming the same first bad
+    part, exactly when the part-by-part checks refuse it."""
+    parts = [p for n in (0, 1, 2) for p in itertools.product((-1, 0, 2), repeat=n)]
+    seen = refused = 0
+    for count in (0, 1, 2, 3):
+        for candidate in itertools.product(parts, repeat=count):
+            expected = _part_by_part_refusal(candidate)
+            if expected is None:
+                assert PartitionSpec(parts=candidate).parts == candidate
+            else:
+                with pytest.raises(PartitionError) as exc:
+                    PartitionSpec(parts=candidate)
+                assert str(exc.value) == expected, candidate
+                refused += 1
+            seen += 1
+    assert seen == 1 + 13 + 13**2 + 13**3 and 0 < refused < seen
+
+
 def test_unknown_family():
     with pytest.raises(catalog.UnknownFamily):
         get_family("septic")

@@ -129,6 +129,36 @@ def test_p2xp2_bidegree_divisor_matches_reference_gamma():
     assert check_collective_divisor(config, divisor) == []
 
 
+@pytest.mark.parametrize("first", [0, 1])
+def test_a_curve_that_misses_the_triple_curve_adds_no_point_row(first):
+    """On p2xp2 the class (1,-1) meets the triple curve (1,1) in 0 points and
+    (2,4) in 18; the two sum to the normal class (3,3).  The third surface
+    gains 18 point rows, all over the second curve, and its two matrices
+    state one run per base row and one for that curve alone.  Each row is
+    checked cell by cell, and both routes of ``hodge`` agree."""
+    config, _ = catalog.instantiate("p2xp2", catalog.PartitionSpec(parts=((1, 0), (2, 3))))
+    classes, mults = ((1, -1), (2, 4)), (0, 18)
+    if first:
+        classes, mults = classes[::-1], mults[::-1]
+    divisor = CollectiveDivisor(alpha=2, components=(classes,) * 3, tau_multiplicities=mults)
+    assert check_collective_divisor(config, divisor) == []
+    tilde, _ = sequential_blowup(config, divisor)
+    s2 = config.surfaces[2]
+    hit = mults.index(18)
+    unit = tuple(int(l == hit) for l in range(2))
+    expected = (
+        tuple(r + (0, 0) + tuple(c[q] for c in classes) for q, r in enumerate(s2.restrictions[0]))
+        + ((0, 0) + unit + tuple(-x for x in unit),) * 18,
+        tuple(r + (0, 0) for r in s2.restrictions[1]) + ((0, 0) + unit,) * 18,
+    )
+    for m, rows in zip(tilde.surfaces[2].restrictions, expected):
+        assert m == rows
+        assert m.lengths == [1, 1, 18] and m.pairs[:2] == [None, None]
+    assert tilde.surfaces[2].lattice.rank == 2 + 18
+    result = invariants.hodge(config, divisor)
+    assert (result.euler, result.h11, result.h12) == (-150, 4, 79)
+
+
 def test_catalog_gamma_matches_every_partition():
     for fam_id in catalog.family_ids():
         fam = catalog.get_family(fam_id)

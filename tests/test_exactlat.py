@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -13,6 +15,7 @@ from nc3.exactlat import (
     ExactLatticeError,
     IntersectionLattice,
     RationalMatrix,
+    RowRuns,
     SmoothCurveParityError,
     ZeroCurveClass,
     _sparse_rank,
@@ -25,6 +28,8 @@ from nc3.exactlat import (
     matrix_rank,
     pair,
     require_curve_class,
+    rows_from_runs,
+    runs,
     vec_add,
 )
 from nc3.ncconfig import restriction_difference_matrix
@@ -267,6 +272,31 @@ def test_a_matrix_from_runs_reads_its_rows_distinct_rows_and_entries_from_them()
     assert m == RationalMatrix.from_rows(m.entries) and kernel_dimension(m) == 1
     empty = RationalMatrix.from_runs(0, [])
     assert (empty.rows, empty.distinct_rows, empty.entries) == (0, (), ())
+
+
+def test_rows_from_runs_lays_out_the_runs_it_states():
+    """Each head repeated by its length, as one shared tuple.  The value
+    equals, hashes and prints as the plain tuple of its rows; a slice or a
+    sum is a plain tuple; ``runs`` returns the stated runs, which may split a
+    run of equal rows, where a plain tuple's runs are found."""
+    a, b = (1, 0, 2), (0, 3, 0)
+    m = rows_from_runs([a, a, b, a], [2, 1, 1, 1], [None, None, ((1, 3),), None])
+    rows = (a, a, a, b, a)
+    assert m == rows and hash(m) == hash(rows) and repr(m) == repr(rows)
+    assert m[0] is m[1] is m[2] is m[4] is a
+    assert type(m[1:]) is type(m + ()) is tuple
+    assert runs(m) == ([a, a, b, a], [2, 1, 1, 1])
+    assert runs(rows) == ([a, b, a], [3, 1, 1])
+    assert runs(rows_from_runs([], [])) == ([], []) and rows_from_runs([], []) == ()
+
+
+def test_a_copy_or_a_pickle_of_stated_rows_keeps_the_runs_and_no_other_constructor_exists():
+    m = rows_from_runs([(1, 0), (0, 1)], [3, 2], [((0, 1),), None])
+    for other in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert type(other) is RowRuns and other == m
+        assert (other.heads, other.lengths, other.pairs) == (m.heads, m.lengths, m.pairs)
+    with pytest.raises(TypeError, match=r"built by rows_from_runs\(heads, lengths, pairs\)"):
+        RowRuns([(1, 0)])
 
 
 @pytest.mark.parametrize("cell", [Fraction(1, 2), Fraction(2), 0.5, 2.0, True])

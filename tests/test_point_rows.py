@@ -1,26 +1,30 @@
 """The run-collapsing paths against independent oracles.
 
 A blown-up third surface holds one restriction row per triple-curve point,
-and the points over one curve share one row tuple.  The restriction-
-difference matrix, its rank, ``NCConfiguration.restrict`` and the normal
-class's ``is_zero`` collapse runs of equal consecutive rows.  Here each is
-compared with a plain computation that collapses nothing, on three variants
-of every blown-up configuration:
+and the points over one curve share one row tuple.  The blow-up and the
+reader lay such a matrix out from its runs and state them
+(``exactlat.RowRuns``); the restriction-difference matrix, its rank and
+``NCConfiguration.restrict`` read the stated runs, and otherwise collapse
+runs of equal consecutive rows, as does the normal class's ``is_zero``.
+Here each is compared with a plain computation that collapses nothing, on
+four variants of every blown-up configuration:
 
-* as the blow-up built it, with shared row tuples;
-* rebuilt with every restriction row copied into a fresh tuple, as a parsed
-  file holds them;
+* as the blow-up built it, with shared row tuples and stated runs;
+* rebuilt with every restriction row copied into a fresh tuple, stating
+  nothing;
 * rebuilt fresh with the third surface's point rows permuted, so that equal
-  rows are not consecutive.
+  rows are not consecutive;
+* exported and read back, so a matrix of 32 rows or more states the runs
+  the reader found.
 """
 
 import random
 
 import pytest
 
-from nc3 import catalog, construction, degeneration
+from nc3 import catalog, construction, degeneration, ncconfig
 from nc3._record import replace
-from nc3.exactlat import mat_vec, matrix_rank
+from nc3.exactlat import RowRuns, mat_vec, matrix_rank, runs
 from nc3.ncconfig import SURFACE_ADJACENCY, restriction_difference_matrix
 from tests.conftest import (
     all_catalog_cases,
@@ -79,7 +83,12 @@ def _variants(config, gamma, rng):
         base = len(m) - gamma
         return m[:base] + tuple(m[base + p] for p in perm)
 
-    return {"shared": config, "fresh": fresh, "permuted": _with_rows(fresh, permuted)}
+    return {
+        "shared": config,
+        "fresh": fresh,
+        "permuted": _with_rows(fresh, permuted),
+        "parsed": ncconfig.config_from_json(ncconfig.config_to_json(config)),
+    }
 
 
 def _generator_is_zero(normal):
@@ -110,6 +119,53 @@ def test_run_collapsing_paths_match_plain_computations(label, case):
                     assert cfg.restrict(i, c, v) == mat_vec(cfg.restriction(i, c), v), where
         assert cfg.normal_class.is_zero is _generator_is_zero(cfg.normal_class) is True, where
     assert config.normal_class.is_zero is _generator_is_zero(config.normal_class), label
+
+
+def _assert_states_its_rows(m, where):
+    """A stated matrix is its heads repeated by their positive lengths, and
+    each stated pair list is its head's nonzero entries in column order."""
+    laid_out = []
+    for head, n in zip(m.heads, m.lengths):
+        assert n > 0, where
+        laid_out += [head] * n
+    assert m == tuple(laid_out), where
+    for head, pairs in zip(m.heads, m.pairs or ()):
+        if pairs is not None:
+            assert pairs == tuple((j, x) for j, x in enumerate(head) if x), where
+
+
+@pytest.mark.parametrize("label, case", CASES, ids=[label for label, _ in CASES])
+def test_stated_runs_are_the_rows_and_change_no_result(label, case):
+    """The blow-up states both matrices of the third surface, and a pair list
+    for each curve that meets the triple curve.  The reader states every
+    matrix of 32 rows or more, with the runs ``exactlat.runs`` finds in its
+    plain rows, and the file it read re-exports byte for byte.  The
+    restriction-difference matrix of either has the distinct rows and
+    entries of the same configuration with plain tuples."""
+    config, divisor = case
+    tilde, _ = construction.sequential_blowup(config, divisor)
+    text = ncconfig.config_to_json(tilde)
+    parsed = ncconfig.config_from_json(text)
+    assert ncconfig.config_to_json(parsed) == text, label
+    curves = sum(1 for m in divisor.tau_multiplicities if m)
+    for name, cfg in (("blown", tilde), ("parsed", parsed)):
+        where = (label, name)
+        for i, surface in enumerate(cfg.surfaces):
+            for m in surface.restrictions:
+                if name == "blown":
+                    assert (type(m) is RowRuns) is (i == 2), where
+                    if i == 2:
+                        assert sum(p is not None for p in m.pairs) == curves, where
+                else:
+                    assert (type(m) is RowRuns) is (len(m) >= 32), where
+                    if len(m) >= 32:
+                        assert (m.heads, m.lengths) == runs(tuple(m)), where
+                if type(m) is RowRuns:
+                    _assert_states_its_rows(m, where)
+        plain = _with_rows(cfg, lambda i, m: tuple(map(tuple, m)))
+        stated, walked = restriction_difference_matrix(cfg), restriction_difference_matrix(plain)
+        assert stated.distinct_rows == walked.distinct_rows, where
+        assert (stated.rows, stated.cols, stated.entries) == (walked.rows, walked.cols, walked.entries), where
 
 
 @pytest.mark.parametrize("at", [0, 1, 150, 294])

@@ -3,7 +3,7 @@
 Usage, from the root of the repository:
 
     python3 tools/mutants.py src/nc3/exactlat.py [more modules] \\
-        [--seed 1] [--sample N] [--timeout 300]
+        [--seed 1] [--sample N] [--timeout SECONDS]
 
 A mutant changes one site of one module:
 
@@ -20,11 +20,15 @@ ever edited: each mutant is written into the copy's module, the tests run
 against it in one pytest process with a time limit (``-x``, so a killed
 mutant stops at its first failing test), and the module's original text is
 written back before the next mutant.  One pytest process runs at a time.
-A mutant is killed when pytest fails or runs out of time.  With
-``--sample N`` a seeded random sample of N sites per module is run, else
-every site.  The tests run are the module's own test file, when there is
-one, then the rest of ``tests/``.  Per module the probe prints how many
-mutants were killed, then each survivor with its line.
+The tests first run once on the unmutated copy, which must pass; the time
+limit is ``TIMEOUT_FACTOR`` times that run's wall time unless ``--timeout``
+sets it.  A mutant is killed when pytest fails, and timed out when it runs
+out of time; a timeout is reported apart from a kill, so a shorter limit
+cannot raise the kill count by itself.  With ``--sample N`` a seeded random
+sample of N sites per module is run, else every site.  The tests run are
+the module's own test file, when there is one, then the rest of
+``tests/``.  Per module the probe prints ``K killed, T timed out, S
+survived of N``, then each survivor with its line.
 
 Uses the standard library only.
 """
@@ -47,6 +51,9 @@ ROOT = Path(__file__).resolve().parent.parent
 IGNORE = shutil.ignore_patterns(
     ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks", ".bench_out"
 )
+
+# The default time limit per mutant, as a multiple of the unmutated run.
+TIMEOUT_FACTOR = 3
 
 OPERATORS = {
     ast.Add: ("+", "-"),
@@ -160,7 +167,7 @@ def sites(source: bytes) -> list[Site]:
     return found
 
 
-def run_tests(copy: Path, tests: list[str], timeout: float) -> str:
+def run_tests(copy: Path, tests: list[str], timeout: float | None) -> str:
     """``killed``, ``timeout`` or ``survived``: one pytest process in the copy."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     argv = [
@@ -186,15 +193,15 @@ def default_tests(copy: Path, module: Path) -> list[str]:
 
 
 def probe(copy: Path, module: Path, tests: list[str], sample: int | None,
-          rng: random.Random, timeout: float) -> tuple[int, int, list[str]]:
-    """Mutants run, mutants killed, and a line per survivor, for one module."""
+          rng: random.Random, timeout: float) -> tuple[int, int, int, list[str]]:
+    """Mutants run, killed and timed out, and a line per survivor, for one module."""
     path = copy / module
     original = path.read_bytes()
     chosen = sites(original)
     if sample is not None and sample < len(chosen):
         chosen = sorted(rng.sample(chosen, sample), key=lambda s: s.start)
     lines = original.decode().splitlines()
-    killed, survivors = 0, []
+    killed, timed_out, survivors = 0, 0, []
     try:
         for n, site in enumerate(chosen, 1):
             mutant = site.apply(original)
@@ -209,11 +216,13 @@ def probe(copy: Path, module: Path, tests: list[str], sample: int | None,
             )
             if outcome == "survived":
                 survivors.append(site.describe(lines))
+            elif outcome == "timeout":
+                timed_out += 1
             else:
                 killed += 1
     finally:
         path.write_bytes(original)
-    return len(chosen), killed, survivors
+    return len(chosen), killed, timed_out, survivors
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -221,7 +230,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("modules", nargs="+", help="module paths relative to the repository root")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--sample", type=int, default=None, help="sites per module (default: all)")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant")
+    parser.add_argument(
+        "--timeout", type=float, default=None,
+        help=f"seconds per mutant (default: {TIMEOUT_FACTOR} times the unmutated run)",
+    )
     args = parser.parse_args(argv)
     rng = random.Random(args.seed)
     with tempfile.TemporaryDirectory(prefix="nc3-mutants-") as tmp:
@@ -232,17 +244,23 @@ def main(argv: list[str] | None = None) -> int:
             if not (copy / module).is_file():
                 parser.error(f"no module {module}")
         # The unmutated copy must pass, or no mutant can be told apart.
+        t0 = time.monotonic()
         if run_tests(copy, default_tests(copy, modules[0]), args.timeout) != "survived":
             print("the tests fail on the unmutated copy", file=sys.stderr)
             return 1
+        clean = time.monotonic() - t0
+        timeout = args.timeout if args.timeout is not None else TIMEOUT_FACTOR * clean
+        print(f"unmutated run {clean:.1f}s, time limit {timeout:.1f}s per mutant", flush=True)
         summary = []
         for module in modules:
             tests = default_tests(copy, module)
             print(f"{module}: tests {' '.join(tests)}", flush=True)
-            total, killed, survivors = probe(copy, module, tests, args.sample, rng, args.timeout)
-            summary.append((module, total, killed, survivors))
-        for module, total, killed, survivors in summary:
-            print(f"{module}: {killed}/{total} killed, {len(survivors)} survived")
+            summary.append((module, *probe(copy, module, tests, args.sample, rng, timeout)))
+        for module, total, killed, timed_out, survivors in summary:
+            print(
+                f"{module}: {killed} killed, {timed_out} timed out, "
+                f"{len(survivors)} survived of {total}"
+            )
             for line in survivors:
                 print(f"  survived {line}")
     return 0
