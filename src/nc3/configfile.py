@@ -171,7 +171,7 @@ def _intmat(x: Any, where: str) -> IntMatrix:
     if len(rows) < _SHARE_MIN_ROWS:
         return tuple(map(tuple, rows))
     heads, lengths = runs(rows)
-    return rows_from_runs(list(map(tuple, heads)), lengths)
+    return rows_from_runs(tuple(map(tuple, heads)), lengths)
 
 
 class _MinusIdentityTail(tuple):

@@ -439,8 +439,8 @@ def sequential_blowup(
     # Each matrix states its runs: one per base row, then one per curve that
     # meets the triple curve, whose points share one row tuple and state its
     # nonzero pairs.
-    lengths = [1] * len(s2.restrictions[0]) + list(filter(None, points))
-    no_pairs = [None] * len(s2.restrictions[0])
+    lengths = (1,) * len(s2.restrictions[0]) + tuple(filter(None, points))
+    no_pairs = (None,) * len(s2.restrictions[0])
     # Restriction from component 0: pullbacks keep their coordinates (zero on
     # the exceptional points); E[l,2] restricts to the points over curve l;
     # E'[l,3] restricts to the proper transform of the l-th C3 curve, its
@@ -449,14 +449,14 @@ def sequential_blowup(
     new_r20 = rows_from_runs(
         [r + zeros + c for r, c in zip(s2.restrictions[0], coords[2])] + list(compress(heads, points)),
         lengths,
-        no_pairs + list(compress(pairs, points)),
+        no_pairs + tuple(compress(pairs, points)),
     )
     # Restriction from component 1: E[l,1] restricts to the points over curve l.
     heads, pairs = _point_rows(comp1.h2_rank, alpha, False)
     new_r21 = rows_from_runs(
         [r + zeros for r in s2.restrictions[1]] + list(compress(heads, points)),
         lengths,
-        no_pairs + list(compress(pairs, points)),
+        no_pairs + tuple(compress(pairs, points)),
     )
     new_s2 = SurfaceGeometry(
         name=s2.name,

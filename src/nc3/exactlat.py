@@ -99,35 +99,32 @@ class RowRuns(tuple):
     Row tuple ``heads[r]`` repeats ``lengths[r]`` (positive) times; runs
     next to each other may hold equal rows.  ``pairs``, when given, holds
     per run its head's nonzero ``(col, value)`` pairs in ascending column
-    order, or None.  :func:`rows_from_runs` is the only constructor, so the
-    runs cannot disagree with the rows.  The value equals, hashes and prints
-    as the plain tuple of its rows; its slices and sums are plain tuples.
+    order, or None.  Built by :func:`rows_from_runs`, which keeps the runs
+    as tuples, so a reader handed them cannot change them.  The value
+    equals, hashes and prints as the plain tuple of its rows; its slices and
+    sums are plain tuples.
     """
 
-    heads: list[tuple[int, ...]]
-    lengths: list[int]
-    pairs: list[SparseRow | None] | None
-
-    def __new__(cls, *args: Any) -> "RowRuns":
-        raise TypeError("RowRuns are built by rows_from_runs(heads, lengths, pairs)")
-
-    def __reduce__(self) -> tuple[Any, ...]:
-        return rows_from_runs, (self.heads, self.lengths, self.pairs)
+    heads: tuple[tuple[int, ...], ...]
+    lengths: tuple[int, ...]
+    pairs: tuple[SparseRow | None, ...] | None
 
 
 def rows_from_runs(
-    heads: list[tuple[int, ...]], lengths: list[int], pairs: list[SparseRow | None] | None = None
+    heads: Sequence[tuple[int, ...]],
+    lengths: Sequence[int],
+    pairs: Sequence[SparseRow | None] | None = None,
 ) -> RowRuns:
     """The rows ``heads[r]`` repeated ``lengths[r]`` times, laid out at C speed,
     stating the runs (and ``pairs``) they came from; see :class:`RowRuns`."""
     m = tuple.__new__(RowRuns, chain.from_iterable(map(repeat, heads, lengths)))
-    m.heads = heads
-    m.lengths = lengths
-    m.pairs = pairs
+    m.heads = tuple(heads)
+    m.lengths = tuple(lengths)
+    m.pairs = None if pairs is None else tuple(pairs)
     return m
 
 
-def runs(rows: Sequence[Any]) -> tuple[list[Any], list[int]]:
+def runs(rows: Sequence[Any]) -> tuple[tuple[Any, ...], tuple[int, ...]]:
     """The runs ``rows`` states, or else the first row and the length of each
     run of equal consecutive rows, found at C speed.
 
@@ -138,7 +135,7 @@ def runs(rows: Sequence[Any]) -> tuple[list[Any], list[int]]:
     if type(rows) is RowRuns:
         return rows.heads, rows.lengths
     groups = list(map(list, map(itemgetter(1), groupby(rows))))
-    return list(map(itemgetter(0), groups)), list(map(len, groups))
+    return tuple(map(itemgetter(0), groups)), tuple(map(len, groups))
 
 
 def as_int_matrix(rows: Iterable[Iterable[int]]) -> IntMatrix:

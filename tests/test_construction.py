@@ -153,7 +153,7 @@ def test_a_curve_that_misses_the_triple_curve_adds_no_point_row(first):
     )
     for m, rows in zip(tilde.surfaces[2].restrictions, expected):
         assert m == rows
-        assert m.lengths == [1, 1, 18] and m.pairs[:2] == [None, None]
+        assert m.lengths == (1, 1, 18) and m.pairs[:2] == (None, None)
     assert tilde.surfaces[2].lattice.rank == 2 + 18
     result = invariants.hodge(config, divisor)
     assert (result.euler, result.h11, result.h12) == (-150, 4, 79)

@@ -37,10 +37,11 @@ def test_the_default_limit_is_a_multiple_of_the_unmutated_run_and_timeouts_count
     argv = ["src/nc3/degeneration.py", "--sample", "4", "--seed", "1"]
     code, limits, out = _probe(monkeypatch, capsys, argv, OUTCOMES, 12.5)
     assert code == 0
-    # The unmutated run has no limit; every mutant gets the derived one.
-    assert limits == [None] + [mutants.TIMEOUT_FACTOR * 12.5] * 4
+    # The unmutated run has a fixed limit; every mutant gets the derived one.
+    assert limits == [mutants.CLEAN_TIMEOUT] + [mutants.TIMEOUT_FACTOR * 12.5] * 4
     assert "src/nc3/degeneration.py: 2 killed, 1 timed out, 1 survived of 4" in out
-    assert out.count("  survived line ") == 1
+    # The summary names each timed-out and each surviving site.
+    assert out.count("  timed out line ") == 1 and out.count("  survived line ") == 1
 
 
 def test_the_timeout_flag_overrides_the_derived_limit(monkeypatch, capsys):

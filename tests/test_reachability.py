@@ -47,8 +47,6 @@ KEPT = {
     "exactlat:RationalMatrix.__post_init__": "the dense constructor's shape check: criterion 5c and from_rows",
     "exactlat:RationalMatrix.distinct_rows": "the rank of a matrix given its dense rows: criteria 5c and 7",
     "exactlat:RationalMatrix.from_rows": "the checked integer constructor, for tests and callers",
-    "exactlat:RowRuns.__new__": "RowRuns protocol: rows_from_runs is the only constructor (test_exactlat)",
-    "exactlat:RowRuns.__reduce__": "RowRuns protocol: a copy or a pickle keeps the runs (test_exactlat)",
     "exactlat:adjunction_euler": "acceptance criterion 5e",
     "ncconfig:NCConfiguration.boundary_class": "ROADMAP item 2, a second d-semistability route",
     "ncconfig:component_restriction_classes": "ROADMAP item 2, a second d-semistability route",

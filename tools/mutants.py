@@ -20,15 +20,16 @@ ever edited: each mutant is written into the copy's module, the tests run
 against it in one pytest process with a time limit (``-x``, so a killed
 mutant stops at its first failing test), and the module's original text is
 written back before the next mutant.  One pytest process runs at a time.
-The tests first run once on the unmutated copy, which must pass; the time
-limit is ``TIMEOUT_FACTOR`` times that run's wall time unless ``--timeout``
-sets it.  A mutant is killed when pytest fails, and timed out when it runs
-out of time; a timeout is reported apart from a kill, so a shorter limit
-cannot raise the kill count by itself.  With ``--sample N`` a seeded random
-sample of N sites per module is run, else every site.  The tests run are
-the module's own test file, when there is one, then the rest of
-``tests/``.  Per module the probe prints ``K killed, T timed out, S
-survived of N``, then each survivor with its line.
+The tests first run once on the unmutated copy, within ``CLEAN_TIMEOUT``
+seconds, and must pass; the time limit per mutant is ``TIMEOUT_FACTOR``
+times that run's wall time.  ``--timeout`` sets both limits instead.  A
+mutant is killed when pytest fails, and timed out when it runs out of
+time; a timeout is reported apart from a kill, so a shorter limit cannot
+raise the kill count by itself.  With ``--sample N`` a seeded random sample
+of N sites per module is run, else every site.  The tests run are the
+module's own test file, when there is one, then the rest of ``tests/``.
+Per module the probe prints ``K killed, T timed out, S survived of N``,
+then each timed-out mutant and each survivor with its line.
 
 Uses the standard library only.
 """
@@ -54,6 +55,8 @@ IGNORE = shutil.ignore_patterns(
 
 # The default time limit per mutant, as a multiple of the unmutated run.
 TIMEOUT_FACTOR = 3
+# The unmutated run's time limit in seconds, unless --timeout sets it.
+CLEAN_TIMEOUT = 300.0
 
 OPERATORS = {
     ast.Add: ("+", "-"),
@@ -167,7 +170,7 @@ def sites(source: bytes) -> list[Site]:
     return found
 
 
-def run_tests(copy: Path, tests: list[str], timeout: float | None) -> str:
+def run_tests(copy: Path, tests: list[str], timeout: float) -> str:
     """``killed``, ``timeout`` or ``survived``: one pytest process in the copy."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     argv = [
@@ -193,15 +196,16 @@ def default_tests(copy: Path, module: Path) -> list[str]:
 
 
 def probe(copy: Path, module: Path, tests: list[str], sample: int | None,
-          rng: random.Random, timeout: float) -> tuple[int, int, int, list[str]]:
-    """Mutants run, killed and timed out, and a line per survivor, for one module."""
+          rng: random.Random, timeout: float) -> tuple[int, int, list[str], list[str]]:
+    """Mutants run and killed, and a line per timed-out and per surviving
+    mutant, for one module."""
     path = copy / module
     original = path.read_bytes()
     chosen = sites(original)
     if sample is not None and sample < len(chosen):
         chosen = sorted(rng.sample(chosen, sample), key=lambda s: s.start)
     lines = original.decode().splitlines()
-    killed, timed_out, survivors = 0, 0, []
+    killed, timed_out, survivors = 0, [], []
     try:
         for n, site in enumerate(chosen, 1):
             mutant = site.apply(original)
@@ -217,7 +221,7 @@ def probe(copy: Path, module: Path, tests: list[str], sample: int | None,
             if outcome == "survived":
                 survivors.append(site.describe(lines))
             elif outcome == "timeout":
-                timed_out += 1
+                timed_out.append(site.describe(lines))
             else:
                 killed += 1
     finally:
@@ -245,7 +249,8 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error(f"no module {module}")
         # The unmutated copy must pass, or no mutant can be told apart.
         t0 = time.monotonic()
-        if run_tests(copy, default_tests(copy, modules[0]), args.timeout) != "survived":
+        clean_limit = args.timeout if args.timeout is not None else CLEAN_TIMEOUT
+        if run_tests(copy, default_tests(copy, modules[0]), clean_limit) != "survived":
             print("the tests fail on the unmutated copy", file=sys.stderr)
             return 1
         clean = time.monotonic() - t0
@@ -258,9 +263,11 @@ def main(argv: list[str] | None = None) -> int:
             summary.append((module, *probe(copy, module, tests, args.sample, rng, timeout)))
         for module, total, killed, timed_out, survivors in summary:
             print(
-                f"{module}: {killed} killed, {timed_out} timed out, "
+                f"{module}: {killed} killed, {len(timed_out)} timed out, "
                 f"{len(survivors)} survived of {total}"
             )
+            for line in timed_out:
+                print(f"  timed out {line}")
             for line in survivors:
                 print(f"  survived {line}")
     return 0
