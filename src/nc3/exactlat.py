@@ -125,15 +125,13 @@ def rows_from_runs(
 
 
 def runs(rows: Sequence[Any]) -> tuple[tuple[Any, ...], tuple[int, ...]]:
-    """The runs ``rows`` states, or else the first row and the length of each
-    run of equal consecutive rows, found at C speed.
+    """The first row and the length of each run of equal consecutive rows,
+    found at C speed.
 
     ``groupby`` compares a row with the one before it, and a row that is
     the same object as its neighbour compares equal without a look at its
     entries.  ``map`` reads each group whole before ``groupby`` moves past it.
     """
-    if type(rows) is RowRuns:
-        return rows.heads, rows.lengths
     groups = list(map(list, map(itemgetter(1), groupby(rows))))
     return tuple(map(itemgetter(0), groups)), tuple(map(len, groups))
 

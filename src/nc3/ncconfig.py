@@ -333,9 +333,10 @@ def validate(config: NCConfiguration) -> list[Diagnostic]:
         )
 
     for i, surf in enumerate(config.surfaces):
-        # Clause (3): the distinguished ample classes must restrict equally.
+        # Clause (3): the distinguished ample classes must restrict equally;
+        # ``hyperplanes`` holds the restriction from the first side.
         j, k = SURFACE_ADJACENCY[i]
-        left = config.restrict(i, j, config.components[j].ample)
+        left = config.hyperplanes[i]
         right = config.restrict(i, k, config.components[k].ample)
         if left != right:
             diags.append(
@@ -553,10 +554,6 @@ _FILE_NAMES = frozenset(
         "config_from_dict",
         "config_to_json",
         "config_from_json",
-        "_CONFIG_KEYS",
-        "_COMPONENT_KEYS",
-        "_SURFACE_KEYS",
-        "_TRIPLE_KEYS",
     }
 )
 

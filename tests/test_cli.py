@@ -1006,14 +1006,14 @@ def test_unknown_key_is_a_schema_error(tmp_path, capsys, blown_up_export, comman
 
 
 def test_reader_accepts_exactly_the_schema_properties():
-    from nc3 import ncconfig
+    from nc3 import configfile
 
     levels = CONFIG_SCHEMA["properties"]
     objects = [
-        (ncconfig._CONFIG_KEYS, CONFIG_SCHEMA),
-        (ncconfig._COMPONENT_KEYS, levels["components"]["items"]),
-        (ncconfig._SURFACE_KEYS, levels["surfaces"]["items"]),
-        (ncconfig._TRIPLE_KEYS, levels["triple"]),
+        (configfile._CONFIG_KEYS, CONFIG_SCHEMA),
+        (configfile._COMPONENT_KEYS, levels["components"]["items"]),
+        (configfile._SURFACE_KEYS, levels["surfaces"]["items"]),
+        (configfile._TRIPLE_KEYS, levels["triple"]),
     ]
     for keys, schema in objects:
         assert schema["additionalProperties"] is False

@@ -107,6 +107,48 @@ def test_catalog_sized_exports_are_decoded_as_plain_json():
         assert configfile._fold_gram_tails(text) == (text, {}), label
 
 
+def _unit_gram(n, p):
+    """The dense Gram ``I_p (+) -I`` of rank n, as lists."""
+    return [[(1 if q < p else -1) if c == q else 0 for c in range(n)] for q in range(n)]
+
+
+@pytest.mark.parametrize("n, p, folded", [(45, 1, False), (46, 1, True), (46, 2, False), (47, 2, True)])
+def test_a_tail_is_folded_from_the_threshold_on(n, p, folded):
+    """A surface Gram ``I_p (+) -I`` in a text that ends 20 characters after
+    it: its tail is folded exactly when it holds ``_FOLD_MIN_CELLS`` cells or
+    more, however little text follows it, and the text reads as plain JSON."""
+    text = configfile.dumps({"surfaces": [{"gram": _unit_gram(n, p)}]})
+    assert ((n - p) * n >= configfile._FOLD_MIN_CELLS) is folded
+    assert list(configfile._fold_gram_tails(text)[1].values()) == ([(n, p)] if folded else [])
+    _assert_as_plain(text)
+
+
+def test_a_text_of_the_threshold_length_is_searched_for_tails():
+    """Under a key indented 2 spaces a cell takes 9 characters, so a
+    2,070-cell tail fits in fewer than ``_FOLD_MIN_CHARS``: padded to that
+    length the text is searched and the tail folded; one character shorter,
+    it is not searched."""
+    text = configfile.dumps({"gram": _unit_gram(46, 1)})
+    pad = configfile._FOLD_MIN_CHARS - len(text)
+    assert pad > 0
+    for short, tails in ((0, [(46, 1)]), (1, [])):
+        padded = text + " " * (pad - short)
+        assert list(configfile._fold_gram_tails(padded)[1].values()) == tails
+        _assert_as_plain(padded)
+
+
+def test_a_gram_in_another_layout_leaves_the_writers_tail_folded():
+    """The degree-21 all-ones export with D1's Gram written on one line: that
+    Gram opens no tail, and D3's is still the one tail folded."""
+    data = configfile.config_to_dict(_d21_all_ones())
+    text = configfile.dumps(data)
+    start = text.index('"gram": [') + len('"gram": ')
+    end = text.index("\n      ]", start) + len("\n      ]")
+    text = text[:start] + json.dumps(data["surfaces"][0]["gram"]) + text[end:]
+    assert list(configfile._fold_gram_tails(text)[1].values()) == [(295, 1)]
+    assert ncconfig.config_from_json(text) == _d21_all_ones() == _plain(text)
+
+
 def test_a_long_first_row_over_a_short_tail_reads_as_plain_json_in_bounded_memory():
     """A Gram row of 2000 zeros, then one row that opens like an -I row: the
     writer's text of 1999 such rows would take about 52 MB.  The reader cuts

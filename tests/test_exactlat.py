@@ -277,10 +277,9 @@ def test_a_matrix_from_runs_reads_its_rows_distinct_rows_and_entries_from_them()
 def test_rows_from_runs_lays_out_the_runs_it_states():
     """Each head repeated by its length, as one shared tuple.  The value
     equals, hashes and prints as the plain tuple of its rows; a slice or a
-    sum is a plain tuple; ``runs`` returns the stated runs, which may split a
-    run of equal rows, where a plain tuple's runs are found.  The runs and
-    pairs are kept as tuples, so the lists they were given in can change
-    freely."""
+    sum is a plain tuple.  The stated runs may split a run of equal rows;
+    ``runs`` finds the runs of the rows, stated or not.  The runs and pairs
+    are kept as tuples, so the lists they were given in can change freely."""
     a, b = (1, 0, 2), (0, 3, 0)
     heads, lengths, pairs = [a, a, b, a], [2, 1, 1, 1], [None, None, ((1, 3),), None]
     m = rows_from_runs(heads, lengths, pairs)
@@ -291,9 +290,11 @@ def test_rows_from_runs_lays_out_the_runs_it_states():
     assert m == rows and hash(m) == hash(rows) and repr(m) == repr(rows)
     assert m[0] is m[1] is m[2] is m[4] is a
     assert type(m[1:]) is type(m + ()) is tuple
-    assert runs(m) == ((a, a, b, a), (2, 1, 1, 1)) and m.pairs == (None, None, ((1, 3),), None)
-    assert runs(rows) == ((a, b, a), (3, 1, 1))
-    assert runs(rows_from_runs([], [])) == ((), ()) and rows_from_runs([], []) == ()
+    assert (m.heads, m.lengths) == ((a, a, b, a), (2, 1, 1, 1))
+    assert m.pairs == (None, None, ((1, 3),), None)
+    assert runs(m) == runs(rows) == ((a, b, a), (3, 1, 1))
+    empty = rows_from_runs([], [])
+    assert (empty.heads, empty.lengths) == ((), ()) and empty == ()
 
 
 def test_a_copy_or_a_pickle_of_stated_rows_keeps_the_runs():
