@@ -41,7 +41,6 @@ from typing import Iterator, Sequence
 from . import construction
 from ._record import Record
 from .exactlat import (
-    IntersectionLattice,
     IntMatrix,
     Vec,
     as_int_matrix,
@@ -104,21 +103,9 @@ class Family(Record):
     provenance: tuple[str, ...] = ()
 
     # Built on first use and kept on the instance: every partition of the
-    # family shares them, and records never change, so sharing is safe.  Not
-    # record fields, so the constructor, equality and hashing do not see
-    # them; ``_record.replace(family)`` is a copy without them.
-    @functools.cached_property
-    def surface_lattices(self) -> tuple[IntersectionLattice, ...]:
-        """The lattices of ``surfaces_opposite``, in the same order."""
-        return tuple(make_lattice(s.gram, self.labels) for s in self.surfaces_opposite)
-
-    @functools.cached_property
-    def identity_restriction(self) -> IntMatrix:
-        """The rank x rank identity: every tracked class is an ambient restriction."""
-        return as_int_matrix(
-            [[1 if i == j else 0 for j in range(self.rank)] for i in range(self.rank)]
-        )
-
+    # family shares it, and records never change, so sharing is safe.  Not a
+    # record field, so the constructor, equality and hashing do not see it;
+    # ``_record.replace(family)`` is a copy without it.
     @functools.cached_property
     def _configurations(self) -> dict[tuple[int, ...], NCConfiguration]:
         """The configuration of each component order, filled in by :func:`instantiate`."""
@@ -428,18 +415,20 @@ def _configuration(fam: Family, order: tuple[int, ...]) -> NCConfiguration:
             )
         )
 
-    identity = fam.identity_restriction
+    # Every tracked class is an ambient restriction.
+    identity = as_int_matrix([[1 if i == j else 0 for j in range(fam.rank)] for i in range(fam.rank)])
     surfs = []
     for slot in range(3):
         j, k = SURFACE_ADJACENCY[slot]
         tau = fam.components[order[slot]].cut
+        surface = fam.surfaces_opposite[order[slot]]
         surfs.append(
             SurfaceGeometry(
                 name=f"D{slot + 1}",
-                lattice=fam.surface_lattices[order[slot]],
+                lattice=make_lattice(surface.gram, fam.labels),
                 canonical=vec_scale(-1, tau),
                 tau_class=tau,
-                euler=fam.surfaces_opposite[order[slot]].euler,
+                euler=surface.euler,
                 restrictions=(identity, identity),
                 boundary_self=(
                     fam.components[order[k]].cut,

@@ -8,13 +8,13 @@ every file the schema in ``schemas/ncconfig.schema.json`` refuses with
 is the one layout of every file and payload nc3 writes.
 
 The reader reads a blown-up surface's Gram, ``base (+) -I``, without
-decoding its -I rows: it compares their text with the writer's, in blocks
-of rows up to the first difference, and the verified tail is decoded as one
-number token that stands for its count (``_loads``).  The writer emits the
-same blocks.  No part of the text is read for two Gram keys, so the work
-stays linear in the length of the text.  A text that does not match the
-writer's layout, or a tail of a catalog blow-up's size, is decoded as
-plain JSON.
+decoding its -I rows: it compares their text with the writer's, in pieces
+of about one row up to the first difference, and the verified tail is
+decoded as one number token that stands for its count (``_loads``).  The
+writer emits the same pieces.  No part of the text is read for two Gram
+keys, so the work stays linear in the length of the text.  A text that
+does not match the writer's layout, or a tail of a catalog blow-up's
+size, is decoded as plain JSON.
 
 ``ncconfig`` forwards these names, so callers reach them as
 ``ncconfig.config_to_json`` and so on; this module is loaded only by a
@@ -238,7 +238,7 @@ class _DenseText:
     emits the text of those lists without building them.
 
     Each row's zero tail is one repeated string, and the ``-I`` rows are
-    written in the blocks of ``_minus_identity_blocks``.  A row object that
+    written as the pieces of ``_minus_identity_pieces``.  A row object that
     the matrix repeats (the blow-up shares one restriction row per curve) is
     written once.  Rows that are not all exact ints go through ``_write``.
     """
@@ -274,43 +274,24 @@ class _DenseText:
             emit(lead + text)
             lead = "," + inner
         if exceptional:
-            for block in _minus_identity_blocks(lead, inner, len(rows) + exceptional, len(rows)):
-                emit(block)
+            for piece in _minus_identity_pieces(lead, inner, len(rows) + exceptional, len(rows)):
+                emit(piece)
         emit(newline + "]")
 
 
-# The -I rows are written and verified in blocks of 1, 2, 4, ... rows, and
-# then of this many: a block's text is at most about that of the rows before
-# it, and at most this many rows long.
-_BLOCK_ROWS = 64
-
-
-def _minus_identity_blocks(lead: str, inner: str, n: int, p: int) -> Iterator[str]:
-    """The text of rows p to n - 1 of the -I block of an n x n Gram, block by block.
-
-    The first row follows ``lead`` and every other one ``"," + inner``.
-    The writer emits these blocks and the reader compares a file's text
-    with them in turn, so the two share one layout; a block is cut only
-    when it is asked for.
-    """
-    size = 1
-    while p < n:
-        b = min(n, p + size)
-        yield _minus_identity_text(lead, inner, n, p, b)
-        lead = "," + inner
-        p = b
-        size = min(2 * size, _BLOCK_ROWS)
-
-
-def _minus_identity_text(lead: str, inner: str, n: int, a: int, b: int) -> str:
-    """The text of rows a to b - 1 of the -I block of an n x n Gram, a < b.
+def _minus_identity_pieces(lead: str, inner: str, n: int, p: int) -> Iterator[str]:
+    """The text of rows p to n - 1 of the -I block of an n x n Gram, p < n, piece by piece.
 
     Row q is ``-1`` in cell q and ``0`` elsewhere, written one cell a line
-    below ``inner``; row a follows ``lead`` and every other row
+    below ``inner``; row p follows ``lead`` and every other row
     ``"," + inner``.  The text from the ``-1`` of row q to that of row
     q + 1 is the same length for every q: a window of one periodic string
-    that moves one cell a row.  So the rows are one ``"-1".join`` of a
-    slice per row.
+    that moves one cell a row.  So the pieces are the text up to the first
+    ``-1``, then each ``-1`` and the window after it, and the last ``-1``
+    with its row's close; none is longer than one row and one cell.  The
+    writer emits these pieces and the reader compares a file's text with
+    them in turn, so the two share one layout; a piece is cut only when it
+    is asked for.
     """
     cell = inner + "  "
     zero = "," + cell + "0"
@@ -321,10 +302,10 @@ def _minus_identity_text(lead: str, inner: str, n: int, a: int, b: int) -> str:
     period = cells + between + "0" + cells
     span = n * width + len(between)
     first = (n - 1) * width + len(between)  # where "0" and n - 1 zero cells end the period
-    pieces = [lead + "[" + cell + period[first : first + a * width]]
-    pieces += [period[at : at + span] for at in range(a * width, (b - 1) * width, width)]
-    pieces.append(period[(b - 1) * width : (n - 1) * width + len(inner) + 1])
-    return "-1".join(pieces)
+    yield lead + "[" + cell + period[first : first + p * width]
+    for at in range(p * width, (n - 1) * width, width):
+        yield "-1" + period[at : at + span]
+    yield "-1" + inner + "]"
 
 
 def config_to_dict(config: NCConfiguration) -> dict[str, Any]:
@@ -688,8 +669,8 @@ def _verified_tail(text: str, key: int) -> tuple[int, int, int, int]:
     """The writer's -I rows at the end of the Gram whose key starts at ``key``.
 
     Returns ``(start, end, n, p)``: the text from ``start`` to ``end`` is
-    exactly the text of ``_minus_identity_blocks`` for rows p to n - 1 of an
-    n x n Gram, each row after its comma, and the Gram's closing line
+    exactly the pieces of ``_minus_identity_pieces`` for rows p to n - 1 of
+    an n x n Gram, each row after its comma, and the Gram's closing line
     follows it.  The tail is taken to start at the first row after row 0
     whose opening and ``-1`` cell fit an -I row.  When the text differs
     from there on, or the tail has fewer than ``_FOLD_MIN_CELLS`` cells, no
@@ -727,13 +708,13 @@ def _verified_tail(text: str, key: int) -> tuple[int, int, int, int]:
             size = (n - p) * (len(head) + 2 + (n - 1) * width + len(inner) + 1)
             if (n - p) * n < _FOLD_MIN_CELLS or row + size > len(text):
                 return row, row, n, n
-            # The tail's text grows as n squared: it is compared one block at
-            # a time, and a block is cut only once the text before it matched.
+            # The tail's text grows as n squared: it is compared one piece at
+            # a time, and a piece is cut only once the text before it matched.
             end = row
-            for block in _minus_identity_blocks(lead, inner, n, p):
-                if not text.startswith(block, end):
+            for piece in _minus_identity_pieces(lead, inner, n, p):
+                if not text.startswith(piece, end):
                     return row, row, n, n
-                end += len(block)
+                end += len(piece)
             if text.startswith(indent + "]", end):
                 return row, end, n, p
             return row, row, n, n

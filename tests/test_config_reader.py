@@ -112,7 +112,9 @@ def _unit_gram(n, p):
     return [[(1 if q < p else -1) if c == q else 0 for c in range(n)] for q in range(n)]
 
 
-@pytest.mark.parametrize("n, p, folded", [(45, 1, False), (46, 1, True), (46, 2, False), (47, 2, True)])
+@pytest.mark.parametrize(
+    "n, p, folded", [(45, 1, False), (46, 1, True), (46, 2, False), (47, 2, True), (64, 32, True)]
+)
 def test_a_tail_is_folded_from_the_threshold_on(n, p, folded):
     """A surface Gram ``I_p (+) -I`` in a text that ends 20 characters after
     it: its tail is folded exactly when it holds ``_FOLD_MIN_CELLS`` cells or
@@ -423,7 +425,7 @@ def test_verified_minus_identity_rows_are_not_scanned_again(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The degree-21 all-ones tail, at the edges of the blocks it is verified in
+# The degree-21 all-ones tail, at the seams of block-wise comparison
 
 
 def _d3_row_cells(text, q):
@@ -433,17 +435,10 @@ def _d3_row_cells(text, q):
     return [m.span() for m in _CELL.finditer(text, a, text.index("\n        ]", a) + 1)]
 
 
-def _block_edge_rows():
-    """The first and the last row of each block the D3 tail is compared in."""
-    lattice = _d21_all_ones().surfaces[2].lattice
-    n, q = lattice.rank, len(lattice.gram)
-    edges = []
-    for block in configfile._minus_identity_blocks(",\n        ", "\n        ", n, q):
-        rows = block.count("-1")
-        edges += [q, q + rows - 1]
-        q += rows
-    assert q == n and len(edges) > 2 * 4
-    return sorted(set(edges))
+# The first and the last row of D3's tail (rows 1 to 294) and the rows on
+# both sides of each power of two and multiple of 64: the seams a reader
+# that compares the tail in blocks of 1, 2, 4, ... and then 64 rows cuts.
+_EDGE_ROWS = (1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 191, 192, 255, 256, 294)
 
 
 def _set_cell(text, q, c, value):
@@ -454,7 +449,8 @@ def _set_cell(text, q, c, value):
 def _edge_mutations():
     text = _d21_all_ones_text()
     n = _d21_all_ones().surfaces[2].lattice.rank
-    for q in _block_edge_rows():
+    assert _EDGE_ROWS[-1] == n - 1
+    for q in _EDGE_ROWS:
         yield f"row {q}: -1 -> 0", _set_cell(text, q, q, "0")
         for c in (q - 1, q + 1):
             if c < n:
@@ -468,24 +464,57 @@ def _edge_mutations():
 
 def test_a_text_too_short_for_the_tail_it_opens_builds_no_block(monkeypatch):
     """The degree-21 all-ones export cut 20,000 characters into D3's tail,
-    which takes about 1.1 MB: the tail is not compared, so not one block of
-    the writer's text is built for it."""
-    rows, start = _tail_rows(_d21_all_ones_text())
-    text = _d21_all_ones_text()[: start + rows[0] + 20000]
-    blocks = []
-    monkeypatch.setattr(configfile, "_minus_identity_blocks", lambda *args: blocks.append(args) or iter(()))
-    _assert_as_plain(text)
-    assert blocks == []
+    which takes about 1.1 MB, or one character before the tail's end: the
+    tail is not compared, so not one piece of the writer's text is cut for
+    it."""
+    full = _d21_all_ones_text()
+    rows, start = _tail_rows(full)
+    tail_end = _gram_span(full)[1] - len("\n      ]")
+    cut = []
+    pieces = configfile._minus_identity_pieces
+    monkeypatch.setattr(
+        configfile, "_minus_identity_pieces", lambda *args: (cut.append(x) or x for x in pieces(*args))
+    )
+    for end in (start + rows[0] + 20000, tail_end - 1):
+        _assert_as_plain(full[:end])
+        assert cut == [], end
+    assert configfile._fold_gram_tails(full)[1] and len(cut) == len(rows) + 1
 
 
 def test_mutations_at_the_edges_of_the_verified_blocks_read_as_plain_json():
-    """Each block's first and last row, with its -1 set to 0 or a 0 beside
-    it set to -1; the tail one row short or one row long."""
+    """Each seam row, with its -1 set to 0 or a 0 beside it set to -1; the
+    tail one row short or one row long."""
     cases = list(_edge_mutations())
-    assert len(cases) > 30
+    assert len(cases) == 58
     for label, text in cases:
         assert text != _d21_all_ones_text(), label
         assert _outcome(ncconfig.config_from_json, text) == _outcome(_plain, text), label
+
+
+def test_the_pieces_of_a_tail_are_the_stdlib_text_of_its_rows():
+    """For every n <= 9 and 0 <= p < n, at the top level and under a key,
+    the pieces join to ``json.dumps(..., indent=2)`` of rows p to n - 1 of
+    -I.  On the degree-21 all-ones export the pieces join to D3's tail, and
+    the longest is the text from one row's -1 to the next: one tail row and
+    one cell, since the -1 moves one cell a row."""
+    for n in range(1, 10):
+        for p in range(n):
+            rows = _minus_identity_oracle(n, p)
+            pieces = configfile._minus_identity_pieces("[\n  ", "\n  ", n, p)
+            assert "".join(pieces) + "\n]" == json.dumps(rows, indent=2), (n, p)
+            pieces = configfile._minus_identity_pieces("[\n    ", "\n    ", n, p)
+            assert '{\n  "g": ' + "".join(pieces) + "\n  ]\n}" == json.dumps({"g": rows}, indent=2), (n, p)
+
+    text = _d21_all_ones_text()
+    rows, start = _tail_rows(text)
+    row = rows[1] - rows[0]
+    cell = len(",\n          0")
+    lattice = _d21_all_ones().surfaces[2].lattice
+    n, p = lattice.rank, len(lattice.gram)
+    pieces = list(configfile._minus_identity_pieces(",\n        ", "\n        ", n, p))
+    assert len(pieces) == n - p + 1
+    assert "".join(pieces) == text[start + rows[0] : _gram_span(text)[1] - len("\n      ]")]
+    assert max(map(len, pieces)) == row + cell
 
 
 def test_a_verified_tail_outside_a_surface_gram_reads_as_plain_json():

@@ -159,6 +159,32 @@ def test_a_curve_that_misses_the_triple_curve_adds_no_point_row(first):
     assert (result.euler, result.h11, result.h12) == (-150, 4, 79)
 
 
+@pytest.mark.parametrize(
+    "classes, mults, outcome",
+    [
+        (((1, -1), (1, 5), (1, -1)), (0, 18, 0), "h11 paths disagree: closed form 6, kernel 7"),
+        (((1, -1), (2, 4)), (0, 18), (-150, 4)),
+    ],
+)
+def test_a_class_used_twice_off_the_triple_curve_passes_the_check_but_splits_the_h11_routes(
+    classes, mults, outcome
+):
+    """On p2xp2 (1,0),(2,3): with (1,-1), which misses the triple curve,
+    taken twice, the divisor passes ``check_collective_divisor`` and
+    ``hodge`` aborts, since the kernel route counts one class more than the
+    closed form 2 * alpha; taken once, both routes agree.  Which route is
+    right for the repeated class is open, so this pins what each does."""
+    config, _ = catalog.instantiate("p2xp2", catalog.PartitionSpec(parts=((1, 0), (2, 3))))
+    divisor = CollectiveDivisor(alpha=len(classes), components=(classes,) * 3, tau_multiplicities=mults)
+    assert check_collective_divisor(config, divisor) == []
+    if isinstance(outcome, str):
+        with pytest.raises(invariants.PathDisagreement, match=re.escape(outcome)):
+            invariants.hodge(config, divisor)
+    else:
+        result = invariants.hodge(config, divisor)
+        assert (result.euler, result.h11) == outcome
+
+
 def test_catalog_gamma_matches_every_partition():
     for fam_id in catalog.family_ids():
         fam = catalog.get_family(fam_id)

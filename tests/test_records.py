@@ -10,6 +10,7 @@ fields; assignment and deletion raise; ``replace`` rebuilds through
 import ast
 import collections
 import inspect
+import itertools
 import sys
 import typing
 
@@ -214,7 +215,10 @@ def test_sorted_on_mixed_diagnostics():
         sorted([mixed[0], ncconfig.TripleCurve(0, True)])
 
 
-def test_family_surface_lattices_computed_once(monkeypatch):
+def test_each_family_order_builds_its_surface_lattices_once(monkeypatch):
+    """Instantiating every partition of every family in all six component
+    orders builds three surface lattices per (family, order), and the
+    configuration cache leaves a family's equality and hash alone."""
     calls = collections.Counter()
     original = catalog.make_lattice
 
@@ -223,12 +227,11 @@ def test_family_surface_lattices_computed_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(catalog, "make_lattice", counted)
-    fam = replace(catalog.get_family("quintic"))
-    first = fam.surface_lattices
-    assert calls["make_lattice"] == 3
-    for spec in catalog.enumerate_partitions(fam):
-        catalog.instantiate(fam, spec)
-    assert fam.surface_lattices is first
-    assert calls["make_lattice"] == 3
-    assert fam == replace(fam) and hash(fam) == hash(replace(fam))
-    assert fam.identity_restriction is fam.identity_restriction
+    orders = list(itertools.permutations(range(3)))
+    families = [replace(catalog.get_family(f)) for f in catalog.family_ids()]
+    for fam in families:
+        for spec in catalog.enumerate_partitions(fam):
+            for order in orders:
+                catalog.instantiate(fam, spec, order)
+        assert fam == replace(fam) and hash(fam) == hash(replace(fam))
+    assert calls["make_lattice"] == 3 * len(orders) * len(families) == 3 * 6 * 7
