@@ -7,14 +7,18 @@ every file the schema in ``schemas/ncconfig.schema.json`` refuses with
 :class:`~nc3.ncconfig.SchemaError`.  Numbers are integers only.  ``dumps``
 is the one layout of every file and payload nc3 writes.
 
-The reader reads a blown-up surface's Gram, ``base (+) -I``, without
-decoding its -I rows: it compares their text with the writer's, in pieces
-of about one row up to the first difference, and the verified tail is
-decoded as one number token that stands for its count (``_loads``).  The
-writer emits the same pieces.  No part of the text is read for two Gram
-keys, so the work stays linear in the length of the text.  A text that
-does not match the writer's layout, or a tail of a catalog blow-up's
-size, is decoded as plain JSON.
+The reader does not decode the two repeated texts of a blown-up surface
+(``_loads``).  Its Gram, ``base (+) -I``, ends in -I rows: their text is
+compared with the writer's, in pieces of about one row up to the first
+difference.  Its restriction matrices repeat one row for every point over
+a curve: the copies' text is compared with the row before them, in blocks
+that double and then halve.  A verified tail, or the copies after a row,
+are decoded as one number token that stands for their count.  The writer
+emits the same pieces, and a run of equal rows as one piece.  No part
+of the text is read for two keys, so the work stays linear in the length
+of the text.  A text that does not match the writer's layout, or one of a
+catalog blow-up's size, is decoded as plain JSON, and its restriction
+matrices state no runs.
 
 ``ncconfig`` forwards these names, so callers reach them as
 ``ncconfig.config_to_json`` and so on; this module is loaded only by a
@@ -23,10 +27,10 @@ command that reads or writes a file or a payload.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 from typing import Any, Callable, Iterator
 
-from .exactlat import IntersectionLattice, IntMatrix, Vec, base_rank, default_labels, rows_from_runs, runs
+from .exactlat import IntersectionLattice, IntMatrix, RowRuns, Vec, base_rank, default_labels, rows_from_runs
 from .ncconfig import (
     OTHER_COMPONENTS,
     SCHEMA_ID,
@@ -152,26 +156,37 @@ def _introws(x: Any, where: str) -> list[list[int]]:
     return x
 
 
-# A restriction matrix of fewer rows is copied row by row: finding its runs
-# costs more than they save ``NCConfiguration.restrict`` and the
-# restriction-difference matrix.
-_SHARE_MIN_ROWS = 32
+class _RowCopies(int):
+    """How many copies of the row before it followed in text verified as theirs.
+
+    ``config_from_json`` puts one in place of those copies, in the
+    restriction matrix's list, and builds none of them.
+    """
+
+    __slots__ = ()
 
 
 def _intmat(x: Any, where: str) -> IntMatrix:
-    """A restriction matrix as tuples; a long one states its runs of equal rows.
+    """A restriction matrix as tuples; one read with ``_RowCopies`` states its runs.
 
-    A blown-up surface repeats one row for every point over a curve.  In a
-    matrix of ``_SHARE_MIN_ROWS`` rows or more the runs of equal consecutive
-    rows are found at C speed, only a run's first row is copied, and the
-    matrix is laid out from the runs and states them
-    (:class:`~nc3.exactlat.RowRuns`), as the blow-up's own matrix does.
+    ``config_from_json`` puts a ``_RowCopies`` after each row whose text
+    the next rows repeat, in place of those rows.  Such a matrix is laid
+    out from its runs and states them (:class:`~nc3.exactlat.RowRuns`), as
+    the blow-up's own matrix does; only the head of each run is
+    type-checked and copied, which is what plain JSON's equal rows would
+    give.  Any other matrix is copied row by row.
     """
-    rows = _introws(x, where)
-    if len(rows) < _SHARE_MIN_ROWS:
-        return tuple(map(tuple, rows))
-    heads, lengths = runs(rows)
-    return rows_from_runs(tuple(map(tuple, heads)), lengths)
+    if not (isinstance(x, list) and _RowCopies in map(type, x)):
+        return tuple(map(tuple, _introws(x, where)))
+    heads: list[Any] = []
+    lengths: list[int] = []
+    for r in x:
+        if type(r) is _RowCopies:
+            lengths[-1] += r
+        else:
+            heads.append(r)
+            lengths.append(1)
+    return rows_from_runs(tuple(map(tuple, _introws(heads, where))), lengths)
 
 
 class _MinusIdentityTail(tuple):
@@ -238,9 +253,10 @@ class _DenseText:
     emits the text of those lists without building them.
 
     Each row's zero tail is one repeated string, and the ``-I`` rows are
-    written as the pieces of ``_minus_identity_pieces``.  A row object that
-    the matrix repeats (the blow-up shares one restriction row per curve) is
-    written once.  Rows that are not all exact ints go through ``_write``.
+    written as the pieces of ``_minus_identity_pieces``.  A matrix that
+    states its runs (:class:`~nc3.exactlat.RowRuns`, as the blow-up's point
+    rows do) has each head's text built once and its copies emitted as one
+    piece.  Rows that are not all exact ints go through ``_write``.
     """
 
     __slots__ = ("rows", "exceptional")
@@ -259,20 +275,19 @@ class _DenseText:
         sep = "," + cell
         zero = sep + "0"
         tail = zero * exceptional
-        texts: dict[int, str] = {}
+        runs = zip(rows.heads, rows.lengths) if type(rows) is RowRuns else zip(rows, repeat(1))
         lead = "[" + inner
-        for r in rows:
-            text = texts.get(id(r))
-            if text is None:
-                if r and {int}.issuperset(map(type, r)):
-                    text = "[" + cell + sep.join(map(_INT_TEXT.__getitem__, r)) + tail + inner + "]"
-                else:
-                    chunks: list[str] = []
-                    _write(list(r) + [0] * exceptional, inner, quote, chunks.append)
-                    text = "".join(chunks)
-                texts[id(r)] = text
+        for r, k in runs:
+            if r and {int}.issuperset(map(type, r)):
+                text = "[" + cell + sep.join(map(_INT_TEXT.__getitem__, r)) + tail + inner + "]"
+            else:
+                chunks: list[str] = []
+                _write(list(r) + [0] * exceptional, inner, quote, chunks.append)
+                text = "".join(chunks)
             emit(lead + text)
             lead = "," + inner
+            if k > 1:
+                emit((lead + text) * (k - 1))
         if exceptional:
             for piece in _minus_identity_pieces(lead, inner, len(rows) + exceptional, len(rows)):
                 emit(piece)
@@ -491,7 +506,7 @@ def config_from_dict(data: dict[str, Any]) -> NCConfiguration:
             )
         for key, value in raw_restr.items():
             if key not in (names[j], names[k]):
-                _introws(value, where + ".restrictions")
+                _intmat(value, where + ".restrictions")
         raw_bs = _require(s, "boundary_self", where)
         if not isinstance(raw_bs, list) or len(raw_bs) != 2:
             raise SchemaError(f"{where}: boundary_self must be a pair of vectors")
@@ -562,6 +577,7 @@ def config_from_json(text: str) -> NCConfiguration:
 
 
 _GRAM_KEY = '"gram": ['
+_RESTRICTIONS_KEY = '"restrictions": {'
 
 # A tail of fewer cells is decoded as plain JSON.  With one token per tail,
 # the search, the hook and the folded copy cost about what folding 450-500
@@ -569,36 +585,37 @@ _GRAM_KEY = '"gram": ['
 # plain).  A catalog blow-up's tail has at most 600 cells, and folding those
 # saves 9-26 us of about 300, so catalog files stay plain JSON.  In the
 # writer's layout a cell of a surface Gram takes 13 characters, so a shorter
-# text holds no tail worth folding.
+# text holds no tail worth folding, and it is not searched for runs either.
 _FOLD_MIN_CELLS = 2048
 _FOLD_MIN_CHARS = 13 * _FOLD_MIN_CELLS
 
 
 def _loads(text: str) -> Any:
-    """``json.loads(text)``, with each verified -I tail of a surface Gram left unread.
+    """``json.loads(text)``, with each verified -I tail and run of copied rows left unread.
 
-    Each verified tail becomes one number token in a folded copy of the
-    text, and the ``parse_float`` hook of ``json.loads`` turns the token
-    into its ``_MinusIdentityTail``, where the tail's rows were.  On any
+    Each verified tail of a surface Gram, and each run of copies of a
+    restriction row, becomes one number token in a folded copy of the text,
+    and the ``parse_float`` hook of ``json.loads`` turns the token into its
+    ``_MinusIdentityTail`` or ``_RowCopies``, where those rows were.  On any
     doubt this is plain ``json.loads(text)``, which also raises every error
-    with its own message: when no tail is verified, when the folded text
-    fails to decode, when a token is not decoded exactly once, or when a
-    tail does not close the Gram of a surface, the one place ``_gram``
-    reads it.
+    with its own message: when nothing is folded, when the folded text fails
+    to decode, when a token is not decoded exactly once, or when a marker is
+    not where ``config_from_dict`` reads it: a tail closing the Gram of a
+    surface, or copies in the restrictions of a surface.
     """
     import json
 
-    folded, tails = _fold_gram_tails(text)
-    if tails:
+    folded, markers = _fold_repeats(text)
+    if markers:
         decoded = 0
 
         def decode(token: str) -> Any:
             nonlocal decoded
-            tail = tails.get(token)
-            if tail is None:
+            marker = markers.get(token)
+            if marker is None:
                 return float(token)
             decoded += 1
-            return tail
+            return marker
 
         try:
             data = json.loads(folded, parse_float=decode)
@@ -606,63 +623,134 @@ def _loads(text: str) -> Any:
             pass
         else:
             # Each token is decoded once; a second time, it was in the text too.
-            if decoded == len(tails) == _closed_surface_grams(data):
+            if decoded == len(markers) == _placed_markers(data):
                 return data
     return json.loads(text)
 
 
-def _closed_surface_grams(data: Any) -> int:
-    """How many of the surface Grams of ``data`` end in a ``_MinusIdentityTail``."""
+def _placed_markers(data: Any) -> int:
+    """How many markers ``data`` holds where ``config_from_dict`` reads them:
+    a ``_MinusIdentityTail`` closing a surface Gram, and each ``_RowCopies``
+    in a matrix of a surface's restrictions."""
     surfaces = data.get("surfaces") if isinstance(data, dict) else None
-    if not isinstance(surfaces, list):
-        return 0
-    grams = [s.get("gram") for s in surfaces if isinstance(s, dict)]
-    return sum(isinstance(g, list) and bool(g) and type(g[-1]) is _MinusIdentityTail for g in grams)
+    placed = 0
+    for s in surfaces if isinstance(surfaces, list) else ():
+        if isinstance(s, dict):
+            g, restrictions = s.get("gram"), s.get("restrictions")
+            placed += isinstance(g, list) and bool(g) and type(g[-1]) is _MinusIdentityTail
+            if isinstance(restrictions, dict):
+                matrices = filter(lambda m: isinstance(m, list), restrictions.values())
+                placed += sum(list(map(type, m)).count(_RowCopies) for m in matrices)
+    return placed
 
 
-def _fold_gram_tails(text: str) -> tuple[str, dict[str, _MinusIdentityTail]]:
-    """``text`` with the verified -I tail of each surface Gram replaced by a number token.
+def _fold_repeats(text: str) -> tuple[str, dict[str, _MinusIdentityTail | _RowCopies]]:
+    """``text`` with each verified -I tail of a surface Gram, and each run of
+    copies of a restriction row, replaced by a number token.
 
-    Each folded tail becomes a comma and its token, and the Gram's own
-    closing line follows it.  No token is inside a JSON string: the Gram's
-    key line and first row come before it, and a string cannot hold their
-    raw newlines.  Returns the folded text and, for each token, the
-    ``(n, p)`` of its tail; with no tail worth folding, ``text`` and ``{}``.
+    Each fold becomes a comma and its token: a tail's is followed by the
+    Gram's own closing line, and a run's follows its first row.  No token is
+    inside a JSON string: the line before it holds a Gram's first row or a
+    row with no quote, and a string cannot hold a raw newline.  Returns the
+    folded text and, for each token, its marker; with nothing worth
+    folding, ``text`` and ``{}``.
 
-    The next key is sought where ``_verified_tail`` stopped reading, so no
-    part of the text is read for two keys and the work stays linear in its
-    length.
+    Both keys hold an "r", which is found with memchr; a longer needle
+    crawls through the spaces of the indentation.  The next key is sought
+    where the last one's rows stopped being read, so no part of the text is
+    read for two keys and the work stays linear in its length.
     """
-    tails: dict[str, _MinusIdentityTail] = {}
     if not isinstance(text, str) or len(text) < _FOLD_MIN_CHARS:
-        return text, tails
+        return text, {}
+    folds: list[tuple[int, int, _MinusIdentityTail | _RowCopies]] = []
+    at = text.find("r")
+    while at >= 0:
+        end = at + 1
+        if text.startswith(_GRAM_KEY, at - 2):
+            start, end, n, p = _verified_tail(text, at - 2)
+            if p < n:
+                folds.append((start, end, _MinusIdentityTail((n, p))))
+        elif text.startswith(_RESTRICTIONS_KEY, at - 1):
+            end = _row_runs(text, at - 1, folds)
+        at = text.find("r", end)
+    markers: dict[str, _MinusIdentityTail | _RowCopies] = {}
+    if not folds:
+        return text, markers
     pieces: list[str] = []
     done = 0
-    # One letter of the key is found with memchr; a longer needle crawls
-    # through the spaces of a Gram's indentation.
-    at = text.find("g")
-    while at >= 0:
-        key = at - 1
-        if not text.startswith(_GRAM_KEY, key):
-            at = text.find("g", at + 1)
-            continue
-        start, end, n, p = _verified_tail(text, key)
-        if p < n:
-            token = f"{len(tails)}.0"
-            tails[token] = _MinusIdentityTail((n, p))
-            pieces.append(text[done:start])
-            pieces.append("," + token)
-            done = end
-        at = text.find("g", end)
-    if not tails:
-        return text, tails
+    for start, end, marker in folds:
+        token = f"{len(markers)}.0"
+        markers[token] = marker
+        pieces += (text[done:start], ",", token)
+        done = end
     pieces.append(text[done:])
-    return "".join(pieces), tails
+    return "".join(pieces), markers
 
 
-# A Gram key's indentation is sought this far back; the writer's surface
-# Grams are indented 6 spaces.
+# A key's indentation is sought this far back; the writer indents the keys
+# of a surface 6 spaces.
 _MAX_INDENT = 64
+
+
+def _key_indent(text: str, key: int) -> str | None:
+    """The line break and spaces before the key that starts at ``key``, or
+    None when the line holds more before it or is more than ``_MAX_INDENT`` deep."""
+    line = text.rfind("\n", max(0, key - _MAX_INDENT), key)
+    indent = text[line:key]
+    if line < 0 or indent[1:].strip(" "):
+        return None
+    return indent
+
+
+def _row_runs(text: str, key: int, folds: list[tuple[int, int, Any]]) -> int:
+    """Append to ``folds`` the copies of each row of the restriction matrices
+    whose object's key starts at ``key``; return where reading stopped.
+
+    The object ends at its first "}".  A row of one of its matrices is the
+    text from a "[" that opens a line two levels below the key to the next
+    "]".  When the text after a row repeats ``"," + line + row`` (and the
+    row holds no quote and no second "[", so it is one whole JSON value),
+    its copies are counted by comparing a block of them that doubles while
+    it matches and then halves, a block never longer than the copies read,
+    and ``(start, end, _RowCopies(count))`` is appended.  Any other text in
+    the object is passed over.
+    """
+    brace = key + len(_RESTRICTIONS_KEY) - 1
+    indent = _key_indent(text, key)
+    if indent is None:
+        return brace + 1
+    close = text.find("}", brace)
+    if close < 0:
+        return len(text)
+    line = indent + "    "
+    at = text.find("[", brace, close)
+    while at >= 0:
+        if not text.startswith(line, at - len(line)):
+            at = text.find("[", at + 1, close)
+            continue
+        end = text.find("]", at, close) + 1
+        if not end:
+            break
+        row = text[at:end]
+        unit = "," + line + row
+        if text.startswith(unit, end) and '"' not in row and row.find("[", 1) < 0:
+            start = end
+            end += len(unit)
+            block = unit
+            while text.startswith(block, end):
+                end += len(block)
+                block = text[start:end]
+            # ``block`` holds every copy read, more than are left: halve it.
+            copies = size = (end - start) // len(unit)
+            while size > 1:
+                size //= 2
+                block = block[: size * len(unit)]
+                if text.startswith(block, end):
+                    end += len(block)
+                    copies += size
+            folds.append((start, end, _RowCopies(copies)))
+        at = text.find("[", end, close)
+    return close
 
 
 def _verified_tail(text: str, key: int) -> tuple[int, int, int, int]:
@@ -679,9 +767,8 @@ def _verified_tail(text: str, key: int) -> tuple[int, int, int, int]:
     writer's layout.
     """
     row = key + len(_GRAM_KEY) - 1  # the Gram's "[", which leads its first row
-    line = text.rfind("\n", max(0, key - _MAX_INDENT), key)
-    indent = text[line:key]
-    if line < 0 or indent[1:].strip(" "):
+    indent = _key_indent(text, key)
+    if indent is None:
         return row, row + 1, 0, 0
     inner = indent + "  "
     cell = inner + "  "

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import cached_property
-from itertools import chain, groupby, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Any, Iterable, Sequence
 
@@ -122,18 +122,6 @@ def rows_from_runs(
     m.lengths = tuple(lengths)
     m.pairs = None if pairs is None else tuple(pairs)
     return m
-
-
-def runs(rows: Sequence[Any]) -> tuple[tuple[Any, ...], tuple[int, ...]]:
-    """The first row and the length of each run of equal consecutive rows,
-    found at C speed.
-
-    ``groupby`` compares a row with the one before it, and a row that is
-    the same object as its neighbour compares equal without a look at its
-    entries.  ``map`` reads each group whole before ``groupby`` moves past it.
-    """
-    groups = list(map(list, map(itemgetter(1), groupby(rows))))
-    return tuple(map(itemgetter(0), groups)), tuple(map(len, groups))
 
 
 def as_int_matrix(rows: Iterable[Iterable[int]]) -> IntMatrix:

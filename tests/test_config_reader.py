@@ -2,10 +2,12 @@
 
 ``config_from_json`` reads a surface Gram's trailing -I rows as one block of
 text: it compares them with the writer's text and decodes each verified row
-without reading its cells.  Its contract is that of
+without reading its cells.  It reads the copies of a restriction row that
+follow it the same way.  Its contract is that of
 ``config_from_dict(json.loads(text))`` on every text: the same configuration,
 or a ``SchemaError`` with the same message.  Here that is checked on every
-catalog and stress export and on mutations aimed at the tail, and a pin
+catalog and stress export and on mutations aimed at the tail and at the
+copied rows, and a pin
 fails if the writer's layout and the reader's recognition drift apart.
 """
 
@@ -15,12 +17,15 @@ import random
 import re
 import time
 import tracemalloc
+from itertools import groupby
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nc3 import catalog, configfile, construction, ncconfig
+from nc3._record import replace
+from nc3.exactlat import rows_from_runs
 from nc3.ncconfig import SchemaError
 from tests.conftest import all_catalog_cases, d21_all_ones_row, rank_one_family
 
@@ -81,6 +86,12 @@ def test_every_export_reads_as_plain_json():
         assert ncconfig.config_from_json(text) == config == _plain(text), label
 
 
+def _gram_tails(text):
+    """The ``(n, p)`` of each -I tail the reader folds in ``text``, in order."""
+    markers = configfile._fold_repeats(text)[1].values()
+    return [m for m in markers if type(m) is configfile._MinusIdentityTail]
+
+
 def _minus_identity_oracle(n, p):
     """Rows p to n - 1 of the n x n matrix -I, cell by cell."""
     return [[-1 if c == q else 0 for c in range(n)] for q in range(p, n)]
@@ -92,7 +103,7 @@ def test_the_d3_tail_of_each_stress_blowup_is_folded_into_one_token():
     disables the fast path fails here."""
     assert len(_stress_exports()) == 45
     for label, config, text in _stress_exports():
-        [tail] = configfile._fold_gram_tails(text)[1].values()
+        [tail] = _gram_tails(text)
         grams = [s["gram"] for s in configfile._loads(text)["surfaces"]]
         marked = [type(g[-1]) is configfile._MinusIdentityTail for g in grams]
         assert marked == [False, False, True] and grams[2][-1] == tail, label
@@ -104,7 +115,7 @@ def test_the_d3_tail_of_each_stress_blowup_is_folded_into_one_token():
 
 def test_catalog_sized_exports_are_decoded_as_plain_json():
     for label, _, text in _exports()[:63]:
-        assert configfile._fold_gram_tails(text) == (text, {}), label
+        assert configfile._fold_repeats(text) == (text, {}), label
 
 
 def _unit_gram(n, p):
@@ -121,7 +132,7 @@ def test_a_tail_is_folded_from_the_threshold_on(n, p, folded):
     more, however little text follows it, and the text reads as plain JSON."""
     text = configfile.dumps({"surfaces": [{"gram": _unit_gram(n, p)}]})
     assert ((n - p) * n >= configfile._FOLD_MIN_CELLS) is folded
-    assert list(configfile._fold_gram_tails(text)[1].values()) == ([(n, p)] if folded else [])
+    assert _gram_tails(text) == ([(n, p)] if folded else [])
     _assert_as_plain(text)
 
 
@@ -135,7 +146,7 @@ def test_a_text_of_the_threshold_length_is_searched_for_tails():
     assert pad > 0
     for short, tails in ((0, [(46, 1)]), (1, [])):
         padded = text + " " * (pad - short)
-        assert list(configfile._fold_gram_tails(padded)[1].values()) == tails
+        assert _gram_tails(padded) == tails
         _assert_as_plain(padded)
 
 
@@ -147,7 +158,7 @@ def test_a_gram_in_another_layout_leaves_the_writers_tail_folded():
     start = text.index('"gram": [') + len('"gram": ')
     end = text.index("\n      ]", start) + len("\n      ]")
     text = text[:start] + json.dumps(data["surfaces"][0]["gram"]) + text[end:]
-    assert list(configfile._fold_gram_tails(text)[1].values()) == [(295, 1)]
+    assert _gram_tails(text) == [(295, 1)]
     assert ncconfig.config_from_json(text) == _d21_all_ones() == _plain(text)
 
 
@@ -361,7 +372,45 @@ def _edit_bytes(text, pick):
     return text
 
 
-_MUTATIONS = (_mutate_cell, _truncate_tail, _reindent_tail, _paste_tail, _forge_tokens, _edit_bytes)
+def _restriction_rows(text):
+    """(start, end) of each row of D3's restriction matrices, from its line's
+    first space to its "]"."""
+    start = text.index('"restrictions": {', text.rindex('"gram": ['))
+    end = text.index("\n      }", start)
+    return [(m.start() + 1, text.index("]", m.end()) + 1) for m in re.compile(r"\n {10}\[").finditer(text, start, end)]
+
+
+def _copied_row_runs(text):
+    """The spans of each run of two or more equal rows of D3's restriction matrices."""
+    runs = [list(g) for _, g in groupby(_restriction_rows(text), key=lambda span: text[span[0] : span[1]])]
+    return [run for run in runs if len(run) > 1]
+
+
+# One edit of a row's text: a cell, a comma, an indent character.
+_ROW_EDITS = {
+    "cell": lambda row: re.sub(r"(?<=\n {12})-?\d+", lambda m: str(int(m.group()) + 7), row, count=1),
+    "comma": lambda row: row.replace(",", "", 1),
+    "indent": lambda row: row[1:],
+}
+
+
+def _edit_restriction_row(text, pick):
+    """One row of D3's restriction matrices, most often one of a run of equal
+    rows, edited, dropped or written twice."""
+    runs = _copied_row_runs(text)
+    rows = runs[pick(len(runs))] if pick(4) else _restriction_rows(text)
+    a, b = rows[pick(len(rows))]
+    how = pick(len(_ROW_EDITS) + 2)
+    if how == len(_ROW_EDITS):  # the row, with the comma before it or, for a first row, after it
+        return text[: a - 2] + text[b:] if text[a - 2] == "," else text[:a] + text[b + 2 :]
+    if how > len(_ROW_EDITS):
+        return text[:b] + ",\n" + text[a:b] + text[b:]
+    return text[:a] + list(_ROW_EDITS.values())[how](text[a:b]) + text[b:]
+
+
+_MUTATIONS = (
+    _mutate_cell, _truncate_tail, _reindent_tail, _paste_tail, _forge_tokens, _edit_bytes, _edit_restriction_row
+)
 
 
 @functools.cache
@@ -387,7 +436,7 @@ def test_mutated_exports_read_as_plain_json(text):
 def test_each_mutation_of_the_largest_tail_reads_as_plain_json(mutate):
     """The degree-21 all-ones export, whose tail the reader folds, mutated with a fixed seed."""
     text = _d21_all_ones_text()
-    assert configfile._fold_gram_tails(text)[1]
+    assert _gram_tails(text)
     rng = random.Random(5)
     for _ in range(3):
         _assert_as_plain(mutate(text, rng.randrange))
@@ -403,7 +452,7 @@ def test_a_base_row_nonzero_in_a_minus_identity_column_is_refused_as_plain_json(
     a, b = list(_CELL.finditer(text, start, text.index("\n        ]", start)))[-1].span()
     assert text[a:b] == "0"
     text = text[:a] + "1" + text[b:]
-    assert configfile._fold_gram_tails(text)[1]
+    assert _gram_tails(text)
     outcome = _outcome(ncconfig.config_from_json, text)
     assert outcome == _outcome(_plain, text)
     assert outcome[0] == "refused" and "not symmetric" in outcome[1]
@@ -478,7 +527,7 @@ def test_a_text_too_short_for_the_tail_it_opens_builds_no_block(monkeypatch):
     for end in (start + rows[0] + 20000, tail_end - 1):
         _assert_as_plain(full[:end])
         assert cut == [], end
-    assert configfile._fold_gram_tails(full)[1] and len(cut) == len(rows) + 1
+    assert _gram_tails(full) and len(cut) == len(rows) + 1
 
 
 def test_mutations_at_the_edges_of_the_verified_blocks_read_as_plain_json():
@@ -519,20 +568,38 @@ def test_the_pieces_of_a_tail_are_the_stdlib_text_of_its_rows():
 
 def test_a_verified_tail_outside_a_surface_gram_reads_as_plain_json():
     """A "gram" key among D3's restrictions holds a copy of its Gram in the
-    writer's layout: its tail is verified and folded too, but only a
-    surface's Gram reads the marker, so the text is read as plain JSON."""
+    writer's layout, and D3's restrictions key shares its name's line, so
+    the scan reads no restrictions object there and finds that key: its tail
+    is verified and folded too, but only a surface's Gram reads the marker,
+    so the text is read as plain JSON."""
     data = configfile.config_to_dict(_d21_all_ones())
     data["surfaces"][2]["restrictions"]["gram"] = data["surfaces"][2]["gram"]
-    text = configfile.dumps(data)
-    assert len(configfile._fold_gram_tails(text)[1]) == 2
+    text = configfile.dumps(data).replace('"D3",\n      "restrictions"', '"D3", "restrictions"')
+    assert _gram_tails(text) == [(295, 1), (295, 1)]
     outcome = _outcome(ncconfig.config_from_json, text)
     assert outcome == _outcome(_plain, text) == ("ok", _d21_all_ones())
 
 
+def test_copied_rows_outside_a_surfaces_restrictions_read_as_plain_json():
+    """D3's tau_class holds a copy of its restrictions object in the
+    writer's layout: the runs of both are folded, but only a surface's
+    restrictions read the markers, so the text is refused as plain JSON
+    refuses it, with every copied row in the message."""
+    data = configfile.config_to_dict(_d21_all_ones())
+    data["surfaces"][2]["tau_class"] = {"restrictions": data["surfaces"][2]["restrictions"]}
+    text = configfile.dumps(data)
+    markers = configfile._fold_repeats(text)[1].values()
+    assert [type(m) for m in markers].count(configfile._RowCopies) == 2 * 2 * 21
+    outcome = _outcome(ncconfig.config_from_json, text)
+    assert outcome == _outcome(_plain, text) and outcome[0] == "refused"
+
+
 def test_a_verified_tail_is_one_token_and_no_dense_rows(monkeypatch):
     """Reading the degree-21 all-ones export calls the ``parse_float`` hook
-    once, for D3's 294-row tail, and lays out no -I row; the fallback, for a
-    base row nonzero in an -I column, lays out the tail it must scan."""
+    once for each token: D3's 294-row tail, then the copies of each curve's
+    row in D3's two restriction matrices.  It lays out no -I row; the
+    fallback, for a base row nonzero in an -I column, lays out the tail it
+    must scan."""
     hooked, laid_out = [], []
     loads = json.loads
     rows = configfile._minus_identity_rows
@@ -550,7 +617,10 @@ def test_a_verified_tail_is_one_token_and_no_dense_rows(monkeypatch):
     monkeypatch.setattr(json, "loads", counted_loads)
     monkeypatch.setattr(configfile, "_minus_identity_rows", recorded_rows)
     assert ncconfig.config_from_json(_d21_all_ones_text()) == _d21_all_ones()
-    assert (hooked, laid_out) == (["0.0"], [])
+    markers = configfile._fold_repeats(_d21_all_ones_text())[1]
+    assert (hooked, laid_out) == (list(markers), [])
+    kinds = [configfile._MinusIdentityTail] + [configfile._RowCopies] * (2 * 21)
+    assert [type(m) for m in markers.values()] == kinds
 
     text = _d21_all_ones_text()
     start, _ = _gram_span(text)
@@ -572,3 +642,154 @@ def test_reading_the_largest_export_holds_less_than_its_text():
     finally:
         tracemalloc.stop()
     assert peak < 0.7 * len(text)
+
+
+# ---------------------------------------------------------------------------
+# Runs of copied restriction rows
+
+
+@pytest.mark.parametrize("edit", sorted(_ROW_EDITS))
+@pytest.mark.parametrize("which", ["head", "first copy", "middle copy", "last copy"])
+def test_an_edit_of_one_row_of_a_run_reads_as_plain_json(which, edit):
+    """The first run of D3's first restriction matrix and the last run of its
+    second, in the degree-21 all-ones export: its head, its first, a middle
+    or its last copy gets one cell changed, one comma dropped or one space of
+    its indent dropped.  The runs left around it are still folded."""
+    text = _d21_all_ones_text()
+    runs = _copied_row_runs(text)
+    assert len(runs) == 2 * 21 and {len(run) for run in runs} == {14}
+    for run in (runs[0], runs[-1]):
+        a, b = run[{"head": 0, "first copy": 1, "middle copy": len(run) // 2, "last copy": -1}[which]]
+        mutant = text[:a] + _ROW_EDITS[edit](text[a:b]) + text[b:]
+        assert mutant != text
+        copies = [m for m in configfile._fold_repeats(mutant)[1].values() if type(m) is configfile._RowCopies]
+        assert len(copies) >= 2 * 21 - 1
+        _assert_as_plain(mutant)
+
+
+def test_the_writer_emits_each_stated_run_as_its_rows():
+    """D3's restriction matrices of the degree-21 all-ones blow-up, restated
+    as runs of two rows and one, each next to an equal one: the writer's
+    text is the stdlib encoder's text of the plain rows, and the reader
+    reads each run of equal rows back as one."""
+    config = _d21_all_ones()
+    surfaces = list(config.surfaces)
+    restated = []
+    for m in surfaces[2].restrictions:
+        heads, lengths = [], []
+        for head, n in zip(m.heads, m.lengths):
+            heads += [head] * (n // 2 + n % 2)
+            lengths += [2] * (n // 2) + [1] * (n % 2)
+        assert 1 in lengths and 2 in lengths
+        restated.append(rows_from_runs(heads, lengths))
+    surfaces[2] = replace(surfaces[2], restrictions=tuple(restated))
+    config = replace(config, surfaces=tuple(surfaces))
+    text = ncconfig.config_to_json(config)
+    # Compared as one bool: a diff of two 1.5 MB texts takes pytest minutes.
+    same = text == json.dumps(configfile.config_to_dict(config), indent=2, sort_keys=True) == _d21_all_ones_text()
+    assert same
+    for read, built in zip(ncconfig.config_from_json(text).surfaces[2].restrictions, restated):
+        assert read == built and read.lengths == (1,) + (14,) * 21
+
+
+@pytest.mark.parametrize(
+    "rows",
+    ['"Y1":\n          [[1],\n          [[1]]', '"Y1": [\n          ["a],\n          ["a]", 5]],\n        "Y2": [0.0]'],
+    ids=["a second list", "a quote"],
+)
+def test_a_row_that_is_not_one_json_value_is_not_folded(rows):
+    """A line that opens "[[1]" or '["a]' up to its first "]" and a next line
+    that repeats it: such a row is not a whole JSON value, so its "copy" is
+    not one.  Folded, the first text would lose an unclosed "[", and the
+    second would put its token in a string while a forged "0.0" stands in a
+    matrix; either would decode where plain JSON refuses the text."""
+    text = '{\n  "surfaces": [\n    {\n      "restrictions": {\n        ' + rows + "\n      }\n    }\n  ]\n}"
+    text += " " * configfile._FOLD_MIN_CHARS
+    assert configfile._fold_repeats(text)[1] == {}
+    assert _outcome(ncconfig.config_from_json, text) == _outcome(_plain, text)
+    assert _outcome(_plain, text)[1].startswith("invalid JSON")
+
+
+def test_a_restrictions_key_after_more_than_spaces_on_its_line_is_not_searched():
+    """Each line of this text opens with a comma, one character before the
+    writer's indent, so each copy of the row follows two commas and plain
+    JSON refuses the text.  Folded, the copies would go and the text would
+    decode.  The same text indented with spaces is searched and folded."""
+    text = (
+        '{\n  "surfaces": [\n    {\n      "a": 0\n,     "restrictions": {\n        "Y1": [[0]'
+        + "\n,         [1, 2],\n,         [1, 2]]\n      }\n    }\n  ]\n}"
+    )
+    text += " " * configfile._FOLD_MIN_CHARS
+    assert list(configfile._fold_repeats(text.replace("\n,", "\n "))[1].values()) == [1]
+    assert configfile._fold_repeats(text)[1] == {}
+    assert _outcome(ncconfig.config_from_json, text) == _outcome(_plain, text)
+    assert _outcome(_plain, text)[1].startswith("invalid JSON")
+
+
+def _copied_rows(count):
+    """A text in the writer's layout whose one restriction matrix is ``count``
+    copies of one 16-cell row, long enough to be searched."""
+    rows = [list(range(-8, 8))] * count
+    text = configfile.dumps({"surfaces": [{"restrictions": {"Y1": rows}}]})
+    return text + " " * max(0, configfile._FOLD_MIN_CHARS - len(text))
+
+
+@pytest.mark.parametrize("count", [2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 1023, 1024, 1025])
+def test_the_copies_of_a_row_are_counted_by_doubling_and_halving(count):
+    text = _copied_rows(count)
+    folded, markers = configfile._fold_repeats(text)
+    assert list(markers.values()) == [count - 1] and type(markers["0.0"]) is configfile._RowCopies
+    assert folded.count("[\n            -8,") == 1
+    assert configfile._loads(text) == {"surfaces": [{"restrictions": {"Y1": [list(range(-8, 8)), count - 1]}}]}
+    assert json.loads(text) == {"surfaces": [{"restrictions": {"Y1": [list(range(-8, 8))] * count}}]}
+
+
+def test_reading_the_copies_of_one_row_takes_time_linear_in_their_number():
+    """2**10 and 2**14 copies of one row: the copies are compared in blocks
+    that double and then halve, so 16 times the text takes at most about 16
+    times as long to read."""
+    counts = (2**10, 2**14)
+    texts = [_copied_rows(count) for count in counts]
+    assert len(texts[0]) > configfile._FOLD_MIN_CHARS
+    times = []
+    for count, text in zip(counts, texts):
+        assert list(configfile._fold_repeats(text)[1].values()) == [count - 1]
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            configfile._loads(text)
+            best = min(best, time.perf_counter() - start)
+        times.append(best)
+    assert times[1] < 2 * len(texts[1]) / len(texts[0]) * times[0] + 0.002
+
+
+def test_a_compact_stress_file_reads_as_the_writers_and_states_no_runs():
+    """Each stress export written by ``json.dumps`` on one line: it is read
+    as plain JSON, to the configuration the writer's text gives, and its
+    restriction matrices are plain tuples."""
+    for label, config, _ in _stress_exports():
+        compact = json.dumps(configfile.config_to_dict(config))
+        assert configfile._fold_repeats(compact)[1] == {}, label
+        parsed = ncconfig.config_from_json(compact)
+        assert parsed == config, label
+        assert {type(m) for s in parsed.surfaces for m in s.restrictions} == {tuple}, label
+
+
+def test_reading_the_largest_export_decodes_each_run_of_rows_once():
+    """The degree-21 all-ones export: after its tail and its copied rows are
+    folded, under 4% of its text is left to decode, and reading it holds
+    under 0.15 of its text.  Each parsed D3 restriction matrix states its
+    base row and one run of 14 rows per curve."""
+    text = _d21_all_ones_text()
+    folded, _ = configfile._fold_repeats(text)
+    assert len(folded) < 0.04 * len(text)
+    parsed = ncconfig.config_from_json(text)
+    for m in parsed.surfaces[2].restrictions:
+        assert m.lengths == (1,) + (14,) * 21
+    tracemalloc.start()
+    try:
+        ncconfig.config_from_json(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.15 * len(text)

@@ -29,7 +29,6 @@ from nc3.exactlat import (
     pair,
     require_curve_class,
     rows_from_runs,
-    runs,
     vec_add,
 )
 from nc3.ncconfig import restriction_difference_matrix
@@ -277,9 +276,9 @@ def test_a_matrix_from_runs_reads_its_rows_distinct_rows_and_entries_from_them()
 def test_rows_from_runs_lays_out_the_runs_it_states():
     """Each head repeated by its length, as one shared tuple.  The value
     equals, hashes and prints as the plain tuple of its rows; a slice or a
-    sum is a plain tuple.  The stated runs may split a run of equal rows;
-    ``runs`` finds the runs of the rows, stated or not.  The runs and pairs
-    are kept as tuples, so the lists they were given in can change freely."""
+    sum is a plain tuple.  The stated runs may split a run of equal rows.
+    The runs and pairs are kept as tuples, so the lists they were given in
+    can change freely."""
     a, b = (1, 0, 2), (0, 3, 0)
     heads, lengths, pairs = [a, a, b, a], [2, 1, 1, 1], [None, None, ((1, 3),), None]
     m = rows_from_runs(heads, lengths, pairs)
@@ -292,7 +291,6 @@ def test_rows_from_runs_lays_out_the_runs_it_states():
     assert type(m[1:]) is type(m + ()) is tuple
     assert (m.heads, m.lengths) == ((a, a, b, a), (2, 1, 1, 1))
     assert m.pairs == (None, None, ((1, 3),), None)
-    assert runs(m) == runs(rows) == ((a, b, a), (3, 1, 1))
     empty = rows_from_runs([], [])
     assert (empty.heads, empty.lengths) == ((), ()) and empty == ()
 

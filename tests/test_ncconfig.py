@@ -644,3 +644,17 @@ def test_writer_writes_a_row_holding_a_bool_as_the_stdlib_encoder_does():
     text = config_to_json(config)
     assert text == json.dumps(config_to_dict(config), indent=2, sort_keys=True)
     assert "true" in text
+
+
+def test_writer_writes_a_blown_up_gram_row_holding_a_bool_as_the_stdlib_encoder_does():
+    """A blown-up Gram's base row may hold ``True`` too: the writer writes
+    that row with the zeros over the -I columns after it, as
+    ``config_to_dict`` lays them out, and then the -I rows."""
+    config, _ = construction.sequential_blowup(*catalog.instantiate("quintic", quintic_partition(5)))
+    lattice = config.surfaces[2].lattice
+    assert lattice.gram == ((1,),) and lattice.exceptional == 15
+    flagged = replace(lattice, gram=((True,),))
+    config = _with_surface(config, 2, lattice=flagged)
+    text = config_to_json(config)
+    assert text == json.dumps(config_to_dict(config), indent=2, sort_keys=True)
+    assert "true" in text

@@ -14,17 +14,18 @@ four variants of every blown-up configuration:
   nothing;
 * rebuilt fresh with the third surface's point rows permuted, so that equal
   rows are not consecutive;
-* exported and read back, so a matrix of 32 rows or more states the runs
-  the reader found.
+* exported and read back, so a matrix whose text repeats a row states the
+  runs the reader read from the text.
 """
 
 import random
+from itertools import groupby
 
 import pytest
 
-from nc3 import catalog, construction, degeneration, ncconfig
+from nc3 import catalog, configfile, construction, degeneration, ncconfig
 from nc3._record import replace
-from nc3.exactlat import RowRuns, mat_vec, matrix_rank, runs
+from nc3.exactlat import RowRuns, mat_vec, matrix_rank
 from nc3.ncconfig import SURFACE_ADJACENCY, restriction_difference_matrix
 from tests.conftest import (
     all_catalog_cases,
@@ -137,9 +138,10 @@ def _assert_states_its_rows(m, where):
 @pytest.mark.parametrize("label, case", CASES, ids=[label for label, _ in CASES])
 def test_stated_runs_are_the_rows_and_change_no_result(label, case):
     """The blow-up states both matrices of the third surface, and a pair list
-    for each curve that meets the triple curve.  The reader states every
-    matrix of 32 rows or more, with the runs ``exactlat.runs`` finds in its
-    plain rows, and the file it read re-exports byte for byte.  The
+    for each curve that meets the triple curve.  The reader states a matrix
+    exactly when its text repeats a row in a file long enough to be folded,
+    with the runs of equal consecutive rows (an ``itertools.groupby``
+    oracle), and the file it read re-exports byte for byte.  The
     restriction-difference matrix of either has the distinct rows and
     entries of the same configuration with plain tuples."""
     config, divisor = case
@@ -147,6 +149,7 @@ def test_stated_runs_are_the_rows_and_change_no_result(label, case):
     text = ncconfig.config_to_json(tilde)
     parsed = ncconfig.config_from_json(text)
     assert ncconfig.config_to_json(parsed) == text, label
+    folded = len(text) >= configfile._FOLD_MIN_CHARS
     curves = sum(1 for m in divisor.tau_multiplicities if m)
     for name, cfg in (("blown", tilde), ("parsed", parsed)):
         where = (label, name)
@@ -157,9 +160,10 @@ def test_stated_runs_are_the_rows_and_change_no_result(label, case):
                     if i == 2:
                         assert sum(p is not None for p in m.pairs) == curves, where
                 else:
-                    assert (type(m) is RowRuns) is (len(m) >= 32), where
-                    if len(m) >= 32:
-                        assert (m.heads, m.lengths) == runs(tuple(m)), where
+                    groups = [(head, len(list(run))) for head, run in groupby(m)]
+                    assert (type(m) is RowRuns) is (folded and len(groups) < len(m)), where
+                    if type(m) is RowRuns:
+                        assert (m.heads, m.lengths) == tuple(map(tuple, zip(*groups))), where
                 if type(m) is RowRuns:
                     _assert_states_its_rows(m, where)
         plain = _with_rows(cfg, lambda i, m: tuple(map(tuple, m)))
