@@ -557,9 +557,7 @@ def extend_restriction_matrix(
         raise ValueError("alpha and gamma must be non-negative")
     if alpha == 0 and gamma == 0:
         return m
-    pad = (0,) * (2 * alpha)
-    entries = tuple(r + pad for r in m.entries) + ((0,) * (m.cols + 2 * alpha),) * gamma
-    return RationalMatrix(rows=m.rows + gamma, cols=m.cols + 2 * alpha, entries=entries)
+    return RationalMatrix(m.cols + 2 * alpha, m.runs + (((), gamma),))
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,10 @@ on the distinct nonzero rows of a matrix: a repeated row or a zero row adds
 nothing to the row space, and a blown-up surface repeats one restriction row
 for every point over a curve; the blow-up and the file reader lay such a
 matrix out from its runs as a ``RowRuns``, which keeps them for its
-readers.  A ``RationalMatrix`` holds the distinct nonzero rows as their
-``(col, value)`` pairs, derived from its dense rows on first read or, for
-a matrix built from its runs of equal rows (one sparse row and its length
-each), from those runs; such a matrix lays out its dense rows from the
-same runs, and only when they are read.  The rank is computed by
+readers.  A ``RationalMatrix`` is its runs of equal rows, one sparse row of
+``(col, value)`` pairs and its length each: its distinct nonzero rows are
+read from the runs, and its dense rows are laid out from them only when
+they are read.  The rank is computed by
 sparse fraction-free integer elimination: rows are kept as ``{col: value}``
 dicts and taken as pivot rows in ascending order of their initial length,
 an index of each column's rows lets a pivot update only the rows that hold
@@ -36,9 +35,9 @@ from __future__ import annotations
 import math
 import operator
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 from operator import itemgetter
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ._record import Record
 
@@ -297,78 +296,60 @@ def adjunction_euler(c: Sequence[int], canonical: Sequence[int], lattice: Inters
 
 
 class RationalMatrix(Record):
-    """A matrix of ``int`` entries, ranked over the rationals.
+    """A matrix of ``int`` entries, ranked over the rationals, held as its runs.
 
-    ``entries`` holds the dense rows in order.  The rank reads only
-    ``distinct_rows``: the distinct nonzero rows, each a tuple of its
-    ``(col, value)`` pairs in ascending column order.  A matrix given its
-    dense rows derives its distinct rows on their first read.  One built by
-    :meth:`from_runs` is described by its runs of equal rows alone: its row
-    count and distinct rows are read from them at once, and its dense rows
-    are laid out from them on the first read of ``entries``.  Either is then
-    held.
+    ``runs`` holds the rows in order as runs of equal rows: each a sparse
+    row, its nonzero ``(col, value)`` pairs in ascending column order, and
+    the number of times it repeats.  Runs next to each other may hold equal
+    rows, so two matrices with the same rows split into other runs are
+    different records.  The row count, the distinct nonzero rows (all the
+    rank reads) and the dense ``entries`` are derived from the runs on first
+    read and then held.
     """
 
-    rows: int
     cols: int
-    entries: tuple[tuple[int, ...], ...]
+    runs: tuple[tuple[SparseRow, int], ...]
 
     def __post_init__(self) -> None:
-        if len(self.entries) != self.rows:
-            raise DimensionMismatch("row count does not match entries")
-        if not {self.cols}.issuperset(map(len, self.entries)):
-            raise DimensionMismatch("column count does not match entries")
+        # A sparse row's last pair names its largest column.
+        if max(map(itemgetter(0), map(itemgetter(-1), self.distinct_rows)), default=-1) >= self.cols:
+            raise DimensionMismatch("a sparse row names a column past the last one")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "RationalMatrix":
-        """The matrix of ``rows``; an entry that is not an ``int`` is refused."""
+        """The matrix of the dense ``rows``, as its maximal runs of equal rows;
+        an entry that is not an ``int``, or a row of another length than the
+        first, is refused."""
         entries = tuple(map(tuple, rows))
         if not {int}.issuperset(map(type, chain.from_iterable(entries))):
             raise ExactLatticeError("matrix entries must be integers")
-        return cls(rows=len(entries), cols=len(entries[0]) if entries else 0, entries=entries)
+        cols = len(entries[0]) if entries else 0
+        if not {cols}.issuperset(map(len, entries)):
+            raise DimensionMismatch("column count does not match entries")
+        sparse = (tuple(filter(itemgetter(1), enumerate(r))) for r in entries)
+        return cls(cols, tuple((row, len(list(run))) for row, run in groupby(sparse)))
 
-    @classmethod
-    def from_runs(cls, cols: int, runs: Iterable[tuple[SparseRow, int]]) -> "RationalMatrix":
-        """The matrix of ``cols`` columns whose rows are ``runs`` in order:
-        each a sparse row and the number of times it repeats.
-
-        A sparse row lists its pairs in ascending column order, so its last
-        pair names its largest column; a column at or past ``cols`` raises
-        :class:`DimensionMismatch`.
-        """
-        runs = tuple(runs)
-        distinct = tuple(filter(None, dict.fromkeys(map(itemgetter(0), runs))))
-        if max(map(itemgetter(0), map(itemgetter(-1), distinct)), default=-1) >= cols:
-            raise DimensionMismatch("a sparse row names a column past the last one")
-        m = cls.__new__(cls)
-        object.__setattr__(m, "rows", sum(map(itemgetter(1), runs)))
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "distinct_rows", distinct)
-        object.__setattr__(m, "_runs", runs)
-        return m
+    @cached_property
+    def rows(self) -> int:
+        """The row count: the run lengths summed."""
+        return sum(map(itemgetter(1), self.runs))
 
     @cached_property
     def distinct_rows(self) -> tuple[SparseRow, ...]:
         """The distinct nonzero rows, in order of first appearance."""
-        sparse = (tuple(filter(itemgetter(1), enumerate(r))) for r in self.entries)
-        return tuple(filter(None, dict.fromkeys(sparse)))
+        return tuple(filter(None, dict.fromkeys(map(itemgetter(0), self.runs))))
 
-    def __getattr__(self, name: str) -> Any:
-        # Reached only for a name the instance does not hold: ``entries`` of a
-        # matrix built by ``from_runs``, laid out here once.  Each distinct
-        # row is laid out once and repeated, so equal rows are one tuple.
-        if name != "entries":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    @cached_property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The dense rows in order.  Each distinct row is laid out once and
+        repeated, so equal rows are one tuple."""
         dense: dict[SparseRow, tuple[int, ...]] = {}
-        for row, _ in self._runs:
-            if row not in dense:
-                cells = [0] * self.cols
-                for j, x in row:
-                    cells[j] = x
-                dense[row] = tuple(cells)
-        entries = tuple(chain.from_iterable(repeat(dense[row], n) for row, n in self._runs))
-        object.__setattr__(self, "entries", entries)
-        return entries
+        for row in dict.fromkeys(map(itemgetter(0), self.runs)):
+            cells = [0] * self.cols
+            for j, x in row:
+                cells[j] = x
+            dense[row] = tuple(cells)
+        return tuple(chain.from_iterable(repeat(dense[row], n) for row, n in self.runs))
 
 
 def _sparse_rank(rows: Iterable[SparseRow]) -> int:

@@ -462,9 +462,8 @@ def restriction_difference_matrix(config: NCConfiguration) -> RationalMatrix:
     is walked: a head with stated pairs gives them shifted by its
     component's column offset, and any other head is made sparse at C
     speed.  Otherwise runs of equal consecutive ``(r_plus, r_minus)`` pairs
-    of rows are found at C speed, comparing on identity first.  The rank
-    reads the distinct nonzero rows of these runs, and the dense rows are
-    laid out from them only when ``entries`` is first read.
+    of rows are found at C speed, comparing on identity first.  The matrix
+    is these runs; see :class:`~nc3.exactlat.RationalMatrix`.
     """
     offsets = [0]
     for comp in config.components:
@@ -496,7 +495,7 @@ def restriction_difference_matrix(config: NCConfiguration) -> RationalMatrix:
             # In ascending column order, so equal rows are equal tuples.
             row = tuple(chain(plus, minus) if j < k else chain(minus, plus))
             matrix_runs.append((row, len(list(run))))
-    return RationalMatrix.from_runs(offsets[-1], matrix_runs)
+    return RationalMatrix(offsets[-1], tuple(matrix_runs))
 
 
 def stack_component_vectors(config: NCConfiguration, parts: Sequence[Vec]) -> Vec:

@@ -354,6 +354,24 @@ def test_table_text_and_row_count(capsys):
     assert len([l for l in out.splitlines() if l.strip()]) == 2 + 3
 
 
+def test_table_fails_whole_on_a_row_that_raises(capsys, monkeypatch):
+    """One failing row prints no table: exit 1 and one JSON error line."""
+    from nc3 import invariants
+
+    original = invariants.hodge
+    message = "Euler paths disagree: closed form -90, triple-point sum -88"
+
+    def hodge(config, divisor, blowup=None):
+        if divisor.alpha == 2:
+            raise invariants.PathDisagreement(message)
+        return original(config, divisor, blowup)
+
+    monkeypatch.setattr(invariants, "hodge", hodge)
+    for fmt in ("text", "json", "csv"):
+        rc, out, err = run(capsys, "table", "--family", "cubic4fold-111", "--format", fmt)
+        assert (rc, out, err) == (1, "", json.dumps({"error": message}) + "\n")
+
+
 def test_table_text_puts_two_spaces_after_the_longest_partition(capsys):
     """The partition column is two wider than the longest partition, and
     h11, h12 and euler are right-aligned in fields of 5, 5 and 8."""
@@ -708,6 +726,30 @@ def test_invariants_config_file_refuses_non_semistable(tmp_path, capsys):
     assert err == json.dumps(
         {"error": "configuration is not d-semistable; normal-class residual [[5], [5], [5]]"}
     ) + "\n"
+
+
+def test_a_component_without_boundary_coordinates_is_not_cross_checked(tmp_path, capsys):
+    """Y3's boundary is optional: without it the file checks and gives the
+    invariants it gives with it, while a wrong Y1 boundary is still found."""
+    from nc3 import construction, ncconfig
+
+    config, divisor = catalog.instantiate("quintic", catalog.PartitionSpec(parts=((1,), (4,))))
+    data = json.loads(ncconfig.config_to_json(construction.sequential_blowup(config, divisor)[0]))
+    del data["components"][2]["boundary"]
+    path = tmp_path / "no_boundary.json"
+    path.write_text(json.dumps(data))
+    rc, out, _ = run(capsys, "check", "--config", str(path))
+    assert rc == 0
+    assert [d for d in json.loads(out)["diagnostics"] if d["clause"] == "coherence"] == []
+    rc, out, _ = run(capsys, "invariants", "--config", str(path), "--format", "json")
+    inv = json.loads(out)["invariants"]
+    assert (rc, inv["euler"], inv["h11"], inv["h12"]) == (0, -144, 3, 75)
+    data["components"][0]["boundary"]["Y2"][0] += 1
+    path.write_text(json.dumps(data))
+    rc, out, _ = run(capsys, "check", "--config", str(path))
+    coherence = [d for d in json.loads(out)["diagnostics"] if d["clause"] == "coherence"]
+    assert rc == 1 and [d["target"] for d in coherence] == ["D2", "D3"]
+    assert all(d["message"].startswith("boundary divisor of Y1 toward Y2 ") for d in coherence)
 
 
 def _wide_restriction_file(tmp_path, lattice_is_full):

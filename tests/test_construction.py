@@ -445,6 +445,18 @@ def test_extension_kernel_alpha_five():
     assert kernel_dimension(m) == 11
 
 
+def test_extension_appends_columns_and_zero_rows_from_the_runs():
+    """Each old row gains 2 * alpha zero cells and gamma zero rows follow;
+    neither matrix lays out its dense rows to get there."""
+    m = _quintic_matrix()
+    ext = extend_restriction_matrix(m, 2, gamma=3)
+    assert "entries" not in vars(m) and "entries" not in vars(ext)
+    assert (ext.rows, ext.cols, ext.distinct_rows) == (6, 7, m.distinct_rows)
+    assert ext.entries == tuple(r + (0,) * 4 for r in m.entries) + ((0,) * 7,) * 3
+    assert extend_restriction_matrix(m, 0, gamma=2).entries == m.entries + ((0,) * 3,) * 2
+    assert extend_restriction_matrix(m, 1).entries == tuple(r + (0, 0) for r in m.entries)
+
+
 def test_extension_alpha_zero_is_identity():
     m = _quintic_matrix()
     assert extend_restriction_matrix(m, 0) is m

@@ -232,18 +232,10 @@ def test_block_form_refusals():
 # kernel_dimension
 
 
-@pytest.mark.parametrize(
-    "rows, cols, entries, message",
-    [
-        (2, 2, ((1, 2),), "row count does not match entries"),
-        (2, 2, ((1, 2), (3,)), "column count does not match entries"),
-        (2, 2, ((1, 2, 3), (4, 5)), "column count does not match entries"),
-        (3, 1, ((1,),) * 2 + ((1, 0),), "column count does not match entries"),
-    ],
-)
-def test_malformed_rational_matrix_is_refused(rows, cols, entries, message):
-    with pytest.raises(DimensionMismatch, match=message):
-        RationalMatrix(rows=rows, cols=cols, entries=entries)
+@pytest.mark.parametrize("rows", [((1, 2), (3,)), ((1, 2, 3), (4, 5)), ((1,),) * 2 + ((1, 0),)])
+def test_malformed_rational_matrix_is_refused(rows):
+    with pytest.raises(DimensionMismatch, match="column count does not match entries"):
+        RationalMatrix.from_rows(rows)
 
 
 @pytest.mark.parametrize(
@@ -256,20 +248,27 @@ def test_malformed_rational_matrix_is_refused(rows, cols, entries, message):
 )
 def test_a_run_naming_a_column_past_the_last_one_is_refused(runs):
     with pytest.raises(DimensionMismatch, match="a sparse row names a column past the last one"):
-        RationalMatrix.from_runs(3, runs)
+        RationalMatrix(3, tuple(runs))
 
 
-def test_a_matrix_from_runs_reads_its_rows_distinct_rows_and_entries_from_them():
+@pytest.mark.parametrize("runs", [(), (((), 2),)])
+def test_a_negative_column_count_is_refused_also_without_a_nonzero_row(runs):
+    with pytest.raises(DimensionMismatch, match="a sparse row names a column past the last one"):
+        RationalMatrix(-1, runs)
+    assert RationalMatrix(0, runs).distinct_rows == ()
+
+
+def test_a_matrix_reads_its_rows_distinct_rows_and_entries_from_its_runs():
     """Rows: the run lengths summed.  Distinct rows: the nonzero sparse rows
     in order of first appearance.  Entries: each run's row laid out once and
     repeated, so equal rows, also in runs apart, are one tuple."""
     a, b = ((0, 2), (2, -1)), ((1, 3),)
-    m = RationalMatrix.from_runs(3, [(a, 2), ((), 1), (b, 1), (a, 1)])
+    m = RationalMatrix(3, ((a, 2), ((), 1), (b, 1), (a, 1)))
     assert (m.rows, m.cols, m.distinct_rows) == (5, 3, (a, b))
     assert m.entries == ((2, 0, -1), (2, 0, -1), (0, 0, 0), (0, 3, 0), (2, 0, -1))
     assert m.entries[0] is m.entries[1] is m.entries[4]
     assert m == RationalMatrix.from_rows(m.entries) and kernel_dimension(m) == 1
-    empty = RationalMatrix.from_runs(0, [])
+    empty = RationalMatrix(0, ())
     assert (empty.rows, empty.distinct_rows, empty.entries) == (0, (), ())
 
 
@@ -375,9 +374,11 @@ def test_rank_is_unchanged_by_repeats_zero_rows_order_and_row_types(n_rows, n_co
     edited = data.draw(st.permutations(edited))
     as_lists = data.draw(st.booleans())
     entries = tuple(list(r) if as_lists else tuple(r) for r in edited)
-    m = RationalMatrix(rows=len(entries), cols=n_cols, entries=entries)
+    m = RationalMatrix.from_rows(entries)
     assert matrix_rank(m) == rank
-    assert matrix_rank(RationalMatrix.from_rows(edited)) == rank
+    # The same rows as runs of length one each: runs need not be maximal.
+    single = tuple((tuple((j, x) for j, x in enumerate(r) if x), 1) for r in edited)
+    assert matrix_rank(RationalMatrix(n_cols, single)) == rank
     assert kernel_dimension(m) == n_cols - rank
 
 

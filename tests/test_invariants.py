@@ -311,6 +311,20 @@ def test_hodge_detects_path_disagreement(quintic5, monkeypatch):
         hodge(config, divisor)
 
 
+def test_hodge_refuses_a_blow_up_whose_triple_point_sum_misses_the_closed_form():
+    """Quintic (1,4): e = 2(h11 - h12) = 2(3 - 75) = -144 by the closed form.
+    Raising the blown-up Y1's Euler number by 2 moves only the triple-point
+    sum, which must then abort the row."""
+    config, divisor = _case("quintic", 1, 4)
+    tilde, trace = construction.sequential_blowup(config, divisor)
+    assert hodge(config, divisor, blowup=(tilde, trace)).euler == -144
+    y1 = replace(tilde.components[0], euler=tilde.components[0].euler + 2)
+    shifted = replace(tilde, components=(y1,) + tilde.components[1:])
+    with pytest.raises(PathDisagreement) as exc:
+        hodge(config, divisor, blowup=(shifted, trace))
+    assert str(exc.value) == "Euler paths disagree: closed form -144, triple-point sum -142"
+
+
 def test_hodge_relation_enforced_at_construction():
     with pytest.raises(PathDisagreement):
         SmoothingInvariants(euler=-200, h11=1, h12=100)

@@ -43,14 +43,13 @@ KEPT = {
     "construction:ample_margin": "acceptance criteria 5b and 5c",
     "construction:check_collective_divisor": "bench/worker.py and bench/tracing.py",
     "construction:extend_restriction_matrix": "acceptance criterion 5c",
-    "exactlat:RationalMatrix.__getattr__": "entries laid out from the runs on first read: bench/tracing.py",
-    "exactlat:RationalMatrix.__post_init__": "the dense constructor's shape check: criterion 5c and from_rows",
-    "exactlat:RationalMatrix.distinct_rows": "the rank of a matrix given its dense rows: criteria 5c and 7",
+    "exactlat:RationalMatrix.entries": "the dense rows laid out from the runs: bench/tracing.py",
     "exactlat:RationalMatrix.from_rows": "the checked integer constructor, for tests and callers",
+    "exactlat:RationalMatrix.rows": "the row count read from the runs: bench/tracing.py",
     "exactlat:adjunction_euler": "acceptance criterion 5e",
-    "ncconfig:NCConfiguration.boundary_class": "ROADMAP item 2, a second d-semistability route",
-    "ncconfig:component_restriction_classes": "ROADMAP item 2, a second d-semistability route",
-    "ncconfig:stack_component_vectors": "ROADMAP item 2, a second d-semistability route",
+    "ncconfig:NCConfiguration.boundary_class": "ROADMAP item 3, a second d-semistability route",
+    "ncconfig:component_restriction_classes": "ROADMAP item 3, a second d-semistability route",
+    "ncconfig:stack_component_vectors": "ROADMAP item 3, a second d-semistability route",
 }
 
 

@@ -165,7 +165,7 @@ def _invalid_changes():
     inv = invariants.hodge(c5, d5)
     return [
         (exactlat.make_lattice([[3]]), {"rank": 2}, exactlat.DimensionMismatch),
-        (exactlat.RationalMatrix.from_rows([[1, 2]]), {"cols": 3}, exactlat.DimensionMismatch),
+        (exactlat.RationalMatrix.from_rows([[1, 2]]), {"cols": 1}, exactlat.DimensionMismatch),
         (c5.components[0], {"h2_rank": 0}, ncconfig.ConfigError),
         (c5.surfaces[0], {"canonical": (1, 1)}, ncconfig.ConfigError),
         (c5, {"surfaces": c5.surfaces[:2]}, ncconfig.ConfigError),
